@@ -91,29 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flag_overrides(args: argparse.Namespace, config: dict) -> None:
-    if args.suite == "kernel" and args.op is not None:
-        config["kernel"]["op"] = args.op
-    if args.suite == "frames":
-        if args.group is not None:
-            config["frames"]["group"] = args.group
-        if args.window is not None:
-            config["frames"]["window"] = args.window
-        if args.a is not None:
-            config["frames"]["a"] = args.a
-        if args.b is not None:
-            config["frames"]["b"] = args.b
-    if args.suite == "regnet":
-        if args.construction is not None:
-            config["regnet"]["construction"] = args.construction
-        if args.stages is not None:
-            config["regnet"]["stages"] = args.stages
-        if args.target is not None:
-            config["regnet"]["target"] = args.target
-    if args.suite == "mpq":
-        if args.p is not None:
-            config["mpq"]["p"] = list(args.p)
-        if args.q is not None:
-            config["mpq"]["q"] = list(args.q)
+    """Copy every flag given on the command line into the chosen suite's
+    config section; suite flags are named after their config keys."""
+    section = config.get(args.suite, {})
+    for key, value in vars(args).items():
+        if value is not None and key in section:
+            section[key] = value
 
 
 def main(argv=None) -> int:

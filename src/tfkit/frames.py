@@ -29,7 +29,7 @@ from .groups import (
 )
 from .kernels import KernelOperator, kernel_signal, operator_matrix
 from .signals import Signal
-from .transform import _shift_matrix
+from .transform import phase_atoms
 
 __all__ = [
     "GaborSystem",
@@ -80,13 +80,10 @@ def gabor_atoms(system: GaborSystem, window: Signal = None) -> np.ndarray:
     g = system.window if window is None else window
     if g.group != system.group:
         raise GroupMismatchError("substitute window lives on the wrong group")
-    grp = system.group
-    shifts = _shift_matrix(g)
-    chars = character_table(grp)
-    time_idx = [grp.index(p) for p in system.lattice._side_nodes(system.lattice.time_step)]
-    freq_idx = [grp.index(p) for p in system.lattice._side_nodes(system.lattice.freq_step)]
-    atoms = shifts[time_idx][:, None, :] * chars[freq_idx][None, :, :]
-    return atoms.reshape(len(time_idx) * len(freq_idx), grp.order)
+    grp, lat = system.group, system.lattice
+    times = [grp.index(p) for p in lat.side_nodes(lat.time_step)]
+    freqs = [grp.index(p) for p in lat.side_nodes(lat.freq_step)]
+    return phase_atoms(g, times, freqs)
 
 
 def _accumulated_kernel(system: GaborSystem, atoms: np.ndarray) -> KernelOperator:

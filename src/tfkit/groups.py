@@ -102,6 +102,11 @@ class Group:
     def nfactors(self) -> int:
         return len(self.orders)
 
+    @property
+    def phase_weight(self) -> float:
+        """Per-point weight of the phase space G x dual(G), as a float."""
+        return float(self.weight * self.dual_weight)
+
     def dual(self) -> "Group":
         """The dual group: same coordinate grid, Haar weights swapped."""
         return Group(self.orders, self.dual_weight, self.weight)
@@ -282,7 +287,8 @@ class Lattice:
     def index_in_phase_space(self) -> int:
         return self.group.order ** 2 // self.size
 
-    def _side_nodes(self, steps) -> list:
+    def side_nodes(self, steps) -> list:
+        """Group elements that are multiples of the steps, lexicographic."""
         axes = [range(0, n, s) for n, s in zip(self.group.orders, steps)]
         nodes = [()]
         for ax in axes:
@@ -291,8 +297,8 @@ class Lattice:
 
     def points(self) -> list:
         """All lattice points as PhasePoint tuples, time-major."""
-        times = self._side_nodes(self.time_step)
-        freqs = self._side_nodes(self.freq_step)
+        times = self.side_nodes(self.time_step)
+        freqs = self.side_nodes(self.freq_step)
         return [PhasePoint(x, w) for x in times for w in freqs]
 
     def contains(self, point: PhasePoint) -> bool:

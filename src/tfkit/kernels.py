@@ -26,7 +26,7 @@ import numpy as np
 from .errors import GroupMismatchError
 from .groups import Group, character_table, product_group
 from .signals import Signal, gauss, l2_norm
-from .transform import m1_norm, stft, _shift_matrix, _char_sum_rows
+from .transform import m1_norm, pairing_rows, phase_atoms, stft
 
 __all__ = [
     "KernelOperator",
@@ -175,26 +175,14 @@ def operator_matrix(op: KernelOperator) -> np.ndarray:
 def operator_pairing_table(op: KernelOperator, g1: Signal, g2: Signal) -> np.ndarray:
     """Table B[nu1, nu2] = (pi(nu2) g2, T pi(nu1) g1), shape (|G1|^2, |G2|^2).
 
-    Computed by two passes of batched bilinear phase tables (FFT along
-    each side separately); the tests keep the quadruple direct sum as an
-    oracle on small orders.
+    Two passes of the batched bilinear table: pairing each kernel column
+    K(., y) with pi(nu1) g1 gives (T pi(nu1) g1)(y), and pairing those rows
+    with pi(nu2) g2 gives B.  The tests keep the quadruple direct sum as
+    an oracle on small orders.
     """
     if g1.group != op.domain or g2.group != op.codomain:
         raise GroupMismatchError("windows do not match the operator's groups")
-    G1, G2 = op.domain, op.codomain
-    n1, n2 = G1.order, G2.order
-    # pass 1: m[nu1, y] = (T pi(nu1) g1)(y)
-    rows = op.kernel.T[:, None, :] * _shift_matrix(g1)[None, :, :]  # (n2, n1, n1)
-    m = _char_sum_rows(rows.reshape(n2 * n1, n1), G1).reshape(n2, n1, n1)
-    m = np.transpose(m, (1, 2, 0)).reshape(n1 * n1, n2) * float(G1.weight)
-    # pass 2: B[nu1, nu2] = (pi(nu2) g2, m[nu1, :])
-    rows2 = m[:, None, :] * _shift_matrix(g2)[None, :, :]  # (n1^2, n2, n2)
-    b = _char_sum_rows(rows2.reshape(n1 * n1 * n2, n2), G2).reshape(n1 * n1, n2, n2)
-    return b.reshape(n1 * n1, n2 * n2) * float(G2.weight)
-
-
-def _phase_weight(group: Group) -> float:
-    return float(group.weight * group.dual_weight)
+    return pairing_rows(g2, pairing_rows(g1, op.kernel.T).T)
 
 
 def operator_m1_norm(op: KernelOperator, g1: Signal, g2: Signal) -> float:
@@ -207,7 +195,7 @@ def operator_m1_norm(op: KernelOperator, g1: Signal, g2: Signal) -> float:
     second, independent code path.
     """
     b = np.abs(operator_pairing_table(op, g1, g2))
-    return float(np.sum(b) * _phase_weight(op.domain) * _phase_weight(op.codomain))
+    return float(np.sum(b) * op.domain.phase_weight * op.codomain.phase_weight)
 
 
 def operator_minf_norm(op: KernelOperator, g1: Signal, g2: Signal) -> float:
@@ -290,12 +278,7 @@ def weak_reconstruct(op: KernelOperator, window: Signal, s: Signal) -> Signal:
     if window.group != op.domain or s.group != op.domain:
         raise GroupMismatchError("window and signal must live on the operator domain")
     G1 = op.domain
-    n1 = G1.order
     coeffs = stft(window, s).values.ravel()
-    # atoms[(x, w), t] = w(t) g(t - x), x-major like the stft table
-    atoms = (
-        _shift_matrix(window)[:, None, :] * character_table(G1)[None, :, :]
-    ).reshape(n1 * n1, n1)
-    images = (atoms @ op.kernel) * float(G1.weight)  # row nu = T(pi(nu) g)
-    scale = _phase_weight(G1) / l2_norm(window) ** 2
+    images = (phase_atoms(window) @ op.kernel) * float(G1.weight)  # row nu = T(pi(nu) g)
+    scale = G1.phase_weight / l2_norm(window) ** 2
     return Signal(op.codomain, (coeffs @ images) * scale)

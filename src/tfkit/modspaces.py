@@ -28,7 +28,7 @@ from .errors import GroupMismatchError
 from .groups import Group
 from .kernels import KernelOperator, operator_pairing_table
 from .signals import Signal, l2_norm
-from .transform import PhaseTable, mod_norm, stft_invert
+from .transform import PhaseTable, mod_norm, stft_invert, weighted_pnorm
 
 __all__ = [
     "conjugate_exponent",
@@ -50,12 +50,6 @@ def conjugate_exponent(p) -> float:
     return p / (p - 1.0)
 
 
-def _weighted_pnorm(mags: np.ndarray, weight: float, p, axis: int) -> np.ndarray:
-    if p == math.inf:
-        return np.max(mags, axis=axis)
-    return (np.sum(mags**p, axis=axis) * weight) ** (1.0 / p)
-
-
 def mixed_norm_condition(
     op: KernelOperator, g1: Signal, g2: Signal, p, q
 ) -> float:
@@ -66,10 +60,8 @@ def mixed_norm_condition(
     if q != math.inf and not q >= 1:
         raise ValueError(f"outer exponent must be in [1, inf], got {q}")
     mags = np.abs(operator_pairing_table(op, g1, g2))
-    wp1 = float(op.domain.weight * op.domain.dual_weight)
-    wp2 = float(op.codomain.weight * op.codomain.dual_weight)
-    inner = _weighted_pnorm(mags, wp1, p, axis=0)
-    return float(_weighted_pnorm(inner, wp2, q, axis=0))
+    inner = weighted_pnorm(mags, op.domain.phase_weight, p, axis=0)
+    return float(weighted_pnorm(inner, op.codomain.phase_weight, q, axis=0))
 
 
 def mpq_bound(op: KernelOperator, g1: Signal, g2: Signal, p, q) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, GroupMismatchError, WindowError
-from .groups import Group, character_table
+from .groups import Group
 from .kernels import KernelOperator, bilinear_form, compose
 from .signals import (
     Signal,
@@ -41,15 +41,11 @@ from .signals import (
     l1_norm,
     l2_norm,
     pair_bilinear,
+    periodized_sqdist,
     random_signal,
-    _periodized_sqdist,
+    shift_matrix,
 )
-from .transform import (
-    PhaseTable,
-    m1_norm,
-    _char_sum_rows,
-    _shift_matrix,
-)
+from .transform import PhaseTable, m1_norm, pairing_rows, phase_atoms
 from .frames import GaborSystem, frame_bounds, partial_frame_sum
 
 __all__ = [
@@ -111,7 +107,7 @@ def pc_operator(h1: Signal, h2: Signal) -> KernelOperator:
     """
     if h1.group != h2.group:
         raise GroupMismatchError("factors live on different groups")
-    k = h1.values[:, None] * _shift_matrix(h2)
+    k = h1.values[:, None] * shift_matrix(h2)
     return KernelOperator(h1.group, h1.group, k)
 
 
@@ -122,7 +118,7 @@ def cp_operator(h1: Signal, h2: Signal) -> KernelOperator:
     """
     if h1.group != h2.group:
         raise GroupMismatchError("factors live on different groups")
-    k = _shift_matrix(h1) * h2.values[None, :]
+    k = shift_matrix(h1) * h2.values[None, :]
     return KernelOperator(h1.group, h1.group, k)
 
 
@@ -136,7 +132,7 @@ def plateau_window(group: Group, spread: float) -> Signal:
     """
     if not spread > 0:
         raise ValueError(f"spread must be positive, got {spread}")
-    dist = np.sqrt(_periodized_sqdist(group))
+    dist = np.sqrt(periodized_sqdist(group))
     dmax = float(dist.max())
     u = dist * (spread / dmax) if dmax > 0 else np.zeros_like(dist)
     vals = np.where(
@@ -201,11 +197,8 @@ def localization_net(window: Signal, masks) -> RegNet:
     if abs(l2_norm(window) - 1.0) > 1e-10:
         raise WindowError("localization window must be L2-normalized")
     grp = window.group
-    n = grp.order
-    atoms = (
-        _shift_matrix(window)[:, None, :] * character_table(grp)[None, :, :]
-    ).reshape(n * n, n)
-    wp = float(grp.weight * grp.dual_weight)
+    atoms = phase_atoms(window)
+    wp = grp.phase_weight
     stages = []
     labels = []
     for i, mask in enumerate(masks):
@@ -245,40 +238,30 @@ def standard_probes(group: Group, seed: int, extra: int = 2) -> list:
     return probes
 
 
-def _lift_table(op: KernelOperator, g1: Signal, g2: Signal) -> np.ndarray:
+def _lift_table(op: KernelOperator, g1: Signal, g2: Signal = None) -> np.ndarray:
     """LiftT[nu, nu'] = bilinear table at nu' of T applied to the nu-th
-    synthesis atom of g1; the transpose of the lifted matrix."""
+    synthesis atom of g1 (g2 defaults to g1); the transpose of the lifted
+    matrix."""
+    g2 = g1 if g2 is None else g2
     if g1.group != op.domain or g2.group != op.codomain:
         raise GroupMismatchError("windows do not match the operator's groups")
-    G1, G2 = op.domain, op.codomain
-    n1, n2 = G1.order, G2.order
-    wp1 = float(G1.weight * G1.dual_weight)
-    atoms1 = (
-        _shift_matrix(g1)[:, None, :] * character_table(G1)[None, :, :]
-    ).reshape(n1 * n1, n1)
-    synth = atoms1.conj() * (wp1 / l2_norm(g1) ** 2)
+    G1 = op.domain
+    synth = phase_atoms(g1).conj() * (G1.phase_weight / l2_norm(g1) ** 2)
     images = (synth @ op.kernel) * float(G1.weight)  # (n1^2, n2)
-    rows = images[:, None, :] * _shift_matrix(g2)[None, :, :]
-    tables = _char_sum_rows(rows.reshape(n1 * n1 * n2, n2), G2).reshape(
-        n1 * n1, n2, n2
-    ) * float(G2.weight)
-    return tables.reshape(n1 * n1, n2 * n2)
+    return pairing_rows(g2, images)
 
 
 def induced_m1_norm(op: KernelOperator, g1: Signal, g2: Signal = None) -> float:
     """Exact norm of the phase-space lift of T between weighted-l1
     coefficient spaces; an upper bound for the m1 -> m1 operator norm."""
-    g2 = g1 if g2 is None else g2
     lift = _lift_table(op, g1, g2)
-    wp1 = float(op.domain.weight * op.domain.dual_weight)
-    wp2 = float(op.codomain.weight * op.codomain.dual_weight)
+    wp1, wp2 = op.domain.phase_weight, op.codomain.phase_weight
     return float(np.max(np.sum(np.abs(lift), axis=1)) * wp2 / wp1)
 
 
 def induced_minf_norm(op: KernelOperator, g1: Signal, g2: Signal = None) -> float:
     """Exact norm of the lift between sup coefficient spaces; an upper
     bound for the sup-modulation operator norm."""
-    g2 = g1 if g2 is None else g2
     lift = _lift_table(op, g1, g2)
     return float(np.max(np.sum(np.abs(lift), axis=0)))
 
@@ -286,10 +269,8 @@ def induced_minf_norm(op: KernelOperator, g1: Signal, g2: Signal = None) -> floa
 def induced_m1_to_minf_norm(op: KernelOperator, g1: Signal, g2: Signal = None) -> float:
     """Lift norm from weighted l1 into sup; the uniform bound logged for
     sandwiched nets."""
-    g2 = g1 if g2 is None else g2
     lift = _lift_table(op, g1, g2)
-    wp1 = float(op.domain.weight * op.domain.dual_weight)
-    return float(np.max(np.abs(lift)) / wp1)
+    return float(np.max(np.abs(lift)) / op.domain.phase_weight)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GroupMismatchError
-from .groups import Group, PhasePoint, negation_table, product_group
+from .groups import Group, PhasePoint, difference_table, negation_table, product_group
 
 __all__ = [
     "Signal",
@@ -34,8 +34,10 @@ __all__ = [
     "constant",
     "gauss",
     "random_signal",
+    "periodized_sqdist",
     "signal_from_spec",
     "translate",
+    "shift_matrix",
     "modulate",
     "tf_shift",
     "fourier",
@@ -44,6 +46,7 @@ __all__ = [
     "pointwise",
     "involute",
     "pair_bilinear",
+    "same_group",
     "inner",
     "l1_norm",
     "l2_norm",
@@ -73,11 +76,11 @@ class Signal:
         return self.values.reshape(self.group.orders)
 
     def __add__(self, other: "Signal") -> "Signal":
-        _same_group(self, other)
+        same_group(self, other)
         return Signal(self.group, self.values + other.values)
 
     def __sub__(self, other: "Signal") -> "Signal":
-        _same_group(self, other)
+        same_group(self, other)
         return Signal(self.group, self.values - other.values)
 
     def __mul__(self, scalar) -> "Signal":
@@ -92,7 +95,8 @@ class Signal:
         return f"Signal({self.group}, {self.values!r})"
 
 
-def _same_group(a: Signal, b: Signal):
+def same_group(a: Signal, b: Signal):
+    """GroupMismatchError unless both signals live on one group."""
     if a.group != b.group:
         raise GroupMismatchError(f"signals live on {a.group} and {b.group}")
 
@@ -109,7 +113,7 @@ def constant(group: Group, value=1.0) -> Signal:
     return Signal(group, np.full(group.order, complex(value)))
 
 
-def _periodized_sqdist(group: Group) -> np.ndarray:
+def periodized_sqdist(group: Group) -> np.ndarray:
     """d(t, 0)^2 with the wrap-around distance per factor, flat order."""
     coords = [ax.ravel() for ax in np.indices(group.orders)]
     sq = np.zeros(group.order)
@@ -123,7 +127,7 @@ def gauss(group: Group, spread: float) -> Signal:
     """Periodized Gaussian bump exp(-pi d(t,0)^2 / spread^2)."""
     if not spread > 0:
         raise ValueError(f"spread must be positive, got {spread}")
-    return Signal(group, np.exp(-np.pi * _periodized_sqdist(group) / spread**2))
+    return Signal(group, np.exp(-np.pi * periodized_sqdist(group) / spread**2))
 
 
 def random_signal(group: Group, seed) -> Signal:
@@ -191,6 +195,11 @@ def translate(f: Signal, x) -> Signal:
     return Signal(f.group, rolled.ravel())
 
 
+def shift_matrix(g: Signal) -> np.ndarray:
+    """All translates of g as rows: row x is T_x g, i.e. row_x(t) = g(t - x)."""
+    return g.values[difference_table(g.group)]
+
+
 def _character_row(group: Group, w) -> np.ndarray:
     """Values t -> w(t) as a flat array, built factor by factor."""
     w = group.reduce(w)
@@ -247,12 +256,12 @@ def convolve(f: Signal, g: Signal) -> Signal:
     weights make the convolution theorem exact: fourier(f * g) =
     pointwise(fourier(f), fourier(g)).
     """
-    _same_group(f, g)
+    same_group(f, g)
     return inv_fourier(pointwise(fourier(f), fourier(g)))
 
 
 def pointwise(f: Signal, g: Signal) -> Signal:
-    _same_group(f, g)
+    same_group(f, g)
     return Signal(f.group, f.values * g.values)
 
 
@@ -263,13 +272,13 @@ def involute(f: Signal) -> Signal:
 
 def pair_bilinear(f: Signal, s: Signal) -> complex:
     """Bilinear duality pairing (f, s) = sum weight * f * s; symmetric."""
-    _same_group(f, s)
+    same_group(f, s)
     return complex(np.sum(f.values * s.values) * float(f.group.weight))
 
 
 def inner(f: Signal, g: Signal) -> complex:
     """L2 inner product <f, g> = (f, conj g), antilinear in g."""
-    _same_group(f, g)
+    same_group(f, g)
     return complex(np.vdot(g.values, f.values) * float(f.group.weight))
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FrameError
+from .errors import ConfigError, FrameError, LatticeError
 from .groups import Group, make_group, make_lattice
 from .signals import (
     Signal,
@@ -194,16 +194,15 @@ def _group_token(orders) -> str:
 
 
 def parse_group_token(token) -> tuple:
-    """Accept [2, 3] or the string form '2x3'."""
-    if isinstance(token, str):
-        try:
-            return tuple(int(part) for part in token.split("x"))
-        except ValueError as exc:
-            raise ConfigError(f"bad group token {token!r}") from exc
+    """Accept [2, 3] or the string form '2x3'; every order must be >= 1."""
+    parts = token.split("x") if isinstance(token, str) else token
     try:
-        return tuple(int(n) for n in token)
+        orders = tuple(int(n) for n in parts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad group token {token!r}") from exc
+    if not orders or min(orders) < 1:
+        raise ConfigError(f"group orders must be >= 1, got {token!r}")
+    return orders
 
 
 def parse_signal_token(token) -> dict:
@@ -213,17 +212,28 @@ def parse_signal_token(token) -> dict:
     if not isinstance(token, str):
         raise ConfigError(f"bad signal token {token!r}")
     kind, _, arg = token.partition(":")
-    if kind == "dirac":
-        if not arg:
-            return {"kind": "dirac"}
-        return {"kind": "dirac", "at": [int(part) for part in arg.split(",")]}
-    if kind == "gauss":
-        return {"kind": "gauss", "spread": float(arg) if arg else 1.0}
-    if kind == "random":
-        if not arg:
-            raise ConfigError("random signal token needs a seed, e.g. 'random:7'")
-        return {"kind": "random", "seed": int(arg)}
+    if kind == "random" and not arg:
+        raise ConfigError("random signal token needs a seed, e.g. 'random:7'")
+    try:
+        if kind == "dirac":
+            if not arg:
+                return {"kind": "dirac"}
+            return {"kind": "dirac", "at": [int(part) for part in arg.split(",")]}
+        if kind == "gauss":
+            return {"kind": "gauss", "spread": float(arg) if arg else 1.0}
+        if kind == "random":
+            return {"kind": "random", "seed": int(arg)}
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} argument {arg!r} in token {token!r}") from exc
     raise ConfigError(f"unknown signal kind {kind!r} in token {token!r}")
+
+
+def _int_field(cfg: dict, key: str) -> int:
+    """cfg[key] as an int; ConfigError when it is not a number."""
+    try:
+        return int(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} must be an integer, got {cfg[key]!r}") from exc
 
 
 def parse_exponent(token) -> float:
@@ -331,7 +341,7 @@ def run_kernel(cfg: dict, seed: int, tol: float) -> SuiteResult:
         )
     checks = _KERNEL_CHECKS if which is None else (which,)
     rng = suite_rng(seed, "kernel")
-    count = int(cfg["count"])
+    count = _int_field(cfg, "count")
     rows = []
 
     def record(check, detail, value, threshold):
@@ -474,7 +484,10 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
     res = SuiteResult("frames")
     grp = make_group(parse_group_token(cfg["group"]))
     window = signal_from_spec(grp, parse_signal_token(cfg["window"]))
-    lattice = make_lattice(grp, int(cfg["a"]), int(cfg["b"]))
+    try:
+        lattice = make_lattice(grp, _int_field(cfg, "a"), _int_field(cfg, "b"))
+    except LatticeError as exc:
+        raise ConfigError(f"bad frames lattice: {exc}") from exc
     system = GaborSystem(window, lattice)
 
     lower, upper = frame_bounds(system)
@@ -500,7 +513,7 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
             [],
         )
         return res
-    probes = standard_probes(grp, int(cfg["probe_seed"]))
+    probes = standard_probes(grp, _int_field(cfg, "probe_seed"))
     worst_rep = 0.0
     for f in probes:
         coeffs = atomic_expand(f, system)
@@ -585,7 +598,7 @@ def run_regnet(
 ) -> SuiteResult:
     res = SuiteResult("regnet")
     grp = make_group(parse_group_token(cfg["group"]))
-    stages = int(cfg["stages"])
+    stages = _int_field(cfg, "stages")
     if stages < 1:
         raise ConfigError(f"stages must be >= 1, got {stages}")
     construction = str(cfg["construction"])
@@ -608,7 +621,7 @@ def run_regnet(
     win_dom = _normalized_gauss(grp)
     win_cod = win_dom if cod == grp else _normalized_gauss(cod)
 
-    probe_seed = int(cfg["probe_seed"])
+    probe_seed = _int_field(cfg, "probe_seed")
     probes_dom = standard_probes(grp, probe_seed)
     probes_cod = standard_probes(cod, probe_seed + 50)
 
@@ -697,9 +710,9 @@ def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
         ("fourier", fourier_operator(grp), g2_dual),
         ("random", _random_kernel(rng, grp, grp), g1),
     )
-    probe_seed = int(cfg["probe_seed"])
+    probe_seed = _int_field(cfg, "probe_seed")
     probes = standard_probes(grp, probe_seed) + stft_probes(
-        grp, g1, probe_seed + 1, count=int(cfg["probe_count"])
+        grp, g1, probe_seed + 1, count=_int_field(cfg, "probe_count")
     )
     ps = [parse_exponent(p) for p in cfg["p"]]
     qs = [parse_exponent(q) for q in cfg["q"]]
@@ -736,7 +749,7 @@ def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
         gn = make_group(parse_group_token(n if isinstance(n, (list, str)) else [n]))
         wn = _normalized_gauss(gn)
         gap_probes = standard_probes(gn, probe_seed) + stft_probes(
-            gn, wn, probe_seed + 1, count=int(cfg["probe_count"])
+            gn, wn, probe_seed + 1, count=_int_field(cfg, "probe_count")
         )
         cond = mpq_bound(identity_operator(gn), wn, wn, 2, 2)
         emp = empirical_mpq_opnorm(identity_operator(gn), wn, wn, 2, 2, gap_probes)

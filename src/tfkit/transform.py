@@ -1,5 +1,9 @@
 """Short-time Fourier transform, phase-space tables, and modulation norms.
 
+The phase-space core the other modules build on lives here: the atom
+matrix phase_atoms, the batched bilinear table pairing_rows and the
+weighted p-norm weighted_pnorm.
+
 A phase table is a function on G x dual(G), stored as an (|G|, |G|)
 array indexed [time, frequency] in enumeration order.  Two tables are
 produced here and must not be mixed up:
@@ -31,12 +35,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, WindowError
-from .groups import Group, PhasePoint, difference_table
-from .signals import Signal, l2_norm, modulate, convolve, l1_norm
+from .groups import Group, PhasePoint, character_table
+from .signals import (
+    Signal,
+    convolve,
+    l1_norm,
+    l2_norm,
+    modulate,
+    same_group,
+    shift_matrix,
+)
 
 __all__ = [
     "PhaseTable",
     "phase_points",
+    "phase_atoms",
+    "pairing_rows",
+    "weighted_pnorm",
     "stft",
     "stft_invert",
     "pairing_table",
@@ -63,10 +78,7 @@ class PhaseTable:
     @property
     def phase_weight(self) -> float:
         """Per-point weight of the phase space."""
-        return float(self.group.weight * self.group.dual_weight)
-
-    def total_weight(self) -> float:
-        return self.phase_weight * self.group.order ** 2
+        return self.group.phase_weight
 
 
 def phase_points(group: Group) -> list:
@@ -75,19 +87,9 @@ def phase_points(group: Group) -> list:
     return [PhasePoint(x, w) for x in elems for w in elems]
 
 
-def _same_group(a: Signal, b: Signal):
-    if a.group != b.group:
-        raise GroupMismatchError(f"signals live on {a.group} and {b.group}")
-
-
 def _require_window(g: Signal):
     if not np.any(g.values):
         raise WindowError("window is identically zero")
-
-
-def _shift_matrix(g: Signal) -> np.ndarray:
-    """Rows indexed by x: row_x(t) = g(t - x)."""
-    return g.values[difference_table(g.group)]
 
 
 def _fft_rows(rows: np.ndarray, group: Group) -> np.ndarray:
@@ -104,15 +106,40 @@ def _char_sum_rows(rows: np.ndarray, group: Group) -> np.ndarray:
     return (np.fft.ifftn(shaped, axes=axes) * group.order).reshape(rows.shape)
 
 
+def phase_atoms(window: Signal, times=slice(None), freqs=slice(None)) -> np.ndarray:
+    """Atom matrix, one row pi(x, w) window per phase point, time-major;
+    times and freqs optionally restrict x and w to index subsets."""
+    shifts = shift_matrix(window)[times]
+    chars = character_table(window.group)[freqs]
+    return (shifts[:, None, :] * chars[None, :, :]).reshape(-1, window.group.order)
+
+
+def pairing_rows(window: Signal, rows: np.ndarray) -> np.ndarray:
+    """Bilinear tables of a stack of value rows, time-major like
+    phase_points: out[j, (x, w)] = (pi(x,w) window, rows[j])."""
+    grp, n = window.group, window.group.order
+    prod = rows[:, None, :] * shift_matrix(window)[None, :, :]
+    tables = _char_sum_rows(prod.reshape(-1, n), grp).reshape(len(rows), n * n)
+    return tables * float(grp.weight)
+
+
+def weighted_pnorm(mags: np.ndarray, weight: float, p, axis=None):
+    """(sum weight * mags^p)^(1/p) along axis (all entries by default);
+    the plain maximum at p = inf."""
+    if p == math.inf:
+        return np.max(mags, axis=axis)
+    return (np.sum(mags**p, axis=axis) * weight) ** (1.0 / p)
+
+
 def stft(window: Signal, s: Signal) -> PhaseTable:
     """Sesquilinear short-time Fourier transform <s, pi(x,w) window>.
 
     Entry [x, w] = sum_t weight * s(t) * conj(window(t-x)) * conj(w(t)).
     """
-    _same_group(window, s)
+    same_group(window, s)
     _require_window(window)
     g = window.group
-    rows = s.values[None, :] * np.conj(_shift_matrix(window))
+    rows = s.values[None, :] * np.conj(shift_matrix(window))
     return PhaseTable(g, _fft_rows(rows, g) * float(g.weight))
 
 
@@ -121,11 +148,9 @@ def pairing_table(window: Signal, s: Signal) -> PhaseTable:
 
     Entry [x, w] = sum_t weight * window(t-x) * s(t) * w(t).
     """
-    _same_group(window, s)
+    same_group(window, s)
     _require_window(window)
-    g = window.group
-    rows = s.values[None, :] * _shift_matrix(window)
-    return PhaseTable(g, _char_sum_rows(rows, g) * float(g.weight))
+    return PhaseTable(window.group, pairing_rows(window, s.values[None, :]))
 
 
 def stft_invert(window: Signal, table: PhaseTable) -> Signal:
@@ -140,7 +165,7 @@ def stft_invert(window: Signal, table: PhaseTable) -> Signal:
     norm_sq = l2_norm(window) ** 2
     # sum over frequencies first: A[x, t] = sum_w table[x, w] w(t)
     a = _char_sum_rows(table.values, g)
-    vals = np.sum(a * _shift_matrix(window), axis=0)
+    vals = np.sum(a * shift_matrix(window), axis=0)
     return Signal(g, vals * (table.phase_weight / norm_sq))
 
 
@@ -150,10 +175,7 @@ def mod_norm(s: Signal, window: Signal, p) -> float:
     if p != math.inf and not p >= 1:
         raise ValueError(f"exponent must be in [1, inf], got {p}")
     mags = np.abs(pairing_table(window, s).values)
-    if p == math.inf:
-        return float(mags.max())
-    wp = float(window.group.weight * window.group.dual_weight)
-    return float((np.sum(mags**p) * wp) ** (1.0 / p))
+    return float(weighted_pnorm(mags, window.group.phase_weight, p))
 
 
 def m1_norm(s: Signal, window: Signal) -> float:
@@ -170,7 +192,7 @@ def mod_norm_conv(s: Signal, window: Signal) -> float:
     callers comparing it against m1_norm with one shared window should
     expect equivalence (bounded ratio), not equality.
     """
-    _same_group(s, window)
+    same_group(s, window)
     _require_window(window)
     g = s.group
     total = 0.0

@@ -136,3 +136,27 @@ def test_seed_changes_random_content(tmp_path):
     assert main(["kernel", "--seed", "1", "--out", str(a)]) == 0
     assert main(["kernel", "--seed", "2", "--out", str(b)]) == 0
     assert (a / "kernel.csv").read_bytes() != (b / "kernel.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["frames", "--a", "3"], None),
+        (["frames", "--group", "0"], None),
+        (["frames", "--group", "2x0"], None),
+        (["frames", "--window", "gauss:abc"], None),
+        (["frames", "--window", "dirac:x"], None),
+        (["kernel"], {"kernel": {"count": "x"}}),
+        (["frames"], {"frames": {"a": "x"}}),
+    ],
+)
+def test_malformed_flag_or_config_exits_two_with_one_line(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tfkit: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err

@@ -7,9 +7,11 @@ from tfkit.errors import FrameError, GroupMismatchError, WindowError
 from tfkit.frames import GaborSystem, frame_bounds
 from tfkit.groups import make_group, make_lattice
 from tfkit.kernels import (
+    KernelOperator,
     fourier_operator,
     identity_operator,
     inv_fourier_operator,
+    operator_pairing_table,
 )
 from tfkit.regnets import (
     ComposeApproxReport,
@@ -279,6 +281,26 @@ def test_induced_norms_scale_linearly():
     assert induced_m1_norm(scaled, w) == pytest.approx(
         3.0 * induced_m1_norm(op, w), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("dom_orders, cod_orders", [((8,), (8,)), ((2, 3), (2, 3)), ((8,), (2, 3))])
+def test_induced_norms_reduce_the_conjugate_window_phase_table(dom_orders, cod_orders):
+    # the lift's rows are those of ||g1||^-2 * phase_weight *
+    # operator_pairing_table(op, conj g1, g2), with w -> -w permuting them
+    dom, cod = make_group(dom_orders), make_group(cod_orders)
+    rng = np.random.default_rng(17)
+    shape = (dom.order, cod.order)
+    op = KernelOperator(dom, cod, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    g1 = random_signal(dom, 3) + gauss(dom, 1.0)
+    g2 = random_signal(cod, 4) + gauss(cod, 1.5)
+    conj_g1 = Signal(dom, g1.values.conj())
+    wp1, wp2 = dom.phase_weight, cod.phase_weight
+    b = np.abs(operator_pairing_table(op, conj_g1, g2)) * (wp1 / l2_norm(g1) ** 2)
+    assert induced_m1_norm(op, g1, g2) == pytest.approx(
+        np.max(np.sum(b, axis=1)) * wp2 / wp1, rel=1e-12
+    )
+    assert induced_minf_norm(op, g1, g2) == pytest.approx(np.max(np.sum(b, axis=0)), rel=1e-12)
+    assert induced_m1_to_minf_norm(op, g1, g2) == pytest.approx(np.max(b) / wp1, rel=1e-12)
 
 
 def test_induced_norm_rejects_foreign_window():

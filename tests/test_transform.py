@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tfkit.errors import GroupMismatchError, WindowError
-from tfkit.groups import PhasePoint, make_group
+from tfkit.frames import GaborSystem, gabor_atoms
+from tfkit.groups import PhasePoint, make_group, make_lattice
 from tfkit.signals import (
     Signal,
     constant,
@@ -16,16 +17,20 @@ from tfkit.signals import (
     involute,
     l2_norm,
     random_signal,
+    tf_shift,
 )
 from tfkit.transform import (
     PhaseTable,
     m1_norm,
     mod_norm,
     mod_norm_conv,
+    pairing_rows,
     pairing_table,
+    phase_atoms,
     phase_points,
     stft,
     stft_invert,
+    weighted_pnorm,
     window_equivalence_ratio,
 )
 
@@ -236,3 +241,48 @@ def test_window_equivalence_ratio_skips_zero_probes():
     with pytest.warns(UserWarning):
         lo, hi = window_equivalence_ratio(gauss(g, 1.0), gauss(g, 0.5), probes)
     assert 0 < lo <= hi
+
+
+def _complex_window(grp, seed):
+    return random_signal(grp, seed) + gauss(grp, 1.0)
+
+
+def test_phase_atoms_rows_are_tf_shifts_in_table_order():
+    grp = make_group((2, 3))
+    window = _complex_window(grp, 11)
+    atoms = phase_atoms(window)
+    assert atoms.shape == (grp.order**2, grp.order)
+    for row, point in zip(atoms, phase_points(grp)):
+        np.testing.assert_allclose(row, tf_shift(window, point).values, rtol=0, atol=1e-14)
+
+
+def test_phase_atoms_subset_matches_full_rows_and_gabor_atoms():
+    grp = make_group((2, 6))
+    window = _complex_window(grp, 12)
+    lattice = make_lattice(grp, (1, 2), (2, 3))
+    times = [grp.index(x) for x in lattice.side_nodes(lattice.time_step)]
+    freqs = [grp.index(w) for w in lattice.side_nodes(lattice.freq_step)]
+    rows = [grp.index(x) * grp.order + grp.index(w) for x, w in lattice.points()]
+    subset = phase_atoms(window, times, freqs)
+    np.testing.assert_array_equal(subset, phase_atoms(window)[rows])
+    np.testing.assert_array_equal(subset, gabor_atoms(GaborSystem(window, lattice)))
+
+
+@pytest.mark.parametrize("orders", [(8,), (2, 3)])
+def test_pairing_rows_match_pairing_table_row_by_row(orders):
+    grp = make_group(orders)
+    window = _complex_window(grp, 13)
+    rows = np.stack([random_signal(grp, 20 + j).values for j in range(4)])
+    tables = pairing_rows(window, rows)
+    assert tables.shape == (4, grp.order**2)
+    for j, row in enumerate(rows):
+        expected = pairing_table(window, Signal(grp, row)).values.ravel()
+        np.testing.assert_allclose(tables[j], expected, rtol=1e-13, atol=1e-13)
+
+
+def test_weighted_pnorm_reduces_whole_array_or_one_axis():
+    mags = np.abs(random_signal(make_group((12,)), 5).values).reshape(3, 4)
+    assert weighted_pnorm(mags, 0.5, 2) == pytest.approx(math.sqrt(0.5 * np.sum(mags**2)))
+    assert weighted_pnorm(mags, 0.5, math.inf) == mags.max()
+    np.testing.assert_allclose(weighted_pnorm(mags, 2.0, 1, axis=0), 2.0 * mags.sum(axis=0))
+    np.testing.assert_array_equal(weighted_pnorm(mags, 2.0, math.inf, axis=1), mags.max(axis=1))
