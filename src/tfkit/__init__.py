@@ -102,9 +102,7 @@ from .regnets import (
     compose_approx,
     cp_operator,
     gabor_partial_net,
-    induced_m1_norm,
-    induced_m1_to_minf_norm,
-    induced_minf_norm,
+    induced_norms,
     localization_net,
     pair_weak,
     pc_net,
@@ -117,8 +115,7 @@ from .regnets import (
 from .modspaces import (
     conjugate_exponent,
     empirical_mpq_opnorm,
-    mixed_norm_condition,
-    mpq_bound,
+    mpq_bounds,
     stft_probes,
 )
 

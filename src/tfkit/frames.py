@@ -105,27 +105,27 @@ def frame_bounds(system: GaborSystem) -> tuple:
     return (float(evals[0]), float(evals[-1]))
 
 
-def _frame_matrix_checked(system: GaborSystem) -> np.ndarray:
-    m = operator_matrix(frame_operator(system))
-    evals = np.linalg.eigvalsh(m)
+def _require_frame(evals: np.ndarray) -> None:
+    """FrameError unless the frame matrix's ascending eigenvalues bound a frame."""
     a, b = float(evals[0]), float(evals[-1])
     if b <= 0 or a < _NONFRAME_RATIO * b:
         raise FrameError(
             f"system is not a frame: bounds A={a:.3e}, B={b:.3e}", bounds=(a, b)
         )
-    return m
 
 
 def canonical_dual(system: GaborSystem) -> Signal:
     """h = S^{-1} g; raises FrameError (with bounds) for non-frames."""
-    m = _frame_matrix_checked(system)
+    m = operator_matrix(frame_operator(system))
+    _require_frame(np.linalg.eigvalsh(m))
     return Signal(system.group, np.linalg.solve(m, system.window.values))
 
 
 def tight_window(system: GaborSystem) -> Signal:
-    """S^{-1/2} g: the same lattice with this window is Parseval."""
-    m = _frame_matrix_checked(system)
-    evals, vecs = np.linalg.eigh(m)
+    """S^{-1/2} g: the same lattice with this window is Parseval; raises
+    FrameError (with bounds) for non-frames."""
+    evals, vecs = np.linalg.eigh(operator_matrix(frame_operator(system)))
+    _require_frame(evals)
     inv_sqrt = (vecs * (evals ** -0.5)) @ vecs.conj().T
     return Signal(system.group, inv_sqrt @ system.window.values)
 

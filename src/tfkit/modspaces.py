@@ -32,8 +32,7 @@ from .transform import PhaseTable, mod_norm, stft_invert, weighted_pnorm
 
 __all__ = [
     "conjugate_exponent",
-    "mixed_norm_condition",
-    "mpq_bound",
+    "mpq_bounds",
     "empirical_mpq_opnorm",
     "stft_probes",
 ]
@@ -50,25 +49,25 @@ def conjugate_exponent(p) -> float:
     return p / (p - 1.0)
 
 
-def mixed_norm_condition(
-    op: KernelOperator, g1: Signal, g2: Signal, p, q
-) -> float:
-    """Mixed (p, q) norm of the operator phase table: exponent p across
-    the domain phase space (inner), q across the codomain (outer)."""
-    if p != math.inf and not p >= 1:
-        raise ValueError(f"inner exponent must be in [1, inf], got {p}")
-    if q != math.inf and not q >= 1:
-        raise ValueError(f"outer exponent must be in [1, inf], got {q}")
+def mpq_bounds(op: KernelOperator, g1: Signal, g2: Signal, ps, qs) -> np.ndarray:
+    """Conditions ||g1||_2^{-2} * (mixed (p, q) norm of the operator phase
+    table), exponent p across the domain phase space (inner), q across
+    the codomain (outer), shaped (len(ps), len(qs)); each entry is an
+    upper bound for empirical_mpq_opnorm when g1 is closed under
+    conjugation.  The table is built once for the whole grid."""
+    for p in ps:
+        if p != math.inf and not p >= 1:
+            raise ValueError(f"inner exponent must be in [1, inf], got {p}")
+    for q in qs:
+        if q != math.inf and not q >= 1:
+            raise ValueError(f"outer exponent must be in [1, inf], got {q}")
     mags = np.abs(operator_pairing_table(op, g1, g2))
-    inner = weighted_pnorm(mags, op.domain.phase_weight, p, axis=0)
-    return float(weighted_pnorm(inner, op.codomain.phase_weight, q, axis=0))
-
-
-def mpq_bound(op: KernelOperator, g1: Signal, g2: Signal, p, q) -> float:
-    """The constant-folded condition ||g1||_2^{-2} * mixed_norm_condition:
-    an upper bound for empirical_mpq_opnorm when g1 is closed under
-    conjugation."""
-    return mixed_norm_condition(op, g1, g2, p, q) / l2_norm(g1) ** 2
+    out = np.empty((len(ps), len(qs)))
+    for i, p in enumerate(ps):
+        inner = weighted_pnorm(mags, op.domain.phase_weight, p, axis=0)
+        for j, q in enumerate(qs):
+            out[i, j] = weighted_pnorm(inner, op.codomain.phase_weight, q, axis=0)
+    return out / l2_norm(g1) ** 2
 
 
 def empirical_mpq_opnorm(

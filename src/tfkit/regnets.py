@@ -15,7 +15,9 @@ sup norm, (iv) the final stage reproduces probes weakly.  The operator
 norms in (ii)/(iii) are computed exactly for the phase-space lift of
 each stage (analysis o T o synthesis through the window), which
 dominates the norm on the embedded signal space; finiteness of the
-logged values is the certificate.
+logged values is the certificate.  induced_norms reads all of a stage's
+lift norms off one operator phase table, built once per stage by
+kernels.operator_pairing_table.
 
 sandwich pushes a fixed operator through two nets stage by stage, and
 compose_approx staggers two sandwiched operators to approximate a
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import FrameError, GroupMismatchError, WindowError
 from .groups import Group
-from .kernels import KernelOperator, bilinear_form, compose
+from .kernels import KernelOperator, bilinear_form, compose, operator_pairing_table
 from .signals import (
     Signal,
     dirac,
@@ -45,7 +47,7 @@ from .signals import (
     random_signal,
     shift_matrix,
 )
-from .transform import PhaseTable, m1_norm, pairing_rows, phase_atoms
+from .transform import PhaseTable, m1_norm, phase_atoms
 from .frames import GaborSystem, frame_bounds, partial_frame_sum
 
 __all__ = [
@@ -59,9 +61,7 @@ __all__ = [
     "localization_net",
     "gabor_partial_net",
     "standard_probes",
-    "induced_m1_norm",
-    "induced_minf_norm",
-    "induced_m1_to_minf_norm",
+    "induced_norms",
     "RegularizingReport",
     "check_regularizing",
     "pair_weak",
@@ -238,39 +238,25 @@ def standard_probes(group: Group, seed: int, extra: int = 2) -> list:
     return probes
 
 
-def _lift_table(op: KernelOperator, g1: Signal, g2: Signal = None) -> np.ndarray:
-    """LiftT[nu, nu'] = bilinear table at nu' of T applied to the nu-th
-    synthesis atom of g1 (g2 defaults to g1); the transpose of the lifted
-    matrix."""
+def induced_norms(op: KernelOperator, g1: Signal, g2: Signal = None) -> tuple:
+    """(m1, minf, m1_to_minf): exact norms of the phase-space lift of T
+    (analysis through g2 after T after synthesis through g1; g2 defaults
+    to g1) between weighted-l1 coefficient spaces, between sup spaces,
+    and from weighted l1 into sup.  The first two bound the m1 -> m1 and
+    sup-modulation operator norms; the third is the uniform bound logged
+    for sandwiched nets.
+
+    All three reduce one operator phase table: the lift's entries are
+    ||g1||^-2 * phase_weight * operator_pairing_table(op, conj g1, g2),
+    up to the permutation w -> -w of its rows.
+    """
     g2 = g1 if g2 is None else g2
-    if g1.group != op.domain or g2.group != op.codomain:
-        raise GroupMismatchError("windows do not match the operator's groups")
-    G1 = op.domain
-    synth = phase_atoms(g1).conj() * (G1.phase_weight / l2_norm(g1) ** 2)
-    images = (synth @ op.kernel) * float(G1.weight)  # (n1^2, n2)
-    return pairing_rows(g2, images)
-
-
-def induced_m1_norm(op: KernelOperator, g1: Signal, g2: Signal = None) -> float:
-    """Exact norm of the phase-space lift of T between weighted-l1
-    coefficient spaces; an upper bound for the m1 -> m1 operator norm."""
-    lift = _lift_table(op, g1, g2)
     wp1, wp2 = op.domain.phase_weight, op.codomain.phase_weight
-    return float(np.max(np.sum(np.abs(lift), axis=1)) * wp2 / wp1)
-
-
-def induced_minf_norm(op: KernelOperator, g1: Signal, g2: Signal = None) -> float:
-    """Exact norm of the lift between sup coefficient spaces; an upper
-    bound for the sup-modulation operator norm."""
-    lift = _lift_table(op, g1, g2)
-    return float(np.max(np.sum(np.abs(lift), axis=0)))
-
-
-def induced_m1_to_minf_norm(op: KernelOperator, g1: Signal, g2: Signal = None) -> float:
-    """Lift norm from weighted l1 into sup; the uniform bound logged for
-    sandwiched nets."""
-    lift = _lift_table(op, g1, g2)
-    return float(np.max(np.abs(lift)) / op.domain.phase_weight)
+    conj_g1 = Signal(g1.group, g1.values.conj())
+    b = np.abs(operator_pairing_table(op, conj_g1, g2)) * (wp1 / l2_norm(g1) ** 2)
+    m1 = float(np.max(np.sum(b, axis=1)) * wp2 / wp1)
+    minf = float(np.max(np.sum(b, axis=0)))
+    return m1, minf, float(np.max(b) / wp1)
 
 
 @dataclass(frozen=True)
@@ -319,8 +305,7 @@ def check_regularizing(net: RegNet, probes, window: Signal, tol: float) -> Regul
     for f in probes:
         for s in probes:
             weak.append(abs(pair_weak(final, f, s)))
-    m1_ops = tuple(induced_m1_norm(op, window) for op in net.stages)
-    minf_ops = tuple(induced_minf_norm(op, window) for op in net.stages)
+    m1_ops, minf_ops, _ = zip(*(induced_norms(op, window) for op in net.stages))
     return RegularizingReport(
         labels=net.labels,
         final_m1_errors=m1_errors,

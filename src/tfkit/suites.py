@@ -68,14 +68,13 @@ from .regnets import (
     box_mask,
     check_regularizing,
     gabor_partial_net,
-    induced_m1_norm,
-    induced_minf_norm,
+    induced_norms,
     localization_net,
     pc_net,
     sandwich,
     standard_probes,
 )
-from .modspaces import empirical_mpq_opnorm, mpq_bound, stft_probes
+from .modspaces import empirical_mpq_opnorm, mpq_bounds, stft_probes
 
 __all__ = [
     "SUITE_ORDER",
@@ -193,11 +192,20 @@ def _group_token(orders) -> str:
     return "x".join(str(n) for n in orders)
 
 
+def _strict_int(value) -> int:
+    """int(value), refusing the booleans and fractional numbers that int()
+    would silently truncate (ValueError)."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def parse_group_token(token) -> tuple:
-    """Accept [2, 3] or the string form '2x3'; every order must be >= 1."""
+    """Accept [2, 3] or the string form '2x3'; every order must be an
+    integer >= 1."""
     parts = token.split("x") if isinstance(token, str) else token
     try:
-        orders = tuple(int(n) for n in parts)
+        orders = tuple(_strict_int(n) for n in parts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad group token {token!r}") from exc
     if not orders or min(orders) < 1:
@@ -229,9 +237,9 @@ def parse_signal_token(token) -> dict:
 
 
 def _int_field(cfg: dict, key: str) -> int:
-    """cfg[key] as an int; ConfigError when it is not a number."""
+    """cfg[key] as an int; ConfigError when it is not an integer."""
     try:
-        return int(cfg[key])
+        return _strict_int(cfg[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r} must be an integer, got {cfg[key]!r}") from exc
 
@@ -637,8 +645,7 @@ def run_regnet(
             for h in probes_cod
         )
         b = operator_m1_norm(approx, win_dom, win_cod)
-        m1_op = induced_m1_norm(approx, win_dom, win_cod)
-        minf_op = induced_minf_norm(approx, win_dom, win_cod)
+        m1_op, minf_op, _ = induced_norms(approx, win_dom, win_cod)
         rows.append((label, m1_err, weak_err, b, m1_op, minf_op))
     res.tables[filename] = (
         ("stage", "m1_err", "weak_err", "b_norm", "m1_opnorm", "minf_opnorm"),
@@ -719,9 +726,10 @@ def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
     rows = []
     worst_ratio = 0.0
     for op_id, op, g2 in operators:
-        for p in ps:
-            for q in qs:
-                condition = mpq_bound(op, g1, g2, p, q)
+        bounds = mpq_bounds(op, g1, g2, ps, qs)
+        for i, p in enumerate(ps):
+            for j, q in enumerate(qs):
+                condition = float(bounds[i, j])
                 empirical = empirical_mpq_opnorm(op, g1, g2, p, q, probes)
                 ratio = empirical / condition
                 worst_ratio = max(worst_ratio, ratio)
@@ -751,7 +759,7 @@ def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
         gap_probes = standard_probes(gn, probe_seed) + stft_probes(
             gn, wn, probe_seed + 1, count=_int_field(cfg, "probe_count")
         )
-        cond = mpq_bound(identity_operator(gn), wn, wn, 2, 2)
+        cond = float(mpq_bounds(identity_operator(gn), wn, wn, [2], [2])[0, 0])
         emp = empirical_mpq_opnorm(identity_operator(gn), wn, wn, 2, 2, gap_probes)
         gap[_group_token(gn.orders)] = {
             "condition": cond,

@@ -33,7 +33,7 @@ from tfkit.kernels import (
     operator_minf_norm,
     rank_one,
 )
-from tfkit.modspaces import empirical_mpq_opnorm, mpq_bound, stft_probes
+from tfkit.modspaces import empirical_mpq_opnorm, mpq_bounds, stft_probes
 from tfkit.regnets import (
     box_mask,
     check_regularizing,
@@ -409,17 +409,19 @@ def test_c10_mixed_norm_domination(capsys):
         ("random", random_operator(g, g, 3), w),
     )
     worst_ratio = 0.0
+    exponents = (1, 2, math.inf)
     for _, op, g2 in operators:
-        for p in (1, 2, math.inf):
-            for q in (1, 2, math.inf):
-                bound = mpq_bound(op, w, g2, p, q)
+        bounds = mpq_bounds(op, w, g2, exponents, exponents)
+        for i, p in enumerate(exponents):
+            for j, q in enumerate(exponents):
+                bound = bounds[i, j]
                 observed = empirical_mpq_opnorm(op, w, g2, p, q, probes)
                 worst_ratio = max(worst_ratio, observed / bound)
     gaps = []
     for n in (4, 8, 16):
         gn = make_group((n,))
         wn = normalized_gauss(gn)
-        cond = mpq_bound(identity_operator(gn), wn, wn, 2, 2)
+        cond = mpq_bounds(identity_operator(gn), wn, wn, [2], [2])[0, 0]
         emp = empirical_mpq_opnorm(
             identity_operator(gn), wn, wn, 2, 2, stft_probes(gn, wn, 9, count=3)
         )

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -148,6 +149,12 @@ def test_seed_changes_random_content(tmp_path):
         (["frames", "--window", "dirac:x"], None),
         (["kernel"], {"kernel": {"count": "x"}}),
         (["frames"], {"frames": {"a": "x"}}),
+        (["norms"], {"norms": {"groups": [[2.7]]}}),
+        (["kernel"], {"kernel": {"op": "apply", "count": 2.5}}),
+        (["kernel"], {"kernel": {"op": "apply", "count": True}}),
+        (["regnet"], {"regnet": {"stages": 2.9}}),
+        (["mpq"], {"mpq": {"gap_orders": [4.5]}}),
+        (["kernel"], {"kernel": {"op": "apply", "count": math.inf}}),
     ],
 )
 def test_malformed_flag_or_config_exits_two_with_one_line(tmp_path, capsys, argv, config):

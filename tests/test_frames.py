@@ -128,11 +128,12 @@ def test_onb_system_bounds_are_exactly_one():
         assert b == pytest.approx(1.0, rel=1e-12)
 
 
-def test_non_frame_raises_with_bounds():
+@pytest.mark.parametrize("design", [canonical_dual, tight_window], ids=lambda f: f.__name__)
+def test_non_frame_raises_with_bounds(design):
     g = make_group((8,))
     system = GaborSystem(gauss(g, 1.0), make_lattice(g, 2, 4))
     with pytest.raises(FrameError) as info:
-        canonical_dual(system)
+        design(system)
     a, b = info.value.bounds
     assert a < 1e-10 * b
 

@@ -1,7 +1,9 @@
 """Module boundaries: no module reaches into another module's private
-names, either by importing them or by attribute access."""
+names, either by importing them or by attribute access, and every name a
+module exports is its own."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tfkit"
@@ -32,3 +34,21 @@ def test_no_private_name_crosses_a_module():
     paths = sorted(SRC.glob("*.py"))
     assert SRC / "transform.py" in paths
     assert [use for path in paths for use in private_uses(path)] == []
+
+
+def test_every_exported_name_is_defined_in_its_module():
+    # the benchmark tracer wraps each __all__ function by getattr, so a
+    # stale name left after a rename would crash a traced run
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"tfkit.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            if not hasattr(module, name):
+                problems.append(f"{path.stem}.{name} is missing")
+                continue
+            obj = getattr(module, name)
+            if callable(obj) and obj.__module__ != module.__name__:
+                problems.append(f"{path.stem}.{name} is defined in {obj.__module__}")
+    assert problems == []

@@ -11,13 +11,13 @@ from tfkit.kernels import (
     identity_operator,
     operator_m1_norm,
     operator_minf_norm,
+    operator_pairing_table,
     rank_one,
 )
 from tfkit.modspaces import (
     conjugate_exponent,
     empirical_mpq_opnorm,
-    mixed_norm_condition,
-    mpq_bound,
+    mpq_bounds,
     stft_probes,
 )
 from tfkit.signals import Signal, gauss, l2_norm, random_signal
@@ -65,9 +65,9 @@ def test_mixed_norm_rejects_bad_exponents():
     w = normalized_gauss(g)
     op = identity_operator(g)
     with pytest.raises(ValueError):
-        mixed_norm_condition(op, w, w, 0.5, 2)
+        mpq_bounds(op, w, w, [1, 0.5], [2])
     with pytest.raises(ValueError):
-        mixed_norm_condition(op, w, w, 2, 0.5)
+        mpq_bounds(op, w, w, [2], [math.inf, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -78,30 +78,35 @@ def test_mixed_norm_corners_match_operator_norms():
     g = make_group((6,))
     w1, w2 = normalized_gauss(g), normalized_gauss(g, 0.7)
     for op in operator_zoo(g).values():
-        assert mixed_norm_condition(op, w1, w2, 1, 1) == pytest.approx(
-            operator_m1_norm(op, w1, w2), rel=1e-13
-        )
-        assert mixed_norm_condition(op, w1, w2, math.inf, math.inf) == pytest.approx(
-            operator_minf_norm(op, w1, w2), rel=1e-13
-        )
+        bounds = mpq_bounds(op, w1, w2, [1, 2, math.inf], [1, 2, math.inf])
+        assert bounds[0, 0] == pytest.approx(operator_m1_norm(op, w1, w2), rel=1e-13)
+        assert bounds[-1, -1] == pytest.approx(operator_minf_norm(op, w1, w2), rel=1e-13)
 
 
 def test_mixed_norms_interpolate_between_corners():
     g = make_group((6,))
     w = normalized_gauss(g)
     op = operator_zoo(g)["random"]
-    values = [mixed_norm_condition(op, w, w, p, p) for p in (1, 1.5, 2, 4, math.inf)]
+    exponents = (1, 1.5, 2, 4, math.inf)
+    values = np.diag(mpq_bounds(op, w, w, exponents, exponents))
     for earlier, later in zip(values, values[1:]):
         assert later <= earlier * (1 + 1e-12)
 
 
-def test_mpq_bound_folds_window_energy():
+def test_mpq_bounds_fold_window_energy():
     g = make_group((6,))
     w = gauss(g, 1.0)  # deliberately unnormalized
     op = operator_zoo(g)["random"]
-    assert mpq_bound(op, w, w, 2, 2) == pytest.approx(
-        mixed_norm_condition(op, w, w, 2, 2) / l2_norm(w) ** 2, rel=1e-13
-    )
+    mags = np.abs(operator_pairing_table(op, w, w))
+    wp = g.phase_weight
+    ps, qs = (1, 3, math.inf), (2, math.inf)
+    bounds = mpq_bounds(op, w, w, ps, qs)
+    assert bounds.shape == (3, 2)
+    for i, p in enumerate(ps):
+        inner = mags.max(axis=0) if p == math.inf else (wp * (mags**p).sum(axis=0)) ** (1 / p)
+        for j, q in enumerate(qs):
+            outer = inner.max() if q == math.inf else (wp * (inner**q).sum()) ** (1 / q)
+            assert bounds[i, j] == pytest.approx(outer / l2_norm(w) ** 2, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +119,10 @@ def test_condition_dominates_empirical_norm():
     probes = stft_probes(g, w, 202, count=3) + [random_signal(g, 11)]
     worst = 0.0
     for name, op in operator_zoo(g).items():
-        for p in EXPONENTS:
-            for q in EXPONENTS:
-                bound = mpq_bound(op, w, w, p, q)
+        bounds = mpq_bounds(op, w, w, EXPONENTS, EXPONENTS)
+        for i, p in enumerate(EXPONENTS):
+            for j, q in enumerate(EXPONENTS):
+                bound = bounds[i, j]
                 observed = empirical_mpq_opnorm(op, w, w, p, q, probes)
                 assert observed <= bound * (1 + 1e-9), (name, p, q)
                 worst = max(worst, observed / bound)
@@ -129,9 +135,10 @@ def test_condition_dominates_for_fourier_kernel():
     w2 = normalized_gauss(g.dual())
     op = fourier_operator(g)
     probes = stft_probes(g, w1, 404, count=3)
-    for p in EXPONENTS:
-        for q in EXPONENTS:
-            bound = mpq_bound(op, w1, w2, p, q)
+    bounds = mpq_bounds(op, w1, w2, EXPONENTS, EXPONENTS)
+    for i, p in enumerate(EXPONENTS):
+        for j, q in enumerate(EXPONENTS):
+            bound = bounds[i, j]
             observed = empirical_mpq_opnorm(op, w1, w2, p, q, probes)
             assert observed <= bound * (1 + 1e-9)
 
@@ -144,7 +151,7 @@ def test_identity_gap_at_p_equals_q_equals_two():
         g = make_group((n,))
         w = normalized_gauss(g)
         op = identity_operator(g)
-        cond = mixed_norm_condition(op, w, w, 2, 2)
+        cond = mpq_bounds(op, w, w, [2], [2])[0, 0]
         assert cond == pytest.approx(math.sqrt(n), rel=1e-10)
         probes = stft_probes(g, w, 7, count=3)
         observed = empirical_mpq_opnorm(op, w, w, 2, 2, probes)

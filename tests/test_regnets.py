@@ -22,9 +22,7 @@ from tfkit.regnets import (
     compose_approx,
     cp_operator,
     gabor_partial_net,
-    induced_m1_norm,
-    induced_m1_to_minf_norm,
-    induced_minf_norm,
+    induced_norms,
     localization_net,
     pair_weak,
     pc_net,
@@ -264,9 +262,10 @@ def test_induced_norms_frozen_identity_values():
     g = make_group((8,))
     w = normalized_gauss(g)
     op = identity_operator(g)
-    assert induced_m1_norm(op, w) == pytest.approx(1.1082215897348011, rel=1e-12)
-    assert induced_minf_norm(op, w) == pytest.approx(1.1082215897348011, rel=1e-10)
-    assert induced_m1_to_minf_norm(op, w) == pytest.approx(1.0, rel=1e-12)
+    m1, minf, m1_to_minf = induced_norms(op, w)
+    assert m1 == pytest.approx(1.1082215897348011, rel=1e-12)
+    assert minf == pytest.approx(1.1082215897348011, rel=1e-10)
+    assert m1_to_minf == pytest.approx(1.0, rel=1e-12)
 
 
 def test_induced_norms_scale_linearly():
@@ -274,12 +273,12 @@ def test_induced_norms_scale_linearly():
     w = normalized_gauss(g)
     op = identity_operator(g)
     tripled = sandwich(op, RegNet(g, (op,), ("i",)), RegNet(g, (op,), ("i",)))[0]
-    assert induced_m1_norm(tripled, w) == pytest.approx(
-        induced_m1_norm(op, w), rel=1e-12
+    assert induced_norms(tripled, w)[0] == pytest.approx(
+        induced_norms(op, w)[0], rel=1e-12
     )
     scaled = pc_operator(constant(g, 3.0), dirac(g))
-    assert induced_m1_norm(scaled, w) == pytest.approx(
-        3.0 * induced_m1_norm(op, w), rel=1e-10
+    assert induced_norms(scaled, w)[0] == pytest.approx(
+        3.0 * induced_norms(op, w)[0], rel=1e-10
     )
 
 
@@ -296,17 +295,16 @@ def test_induced_norms_reduce_the_conjugate_window_phase_table(dom_orders, cod_o
     conj_g1 = Signal(dom, g1.values.conj())
     wp1, wp2 = dom.phase_weight, cod.phase_weight
     b = np.abs(operator_pairing_table(op, conj_g1, g2)) * (wp1 / l2_norm(g1) ** 2)
-    assert induced_m1_norm(op, g1, g2) == pytest.approx(
-        np.max(np.sum(b, axis=1)) * wp2 / wp1, rel=1e-12
-    )
-    assert induced_minf_norm(op, g1, g2) == pytest.approx(np.max(np.sum(b, axis=0)), rel=1e-12)
-    assert induced_m1_to_minf_norm(op, g1, g2) == pytest.approx(np.max(b) / wp1, rel=1e-12)
+    m1, minf, m1_to_minf = induced_norms(op, g1, g2)
+    assert m1 == pytest.approx(np.max(np.sum(b, axis=1)) * wp2 / wp1, rel=1e-12)
+    assert minf == pytest.approx(np.max(np.sum(b, axis=0)), rel=1e-12)
+    assert m1_to_minf == pytest.approx(np.max(b) / wp1, rel=1e-12)
 
 
 def test_induced_norm_rejects_foreign_window():
     g = make_group((8,))
     with pytest.raises(GroupMismatchError):
-        induced_m1_norm(identity_operator(g), normalized_gauss(make_group((6,))))
+        induced_norms(identity_operator(g), normalized_gauss(make_group((6,))))
 
 
 # ---------------------------------------------------------------------------

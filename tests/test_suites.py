@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from tfkit import modspaces, regnets
 from tfkit.errors import ConfigError
+from tfkit.groups import make_group
+from tfkit.kernels import operator_pairing_table
+from tfkit.regnets import check_regularizing, pc_net, standard_probes
+from tfkit.signals import Signal, gauss, l2_norm
 from tfkit.suites import (
     DEFAULTS,
     SUITE_ORDER,
@@ -237,6 +242,27 @@ def test_mpq_suite_rejects_complex_window():
             window={"kind": "values", "re": [1, 0, 0, 0], "im": [0, 1, 0, 0]},
             group=[4],
         )
+
+
+def test_each_operator_phase_table_is_built_once(monkeypatch):
+    builds = []
+
+    def counting_table(op, g1, g2):
+        builds.append(op)
+        return operator_pairing_table(op, g1, g2)
+
+    monkeypatch.setattr(modspaces, "operator_pairing_table", counting_table)
+    monkeypatch.setattr(regnets, "operator_pairing_table", counting_table)
+    run_default("mpq")
+    # one table per operator of mpq.csv, one per identity-gap order
+    assert len(builds) == 4 + len(DEFAULTS["mpq"]["gap_orders"])
+    builds.clear()
+    g = make_group((8,))
+    window = gauss(g, 1.0)
+    window = Signal(g, window.values / l2_norm(window))
+    net = pc_net(g, (2.0, 1.0, 0.5))
+    check_regularizing(net, standard_probes(g, 1), window, 1e-10)
+    assert builds == list(net.stages)
 
 
 def test_run_suite_rejects_unknown_name():
