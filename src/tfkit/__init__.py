@@ -114,7 +114,7 @@ from .regnets import (
 )
 from .modspaces import (
     conjugate_exponent,
-    empirical_mpq_opnorm,
+    empirical_mpq_opnorms,
     mpq_bounds,
     stft_probes,
 )

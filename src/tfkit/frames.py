@@ -6,10 +6,15 @@ lattice points, and the frame operator is
 
     S f = sum_lambda lattice_weight * <f, pi(lambda) g> pi(lambda) g
 
-whose kernel is sum_lambda weight * conj(atom(t1)) atom(t2).  Bounds
-come from the dense Hermitian eigendecomposition of the weight-folded
-matrix; a full lattice with the ambient weight gives A = B = ||g||_2^2
-exactly.
+whose kernel is sum_lambda weight * conj(atom(t1)) atom(t2).  On a
+separable lattice with frequency steps b_j the weight-folded matrix is
+nonzero only where t1 - t2 lies in H = sum_j (n_j / b_j) Z (the Walnut
+representation), so it splits into one Hermitian |H| x |H| block per
+coset of H.  Bounds, the canonical dual and the tight window are read
+off those blocks, never off the dense |G| x |G| matrix, which only the
+public frame_operator and partial_frame_sum build (the tests keep the
+dense eigen-solves as oracles).  A full lattice with the ambient weight
+gives A = B = ||g||_2^2.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from .groups import (
     character_value,
     product_group,
 )
-from .kernels import KernelOperator, kernel_signal, operator_matrix
-from .signals import Signal
+from .kernels import KernelOperator, kernel_signal
+from .signals import Signal, shift_matrix
 from .transform import phase_atoms
 
 __all__ = [
@@ -99,15 +104,42 @@ def frame_operator(system: GaborSystem) -> KernelOperator:
     return _accumulated_kernel(system, gabor_atoms(system))
 
 
+def _walnut_blocks(system: GaborSystem) -> tuple:
+    """(blocks, index): the weight-folded frame matrix restricted to the
+    cosets of H = sum_j (n_j / b_j) Z, where it lives.
+
+    index[c] lists the elements of the c-th coset (shape (|G|/|H|, |H|))
+    and blocks[c] = M[index[c]][:, index[c]] for the weight-folded
+    M = operator_matrix(frame_operator(system)).  Summing the characters
+    of the frequency nodes gives
+
+        M[t1, t2] = c * [t1 - t2 in H] * sum_x g(t1 - x) conj(g(t2 - x))
+
+    over the time nodes x, with c the lattice weight times the number of
+    frequency nodes (one per coset) times the Haar weight.
+    """
+    grp, lat = system.group, system.lattice
+    cosets = [n // b for n, b in zip(grp.orders, lat.freq_step)]
+    reps = np.indices(cosets).reshape(grp.nfactors, -1, 1)
+    steps = np.indices(lat.freq_step).reshape(grp.nfactors, 1, -1)
+    coords = reps + np.reshape(cosets, (-1, 1, 1)) * steps
+    index = np.ravel_multi_index(tuple(coords), grp.orders)
+    times = [grp.index(p) for p in lat.side_nodes(lat.time_step)]
+    cols = shift_matrix(system.window)[times][:, index].transpose(1, 0, 2)
+    scale = float(lat.weight * len(index) * grp.weight)
+    return (cols.transpose(0, 2, 1) @ cols.conj()) * scale, index
+
+
 def frame_bounds(system: GaborSystem) -> tuple:
-    """(A, B): extreme eigenvalues of the weight-folded frame matrix."""
-    evals = np.linalg.eigvalsh(operator_matrix(frame_operator(system)))
-    return (float(evals[0]), float(evals[-1]))
+    """(A, B): extreme eigenvalues of the weight-folded frame matrix,
+    taken over its Walnut blocks."""
+    evals = np.linalg.eigvalsh(_walnut_blocks(system)[0])
+    return (float(np.min(evals)), float(np.max(evals)))
 
 
 def _require_frame(evals: np.ndarray) -> None:
-    """FrameError unless the frame matrix's ascending eigenvalues bound a frame."""
-    a, b = float(evals[0]), float(evals[-1])
+    """FrameError unless the frame matrix's eigenvalues bound a frame."""
+    a, b = float(np.min(evals)), float(np.max(evals))
     if b <= 0 or a < _NONFRAME_RATIO * b:
         raise FrameError(
             f"system is not a frame: bounds A={a:.3e}, B={b:.3e}", bounds=(a, b)
@@ -115,19 +147,26 @@ def _require_frame(evals: np.ndarray) -> None:
 
 
 def canonical_dual(system: GaborSystem) -> Signal:
-    """h = S^{-1} g; raises FrameError (with bounds) for non-frames."""
-    m = operator_matrix(frame_operator(system))
-    _require_frame(np.linalg.eigvalsh(m))
-    return Signal(system.group, np.linalg.solve(m, system.window.values))
+    """h = S^{-1} g, solved block by block; raises FrameError (with
+    bounds) for non-frames."""
+    blocks, index = _walnut_blocks(system)
+    _require_frame(np.linalg.eigvalsh(blocks))
+    out = np.empty(system.group.order, dtype=complex)
+    out[index] = np.linalg.solve(blocks, system.window.values[index][..., None])[..., 0]
+    return Signal(system.group, out)
 
 
 def tight_window(system: GaborSystem) -> Signal:
-    """S^{-1/2} g: the same lattice with this window is Parseval; raises
-    FrameError (with bounds) for non-frames."""
-    evals, vecs = np.linalg.eigh(operator_matrix(frame_operator(system)))
+    """S^{-1/2} g, by an inverse square root per block: the same lattice
+    with this window is Parseval; raises FrameError (with bounds) for
+    non-frames."""
+    blocks, index = _walnut_blocks(system)
+    evals, vecs = np.linalg.eigh(blocks)
     _require_frame(evals)
-    inv_sqrt = (vecs * (evals ** -0.5)) @ vecs.conj().T
-    return Signal(system.group, inv_sqrt @ system.window.values)
+    inv_sqrt = (vecs * evals[:, None, :] ** -0.5) @ vecs.conj().transpose(0, 2, 1)
+    out = np.empty(system.group.order, dtype=complex)
+    out[index] = (inv_sqrt @ system.window.values[index][..., None])[..., 0]
+    return Signal(system.group, out)
 
 
 def atomic_expand(f: Signal, system: GaborSystem) -> np.ndarray:

@@ -28,12 +28,12 @@ from .errors import GroupMismatchError
 from .groups import Group
 from .kernels import KernelOperator, operator_pairing_table
 from .signals import Signal, l2_norm
-from .transform import PhaseTable, mod_norm, stft_invert, weighted_pnorm
+from .transform import PhaseTable, pairing_table, stft_invert, weighted_pnorm
 
 __all__ = [
     "conjugate_exponent",
     "mpq_bounds",
-    "empirical_mpq_opnorm",
+    "empirical_mpq_opnorms",
     "stft_probes",
 ]
 
@@ -49,18 +49,23 @@ def conjugate_exponent(p) -> float:
     return p / (p - 1.0)
 
 
-def mpq_bounds(op: KernelOperator, g1: Signal, g2: Signal, ps, qs) -> np.ndarray:
-    """Conditions ||g1||_2^{-2} * (mixed (p, q) norm of the operator phase
-    table), exponent p across the domain phase space (inner), q across
-    the codomain (outer), shaped (len(ps), len(qs)); each entry is an
-    upper bound for empirical_mpq_opnorm when g1 is closed under
-    conjugation.  The table is built once for the whole grid."""
+def _check_exponents(ps, qs) -> None:
     for p in ps:
         if p != math.inf and not p >= 1:
             raise ValueError(f"inner exponent must be in [1, inf], got {p}")
     for q in qs:
         if q != math.inf and not q >= 1:
             raise ValueError(f"outer exponent must be in [1, inf], got {q}")
+
+
+def mpq_bounds(op: KernelOperator, g1: Signal, g2: Signal, ps, qs) -> np.ndarray:
+    """Conditions ||g1||_2^{-2} * (mixed (p, q) norm of the operator phase
+    table), exponent p across the domain phase space (inner), q across
+    the codomain (outer), shaped (len(ps), len(qs)); each entry is an
+    upper bound for the matching entry of empirical_mpq_opnorms when g1
+    is closed under conjugation.  The table is built once for the whole
+    grid."""
+    _check_exponents(ps, qs)
     mags = np.abs(operator_pairing_table(op, g1, g2))
     out = np.empty((len(ps), len(qs)))
     for i, p in enumerate(ps):
@@ -70,27 +75,35 @@ def mpq_bounds(op: KernelOperator, g1: Signal, g2: Signal, ps, qs) -> np.ndarray
     return out / l2_norm(g1) ** 2
 
 
-def empirical_mpq_opnorm(
-    op: KernelOperator, g1: Signal, g2: Signal, p, q, probes
-) -> float:
-    """max over probes of mod_norm(T s, g2, q) / mod_norm(s, g1, p'),
-    the observed norm of T from the p-conjugate modulation space into
-    the q one.  Probes with vanishing denominator are skipped; if all
-    vanish, ValueError."""
-    p_conj = conjugate_exponent(p)
-    best = None
+def empirical_mpq_opnorms(
+    op: KernelOperator, g1: Signal, g2: Signal, ps, qs, probes
+) -> np.ndarray:
+    """Entry [i, j]: max over probes of mod_norm(T s, g2, q) /
+    mod_norm(s, g1, p'), the observed norm of T from the p-conjugate
+    modulation space into the q one, for p = ps[i] and q = qs[j]; shaped
+    (len(ps), len(qs)) like mpq_bounds.  Each probe's two bilinear tables
+    are built once for the whole grid.  For each p, probes with vanishing
+    denominator are skipped; if all vanish, ValueError."""
+    _check_exponents(ps, qs)
+    p_conjs = [conjugate_exponent(p) for p in ps]
+    best = np.full((len(ps), len(qs)), -math.inf)
+    live = np.zeros(len(ps), dtype=bool)
     for s in probes:
         if s.group != op.domain:
             raise GroupMismatchError("probe lives off the operator's domain")
-        den = mod_norm(s, g1, p_conj)
-        if den <= 1e-300:
-            continue
-        num = mod_norm(op.apply(s), g2, q)
-        ratio = num / den
-        best = ratio if best is None else max(best, ratio)
-    if best is None:
+        mags1 = np.abs(pairing_table(g1, s).values)
+        mags2 = np.abs(pairing_table(g2, op.apply(s)).values)
+        dens = [float(weighted_pnorm(mags1, g1.group.phase_weight, p)) for p in p_conjs]
+        nums = [float(weighted_pnorm(mags2, g2.group.phase_weight, q)) for q in qs]
+        for i, den in enumerate(dens):
+            if den <= 1e-300:
+                continue
+            live[i] = True
+            for j, num in enumerate(nums):
+                best[i, j] = max(best[i, j], num / den)
+    if not live.all():
         raise ValueError("every probe had vanishing modulation norm")
-    return float(best)
+    return best
 
 
 def stft_probes(group: Group, window: Signal, seed: int, count: int = 4) -> list:

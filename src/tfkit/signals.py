@@ -39,6 +39,7 @@ __all__ = [
     "translate",
     "shift_matrix",
     "modulate",
+    "modulations",
     "tf_shift",
     "fourier",
     "inv_fourier",
@@ -200,19 +201,25 @@ def shift_matrix(g: Signal) -> np.ndarray:
     return g.values[difference_table(g.group)]
 
 
-def _character_row(group: Group, w) -> np.ndarray:
-    """Values t -> w(t) as a flat array, built factor by factor."""
-    w = group.reduce(w)
-    row = np.ones(1, dtype=complex)
-    for wj, n in zip(w, group.orders):
-        factor = np.exp(2j * np.pi * wj * np.arange(n) / n)
-        row = np.multiply.outer(row, factor).ravel()
-    return row
+def _character_rows(group: Group, ws) -> np.ndarray:
+    """Values t -> w(t) as one flat row per w in ws, built factor by factor."""
+    coords = np.array([group.reduce(w) for w in ws]).reshape(-1, group.nfactors)
+    rows = np.ones((len(coords), 1), dtype=complex)
+    for j, n in enumerate(group.orders):
+        factor = np.exp(2j * np.pi * coords[:, j, None] * np.arange(n) / n)
+        rows = (rows[:, :, None] * factor[:, None, :]).reshape(len(coords), -1)
+    return rows
 
 
 def modulate(f: Signal, w) -> Signal:
     """(E_w f)(t) = w(t) f(t)."""
-    return Signal(f.group, _character_row(f.group, w) * f.values)
+    return Signal(f.group, _character_rows(f.group, [w])[0] * f.values)
+
+
+def modulations(f: Signal) -> np.ndarray:
+    """All modulations as rows: row i is modulate(f, w).values for the
+    i-th element w of the enumeration."""
+    return _character_rows(f.group, f.group.elements()) * f.values[None, :]
 
 
 def tf_shift(f: Signal, point) -> Signal:

@@ -74,7 +74,7 @@ from .regnets import (
     sandwich,
     standard_probes,
 )
-from .modspaces import empirical_mpq_opnorm, mpq_bounds, stft_probes
+from .modspaces import empirical_mpq_opnorms, mpq_bounds, stft_probes
 
 __all__ = [
     "SUITE_ORDER",
@@ -499,7 +499,8 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
     system = GaborSystem(window, lattice)
 
     lower, upper = frame_bounds(system)
-    smat = operator_matrix(frame_operator(system))
+    full = frame_operator(system)
+    smat = operator_matrix(full)
     s_minus_i = float(
         np.linalg.norm(smat - np.eye(grp.order), 2)
     )
@@ -536,7 +537,6 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
             f"frames: canonical-dual reconstruction off by {worst_rep:.3e}"
         )
 
-    full = frame_operator(system)
     points = list(lattice.points())
     probe0 = probes[-1]
     rows = []
@@ -727,10 +727,11 @@ def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
     worst_ratio = 0.0
     for op_id, op, g2 in operators:
         bounds = mpq_bounds(op, g1, g2, ps, qs)
+        observed = empirical_mpq_opnorms(op, g1, g2, ps, qs, probes)
         for i, p in enumerate(ps):
             for j, q in enumerate(qs):
                 condition = float(bounds[i, j])
-                empirical = empirical_mpq_opnorm(op, g1, g2, p, q, probes)
+                empirical = float(observed[i, j])
                 ratio = empirical / condition
                 worst_ratio = max(worst_ratio, ratio)
                 rows.append(
@@ -760,7 +761,8 @@ def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
             gn, wn, probe_seed + 1, count=_int_field(cfg, "probe_count")
         )
         cond = float(mpq_bounds(identity_operator(gn), wn, wn, [2], [2])[0, 0])
-        emp = empirical_mpq_opnorm(identity_operator(gn), wn, wn, 2, 2, gap_probes)
+        emp = empirical_mpq_opnorms(identity_operator(gn), wn, wn, [2], [2], gap_probes)
+        emp = float(emp[0, 0])
         gap[_group_token(gn.orders)] = {
             "condition": cond,
             "empirical": emp,

@@ -36,15 +36,7 @@ import numpy as np
 
 from .errors import GroupMismatchError, WindowError
 from .groups import Group, PhasePoint, character_table
-from .signals import (
-    Signal,
-    convolve,
-    l1_norm,
-    l2_norm,
-    modulate,
-    same_group,
-    shift_matrix,
-)
+from .signals import Signal, fourier, l2_norm, modulations, same_group, shift_matrix
 
 __all__ = [
     "PhaseTable",
@@ -195,9 +187,15 @@ def mod_norm_conv(s: Signal, window: Signal) -> float:
     same_group(s, window)
     _require_window(window)
     g = s.group
+    axes = tuple(range(1, g.nfactors + 1))
+    # all modulations E_w s through one batched FFT
+    mods = modulations(s).reshape((-1,) + g.orders)
+    spectra = np.fft.fftn(mods, axes=axes) * float(g.weight)
+    prods = spectra * fourier(window).values.reshape(g.orders)
+    convs = np.fft.ifftn(prods, axes=axes) * (float(g.dual_weight) * g.order)
     total = 0.0
-    for w in g.elements():
-        total += l1_norm(convolve(modulate(s, w), window))
+    for row in convs.reshape(g.order, -1):
+        total += float(np.sum(np.abs(row)) * float(g.weight))
     return float(total * float(g.dual_weight))
 
 

@@ -19,7 +19,7 @@ from tfkit.frames import (
     tight_window,
 )
 from tfkit.groups import make_group, make_lattice
-from tfkit.kernels import KernelOperator, identity_operator, rank_one
+from tfkit.kernels import KernelOperator, identity_operator, operator_matrix, rank_one
 from tfkit.signals import Signal, dirac, gauss, inner, l2_norm, random_signal, tensor
 
 
@@ -135,6 +135,74 @@ def test_non_frame_raises_with_bounds(design):
     with pytest.raises(FrameError) as info:
         design(system)
     a, b = info.value.bounds
+    assert a < 1e-10 * b
+
+
+# ---------------------------------------------------------------------------
+# the block route against the dense frame matrix
+
+
+def dense_frame_matrix(system):
+    return operator_matrix(frame_operator(system))
+
+
+# (orders, time step, freq step, window, weighting); freq step 1 gives
+# 1 x 1 blocks, freq step n a single block holding the whole matrix
+BLOCK_CASES = [
+    ((24,), 4, 3, "gauss:3.0", "ambient"),
+    ((12, 8), (3, 2), (2, 2), "gauss:2.0", "ambient"),
+    ((12,), 2, 3, "random:5", "index"),
+    ((10,), 2, 1, "gauss:1.5", "ambient"),
+    ((10,), 1, 10, "random:6", "ambient"),
+]
+
+
+def block_case_system(orders, a, b, window, weighting):
+    g = make_group(orders)
+    kind, arg = window.split(":")
+    win = gauss(g, float(arg)) if kind == "gauss" else random_signal(g, int(arg))
+    return GaborSystem(win, make_lattice(g, a, b, weighting=weighting))
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: f"{c[0]}-{c[3]}-{c[4]}")
+def test_block_bounds_match_dense_spectrum(case):
+    system = block_case_system(*case)
+    evals = np.linalg.eigvalsh(dense_frame_matrix(system))
+    a, b = frame_bounds(system)
+    assert a == pytest.approx(evals[0], rel=1e-12)
+    assert b == pytest.approx(evals[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: f"{c[0]}-{c[3]}-{c[4]}")
+def test_block_dual_matches_dense_solve(case):
+    system = block_case_system(*case)
+    expected = np.linalg.solve(dense_frame_matrix(system), system.window.values)
+    dual = canonical_dual(system)
+    scale = np.max(np.abs(expected))
+    assert np.allclose(dual.values, expected, rtol=0, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: f"{c[0]}-{c[3]}-{c[4]}")
+def test_block_tight_window_matches_dense_inverse_root(case):
+    system = block_case_system(*case)
+    evals, vecs = np.linalg.eigh(dense_frame_matrix(system))
+    expected = (vecs * evals**-0.5) @ vecs.conj().T @ system.window.values
+    tight = tight_window(system)
+    scale = np.max(np.abs(expected))
+    assert np.allclose(tight.values, expected, rtol=0, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("design", [canonical_dual, tight_window], ids=lambda f: f.__name__)
+def test_non_frame_bounds_are_the_dense_extremes(design):
+    # 4 time by 2 frequency nodes: 8 atoms cannot span the 12 dimensions
+    g = make_group((12,))
+    system = GaborSystem(random_signal(g, 3), make_lattice(g, 3, 6))
+    evals = np.linalg.eigvalsh(dense_frame_matrix(system))
+    with pytest.raises(FrameError) as info:
+        design(system)
+    a, b = info.value.bounds
+    assert b == pytest.approx(evals[-1], rel=1e-12)
+    assert a == pytest.approx(evals[0], abs=1e-12 * evals[-1])
     assert a < 1e-10 * b
 
 

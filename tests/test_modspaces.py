@@ -16,11 +16,12 @@ from tfkit.kernels import (
 )
 from tfkit.modspaces import (
     conjugate_exponent,
-    empirical_mpq_opnorm,
+    empirical_mpq_opnorms,
     mpq_bounds,
     stft_probes,
 )
 from tfkit.signals import Signal, gauss, l2_norm, random_signal
+from tfkit.transform import mod_norm
 
 EXPONENTS = (1, 2, math.inf)
 
@@ -120,10 +121,11 @@ def test_condition_dominates_empirical_norm():
     worst = 0.0
     for name, op in operator_zoo(g).items():
         bounds = mpq_bounds(op, w, w, EXPONENTS, EXPONENTS)
+        observations = empirical_mpq_opnorms(op, w, w, EXPONENTS, EXPONENTS, probes)
         for i, p in enumerate(EXPONENTS):
             for j, q in enumerate(EXPONENTS):
                 bound = bounds[i, j]
-                observed = empirical_mpq_opnorm(op, w, w, p, q, probes)
+                observed = observations[i, j]
                 assert observed <= bound * (1 + 1e-9), (name, p, q)
                 worst = max(worst, observed / bound)
     assert worst <= 1 + 1e-9
@@ -136,10 +138,11 @@ def test_condition_dominates_for_fourier_kernel():
     op = fourier_operator(g)
     probes = stft_probes(g, w1, 404, count=3)
     bounds = mpq_bounds(op, w1, w2, EXPONENTS, EXPONENTS)
+    observations = empirical_mpq_opnorms(op, w1, w2, EXPONENTS, EXPONENTS, probes)
     for i, p in enumerate(EXPONENTS):
         for j, q in enumerate(EXPONENTS):
             bound = bounds[i, j]
-            observed = empirical_mpq_opnorm(op, w1, w2, p, q, probes)
+            observed = observations[i, j]
             assert observed <= bound * (1 + 1e-9)
 
 
@@ -154,7 +157,7 @@ def test_identity_gap_at_p_equals_q_equals_two():
         cond = mpq_bounds(op, w, w, [2], [2])[0, 0]
         assert cond == pytest.approx(math.sqrt(n), rel=1e-10)
         probes = stft_probes(g, w, 7, count=3)
-        observed = empirical_mpq_opnorm(op, w, w, 2, 2, probes)
+        observed = empirical_mpq_opnorms(op, w, w, [2], [2], probes)[0, 0]
         assert observed == pytest.approx(1.0, rel=1e-12)
 
 
@@ -180,12 +183,40 @@ def test_stft_probes_reject_foreign_window():
         stft_probes(g, normalized_gauss(make_group((6,))), 5)
 
 
+def test_empirical_grid_is_the_per_pair_probe_maximum():
+    # the definition, one (p, q) pair at a time: a dead probe is skipped
+    # and the grid entry is the largest modulation-norm ratio, bit for bit
+    g = make_group((8,))
+    w1, w2 = normalized_gauss(g), normalized_gauss(g, 1.5)
+    dead = Signal(g, np.zeros(8))
+    probes = [dead] + stft_probes(g, w1, 3, count=2) + [random_signal(g, 4)]
+    op = operator_zoo(g)["random"]
+    grid = empirical_mpq_opnorms(op, w1, w2, EXPONENTS, (1, 3, math.inf), probes)
+    assert grid.shape == (3, 3)
+    for i, p in enumerate(EXPONENTS):
+        for j, q in enumerate((1, 3, math.inf)):
+            ratios = [
+                mod_norm(op.apply(s), w2, q) / mod_norm(s, w1, conjugate_exponent(p))
+                for s in probes[1:]
+            ]
+            assert grid[i, j] == max(ratios)
+
+
+def test_empirical_grid_rejects_a_bad_exponent():
+    g = make_group((8,))
+    w = normalized_gauss(g)
+    probes = [random_signal(g, 1)]
+    for ps, qs in (([0.5], [2]), ([2], [0.5])):
+        with pytest.raises(ValueError):
+            empirical_mpq_opnorms(identity_operator(g), w, w, ps, qs, probes)
+
+
 def test_empirical_norm_rejects_foreign_probe():
     g = make_group((8,))
     w = normalized_gauss(g)
     with pytest.raises(GroupMismatchError):
-        empirical_mpq_opnorm(
-            identity_operator(g), w, w, 2, 2, [random_signal(make_group((6,)), 1)]
+        empirical_mpq_opnorms(
+            identity_operator(g), w, w, [2], [2], [random_signal(make_group((6,)), 1)]
         )
 
 
@@ -194,4 +225,4 @@ def test_empirical_norm_needs_a_live_probe():
     w = normalized_gauss(g)
     dead = Signal(g, np.zeros(8))
     with pytest.raises(ValueError):
-        empirical_mpq_opnorm(identity_operator(g), w, w, 2, 2, [dead])
+        empirical_mpq_opnorms(identity_operator(g), w, w, [2], [2], [dead])

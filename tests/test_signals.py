@@ -21,6 +21,7 @@ from tfkit.signals import (
     l1_norm,
     l2_norm,
     modulate,
+    modulations,
     pair_bilinear,
     pointwise,
     random_signal,
@@ -127,6 +128,16 @@ def test_translate_modulate_match_definitions():
         assert modded.values[it] == pytest.approx(
             naive_char(g, t, (1, 1)) * s.values[it], rel=1e-14
         )
+
+
+def test_modulations_are_the_modulated_signals():
+    for orders in [(8,), (2, 3), (3, 1, 4)]:
+        g = make_group(orders)
+        s = random_signal(g, 4)
+        rows = modulations(s)
+        assert rows.shape == (g.order, g.order)
+        for row, w in zip(rows, g.elements()):
+            assert np.array_equal(row, modulate(s, w).values)
 
 
 @given(st.data())

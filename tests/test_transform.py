@@ -12,10 +12,13 @@ from tfkit.groups import PhasePoint, make_group, make_lattice
 from tfkit.signals import (
     Signal,
     constant,
+    convolve,
     dirac,
     gauss,
     involute,
+    l1_norm,
     l2_norm,
+    modulate,
     random_signal,
     tf_shift,
 )
@@ -206,6 +209,23 @@ def test_conv_route_equals_reflected_window_route():
         lhs = mod_norm_conv(s, win)
         rhs = m1_norm(s, involute(win))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def loop_mod_norm_conv(s, window):
+    """One convolution per modulation, summed in enumeration order."""
+    g = s.group
+    total = 0.0
+    for w in g.elements():
+        total += l1_norm(convolve(modulate(s, w), window))
+    return float(total * float(g.dual_weight))
+
+
+@pytest.mark.parametrize("orders", [(64,), (128,), (8, 16), (12,), (2, 3), (1,)])
+def test_conv_route_is_the_convolution_loop_bit_for_bit(orders):
+    g = make_group(orders)
+    for seed in range(3):
+        s, win = random_signal(g, seed), random_signal(g, seed + 10)
+        assert mod_norm_conv(s, win) == loop_mod_norm_conv(s, win)
 
 
 def test_conv_route_is_equivalent_for_symmetric_windows():
