@@ -5,7 +5,9 @@
 Suites: norms, kernel, frames, regnet, mpq, all.  Each run writes CSV
 tables plus summary.json into the output directory and prints one line
 per suite.  Exit status: 0 all checks passed, 1 at least one check
-failed (failing rows are listed), 2 the configuration did not parse.
+failed (failing rows are listed), 2 a config value, flag or
+TFKIT_THREADS was malformed (one `tfkit: ...` line on stderr).  The
+suite flags and their checks come from `suites.SCHEMA`.
 """
 
 from __future__ import annotations
@@ -15,26 +17,35 @@ import sys
 
 from .errors import ConfigError
 from .suites import (
+    OPTIONS,
+    SCHEMA,
+    SUITE_ORDER,
     load_config,
     merge_config,
+    parse_keys,
     run_all,
     run_suite,
     write_results,
 )
 
-_COMMON = dict(
-    config="path to a JSON config overriding the built-in defaults",
-    out="directory for CSV reports and summary.json",
-    seed="base seed for every pseudorandom stream",
-    tol="tolerance used by the suite assertions",
-)
+_SUITE_HELP = {
+    "norms": "modulation norm tables and dual-route checks",
+    "kernel": "kernel calculus checks",
+    "frames": "frame bounds, duals, partial sums",
+    "regnet": "regularizing net convergence tables",
+    "mpq": "mixed-norm conditions vs empirical norms",
+    "all": "run every suite",
+}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=None, help=_COMMON["config"])
-    sub.add_argument("--out", default="tfkit-report", help=_COMMON["out"])
-    sub.add_argument("--seed", type=int, default=0, help=_COMMON["seed"])
-    sub.add_argument("--tol", type=float, default=1e-8, help=_COMMON["tol"])
+def _add_flags(sub: argparse.ArgumentParser, keys: dict) -> None:
+    """One flag per key that has a help text.  Flags take raw strings:
+    the key's parser checks them together with the config values."""
+    for name, key in keys.items():
+        if key.help is not None:
+            sub.add_argument(
+                f"--{name}", nargs=key.nargs, metavar=key.metavar, help=key.help
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,74 +54,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite time-frequency verification suites",
     )
     subs = parser.add_subparsers(dest="suite", required=True)
-
-    sub = subs.add_parser("norms", help="modulation norm tables and dual-route checks")
-    _add_common(sub)
-
-    sub = subs.add_parser("kernel", help="kernel calculus checks")
-    _add_common(sub)
-    sub.add_argument(
-        "--op",
-        choices=["apply", "compose", "trace", "bnorm", "expand"],
-        default=None,
-        help="run a single check instead of the whole battery",
-    )
-
-    sub = subs.add_parser("frames", help="frame bounds, duals, partial sums")
-    _add_common(sub)
-    sub.add_argument("--group", default=None, help="group orders, e.g. 8 or 2x3")
-    sub.add_argument("--window", default=None, help="window spec, e.g. gauss:1.0")
-    sub.add_argument("--a", type=int, default=None, help="time step of the lattice")
-    sub.add_argument("--b", type=int, default=None, help="frequency step of the lattice")
-
-    sub = subs.add_parser("regnet", help="regularizing net convergence tables")
-    _add_common(sub)
-    sub.add_argument(
-        "--construction",
-        choices=["pc", "loc", "gabor"],
-        default=None,
-        help="which net construction to run",
-    )
-    sub.add_argument("--stages", type=int, default=None, help="number of stages")
-    sub.add_argument(
-        "--target",
-        choices=["identity", "fourier", "random"],
-        default=None,
-        help="operator the sandwiched net should approximate",
-    )
-
-    sub = subs.add_parser("mpq", help="mixed-norm conditions vs empirical norms")
-    _add_common(sub)
-    sub.add_argument("--p", nargs="+", default=None, help="inner exponents, e.g. 1 2 inf")
-    sub.add_argument("--q", nargs="+", default=None, help="outer exponents, e.g. 1 2 inf")
-
-    sub = subs.add_parser("all", help="run every suite")
-    _add_common(sub)
-
+    for suite in (*SUITE_ORDER, "all"):
+        sub = subs.add_parser(suite, help=_SUITE_HELP[suite])
+        sub.add_argument(
+            "--config",
+            help="path to a JSON config overriding the built-in defaults",
+        )
+        sub.add_argument(
+            "--out",
+            default="tfkit-report",
+            help="directory for CSV reports and summary.json",
+        )
+        _add_flags(sub, OPTIONS)
+        _add_flags(sub, SCHEMA.get(suite, {}))
     return parser
 
 
-def _apply_flag_overrides(args: argparse.Namespace, config: dict) -> None:
-    """Copy every flag given on the command line into the chosen suite's
-    config section; suite flags are named after their config keys."""
-    section = config.get(args.suite, {})
-    for key, value in vars(args).items():
-        if value is not None and key in section:
-            section[key] = value
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # flags not given stay None; the others are named after their keys
+    flags = {name: value for name, value in vars(args).items() if value is not None}
     try:
-        overrides = load_config(args.config) if args.config else {}
-        config = merge_config(overrides)
-        _apply_flag_overrides(args, config)
+        options = parse_keys(OPTIONS, flags, prefix="--")
+        seed, tol = options["seed"], options["tol"]
+        config = merge_config(load_config(args.config) if args.config else {})
         if args.suite == "all":
-            results = run_all(config, args.seed, args.tol)
+            results = run_all(config, seed, tol)
         else:
-            results = [run_suite(args.suite, config, args.seed, args.tol)]
-        summary_path = write_results(args.out, results, args.seed, args.tol)
+            section = config[args.suite]
+            section.update({k: v for k, v in flags.items() if k in section})
+            results = [run_suite(args.suite, config, seed, tol)]
+        summary_path = write_results(args.out, results, seed, tol)
     except ConfigError as exc:
         print(f"tfkit: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,7 @@ __all__ = [
     "gauss",
     "random_signal",
     "periodized_sqdist",
+    "config_int",
     "signal_from_spec",
     "translate",
     "shift_matrix",
@@ -145,13 +146,28 @@ def random_signal(group: Group, seed) -> Signal:
     return Signal(group, re + 1j * im)
 
 
+def config_int(value, minimum=None) -> int:
+    """A config value as an int: an integer, an integral float or a
+    numeric string, at least `minimum` when given.  Booleans and
+    fractional numbers are refused rather than truncated (ConfigError)."""
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
+        number = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"expected an integer, got {value!r}") from exc
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"expected an integer >= {minimum}, got {value!r}")
+    return number
+
+
 def signal_from_spec(group: Group, spec: dict) -> Signal:
     """Build a signal from a config literal.
 
     Supported kinds:
       {"kind": "dirac", "at": [..]}            impulse (default at 0)
       {"kind": "gauss", "spread": s}           periodized Gaussian
-      {"kind": "random", "seed": n}            seeded complex noise
+      {"kind": "random", "seed": n}            seeded complex noise, n >= 0
       {"kind": "values", "re": [..], "im": [..]}  explicit values
     """
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -166,19 +182,29 @@ def signal_from_spec(group: Group, spec: dict) -> Signal:
     if kind == "gauss":
         if "spread" not in spec:
             raise ConfigError("gauss literal needs a 'spread'")
-        spread = float(spec["spread"])
+        try:
+            spread = float(spec["spread"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad gauss spread {spec['spread']!r}") from exc
         if not spread > 0:
             raise ConfigError(f"gauss spread must be positive, got {spread}")
         return gauss(group, spread)
     if kind == "random":
         if "seed" not in spec:
             raise ConfigError("random literal needs a 'seed'")
-        return random_signal(group, int(spec["seed"]))
+        try:
+            seed = config_int(spec["seed"], 0)
+        except ConfigError as exc:
+            raise ConfigError(f"bad random seed: {exc}") from exc
+        return random_signal(group, seed)
     if kind == "values":
         if "re" not in spec:
             raise ConfigError("values literal needs 're'")
-        re = np.asarray(spec["re"], dtype=float)
-        im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float)
+        try:
+            re = np.asarray(spec["re"], dtype=float)
+            im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad values literal: {exc}") from exc
         if re.shape != im.shape:
             raise ConfigError("'re' and 'im' must have equal length")
         if re.size != group.order:

@@ -9,18 +9,24 @@ RFC-4180 (CRLF) in UTF-8, the summary is written with sorted keys, and
 no timestamps or environment details enter the reports -- so two runs
 with equal seeds produce byte-identical output.
 
-TFKIT_THREADS (default 1, serial) sets the worker count used to run the
-sub-suites of `all` concurrently; reports are written after all suites
-finish, in a fixed order, so the thread count never changes the bytes.
+TFKIT_THREADS (an integer >= 1, default 1: serial) sets the worker
+count used to run the sub-suites of `all` concurrently; reports are
+written after all suites finish, in a fixed order, so the thread count
+never changes the bytes.
+
+Every config key is declared once, in SCHEMA, with its default and its
+parser; the command line derives its suite flags from the same table.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import functools
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +37,7 @@ from .errors import ConfigError, FrameError, LatticeError
 from .groups import Group, make_group, make_lattice
 from .signals import (
     Signal,
+    config_int,
     dirac,
     gauss,
     involute,
@@ -78,10 +85,14 @@ from .modspaces import empirical_mpq_opnorms, mpq_bounds, stft_probes
 
 __all__ = [
     "SUITE_ORDER",
+    "Key",
+    "SCHEMA",
+    "OPTIONS",
     "DEFAULTS",
     "SuiteResult",
     "load_config",
     "merge_config",
+    "parse_keys",
     "suite_rng",
     "run_suite",
     "run_all",
@@ -91,44 +102,9 @@ __all__ = [
 SUITE_ORDER = ("norms", "kernel", "frames", "regnet", "mpq")
 _SUITE_ORDINAL = {name: i for i, name in enumerate(SUITE_ORDER)}
 
-DEFAULTS = {
-    "norms": {
-        "groups": [[8], [12], [2, 3]],
-        "windows": ["dirac", "gauss:1.0"],
-        "signals": ["dirac", "gauss:0.5", "random:1", "random:2"],
-    },
-    "kernel": {
-        "op": None,  # None runs every check; or one of apply/compose/trace/bnorm/expand
-        "pairs": [[[8], [8]], [[5], [7]], [[2, 3], [4]]],
-        "chain": [[8], [5], [7], [8]],
-        "count": 12,
-    },
-    "frames": {
-        "group": [8],
-        "window": "gauss:1.0",
-        "a": 2,
-        "b": 2,
-        "probe_seed": 301,
-    },
-    "regnet": {
-        "group": [8],
-        "construction": "pc",  # pc | loc | gabor
-        "stages": 4,
-        "target": "identity",  # identity | fourier | random
-        "probe_seed": 101,
-    },
-    "mpq": {
-        "group": [8],
-        "window": "gauss:1.0",
-        "p": [1, 2, "inf"],
-        "q": [1, 2, "inf"],
-        "probe_seed": 202,
-        "probe_count": 3,
-        "gap_orders": [4, 8, 16],
-    },
-}
-
 _KERNEL_CHECKS = ("apply", "compose", "trace", "bnorm", "expand")
+_CONSTRUCTIONS = ("pc", "loc", "gabor")
+_TARGETS = ("identity", "fourier", "random")
 _REGNET_ALL = (
     ("pc", "identity", "regnet_pc.csv"),
     ("loc", "fourier", "regnet_loc.csv"),
@@ -192,25 +168,16 @@ def _group_token(orders) -> str:
     return "x".join(str(n) for n in orders)
 
 
-def _strict_int(value) -> int:
-    """int(value), refusing the booleans and fractional numbers that int()
-    would silently truncate (ValueError)."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
 def parse_group_token(token) -> tuple:
     """Accept [2, 3] or the string form '2x3'; every order must be an
     integer >= 1."""
     parts = token.split("x") if isinstance(token, str) else token
+    if not isinstance(parts, (list, tuple)) or not parts:
+        raise ConfigError(f"bad group token {token!r}")
     try:
-        orders = tuple(_strict_int(n) for n in parts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad group token {token!r}") from exc
-    if not orders or min(orders) < 1:
-        raise ConfigError(f"group orders must be >= 1, got {token!r}")
-    return orders
+        return tuple(config_int(n, 1) for n in parts)
+    except ConfigError as exc:
+        raise ConfigError(f"bad group token {token!r}: {exc}") from exc
 
 
 def parse_signal_token(token) -> dict:
@@ -230,30 +197,20 @@ def parse_signal_token(token) -> dict:
         if kind == "gauss":
             return {"kind": "gauss", "spread": float(arg) if arg else 1.0}
         if kind == "random":
-            return {"kind": "random", "seed": int(arg)}
+            return {"kind": "random", "seed": config_int(arg, 0)}
     except ValueError as exc:
         raise ConfigError(f"bad {kind} argument {arg!r} in token {token!r}") from exc
     raise ConfigError(f"unknown signal kind {kind!r} in token {token!r}")
 
 
-def _int_field(cfg: dict, key: str) -> int:
-    """cfg[key] as an int; ConfigError when it is not an integer."""
-    try:
-        return _strict_int(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} must be an integer, got {cfg[key]!r}") from exc
-
-
 def parse_exponent(token) -> float:
-    if isinstance(token, str):
-        if token.lower() in ("inf", "infinity"):
-            return math.inf
-        try:
-            token = float(token)
-        except ValueError as exc:
-            raise ConfigError(f"bad exponent {token!r}") from exc
-    value = float(token)
-    if value != math.inf and not value >= 1:
+    if isinstance(token, str) and token.lower() in ("inf", "infinity"):
+        return math.inf
+    try:
+        value = float(token)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad exponent {token!r}") from exc
+    if isinstance(token, bool) or (value != math.inf and not value >= 1):
         raise ConfigError(f"exponent must be in [1, inf], got {token!r}")
     return value
 
@@ -264,6 +221,152 @@ def _exponent_token(p) -> str:
     if float(p).is_integer():
         return str(int(p))
     return format(float(p), ".17g")
+
+
+def _integer(minimum: int):
+    return lambda value: config_int(value, minimum)
+
+
+def _tolerance(value) -> float:
+    try:
+        tol = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"expected a number, got {value!r}") from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"expected a finite number > 0, got {value!r}")
+    return tol
+
+
+def _list_of(parse_item, min_len: int = 0, max_len: float = math.inf):
+    def parse(value):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"expected a list, got {value!r}")
+        if not min_len <= len(value) <= max_len:
+            size = min_len if min_len == max_len else f"at least {min_len}"
+            raise ConfigError(f"expected a list of {size} entries, got {value!r}")
+        return [parse_item(item) for item in value]
+
+    return parse
+
+
+def _identified_signal(token) -> tuple:
+    """(token as written, signal spec): the norms table names each signal
+    by the token of the config."""
+    return str(token), parse_signal_token(token)
+
+
+def _gap_order(token) -> tuple:
+    return parse_group_token(token if isinstance(token, (list, tuple, str)) else [token])
+
+
+@dataclass(frozen=True)
+class Key:
+    """One setting: its default and the parser that every value from a
+    config file, a flag or the code goes through (ConfigError on a bad
+    value).  A key with `help` also has a command-line flag of its name,
+    taking `nargs` values and shown as `metavar`."""
+
+    default: object
+    parse: Callable
+    help: str | None = None
+    nargs: str | None = None
+    metavar: str | None = None
+
+
+def _choice(default, allowed: tuple, help: str) -> Key:
+    """A key taking its default or one of `allowed`, with a flag shown as
+    {a,b,...}."""
+
+    def parse(value):
+        if value != default and value not in allowed:
+            raise ConfigError(f"expected one of {list(allowed)}, got {value!r}")
+        return value
+
+    return Key(default, parse, help, metavar="{" + ",".join(allowed) + "}")
+
+
+# suite -> key -> Key.  Checks that tie keys together (the lattice steps
+# must divide the group, the mpq window must be real) stay in the runners.
+SCHEMA = {
+    "norms": {
+        "groups": Key([[8], [12], [2, 3]], _list_of(parse_group_token)),
+        "windows": Key(["dirac", "gauss:1.0"], _list_of(_identified_signal)),
+        "signals": Key(
+            ["dirac", "gauss:0.5", "random:1", "random:2"], _list_of(_identified_signal)
+        ),
+    },
+    "kernel": {
+        "op": _choice(  # None runs every check
+            None, _KERNEL_CHECKS, "run a single check instead of the whole battery"
+        ),
+        "pairs": Key(
+            [[[8], [8]], [[5], [7]], [[2, 3], [4]]],
+            _list_of(_list_of(parse_group_token, 2, 2)),
+        ),
+        # three composed operators need four groups
+        "chain": Key([[8], [5], [7], [8]], _list_of(parse_group_token, 4)),
+        "count": Key(12, _integer(1)),
+    },
+    "frames": {
+        "group": Key([8], parse_group_token, help="group orders, e.g. 8 or 2x3"),
+        "window": Key("gauss:1.0", parse_signal_token, help="window spec, e.g. gauss:1.0"),
+        "a": Key(2, _integer(1), help="time step of the lattice"),
+        "b": Key(2, _integer(1), help="frequency step of the lattice"),
+        "probe_seed": Key(301, _integer(0)),
+    },
+    "regnet": {
+        "group": Key([8], parse_group_token),
+        "construction": _choice("pc", _CONSTRUCTIONS, "which net construction to run"),
+        "stages": Key(4, _integer(1), help="number of stages"),
+        "target": _choice(
+            "identity", _TARGETS, "operator the sandwiched net should approximate"
+        ),
+        "probe_seed": Key(101, _integer(0)),
+    },
+    "mpq": {
+        "group": Key([8], parse_group_token),
+        "window": Key("gauss:1.0", parse_signal_token),
+        "p": Key(
+            [1, 2, "inf"],
+            _list_of(parse_exponent),
+            help="inner exponents, e.g. 1 2 inf",
+            nargs="+",
+        ),
+        "q": Key(
+            [1, 2, "inf"],
+            _list_of(parse_exponent),
+            help="outer exponents, e.g. 1 2 inf",
+            nargs="+",
+        ),
+        "probe_seed": Key(202, _integer(0)),
+        "probe_count": Key(3, _integer(0)),
+        "gap_orders": Key([4, 8, 16], _list_of(_gap_order)),
+    },
+}
+
+# The options every run takes besides a config: the seed of every
+# pseudorandom stream and the tolerance of the checks.
+OPTIONS = {
+    "seed": Key(0, _integer(0), help="base seed for every pseudorandom stream"),
+    "tol": Key(1e-8, _tolerance, help="tolerance used by the suite assertions"),
+}
+
+DEFAULTS = {
+    suite: {name: key.default for name, key in keys.items()}
+    for suite, keys in SCHEMA.items()
+}
+
+
+def parse_keys(keys: dict, raw: dict, prefix: str = "") -> dict:
+    """Every key of `keys` parsed from `raw`, or its default when `raw`
+    lacks it; the ConfigError of a bad value names `prefix` + the key."""
+    parsed = {}
+    for name, key in keys.items():
+        try:
+            parsed[name] = key.parse(raw.get(name, key.default))
+        except ConfigError as exc:
+            raise ConfigError(f"{prefix}{name}: {exc}") from exc
+    return parsed
 
 
 def suite_rng(seed: int, suite: str) -> np.random.Generator:
@@ -294,20 +397,19 @@ def run_norms(cfg: dict, seed: int, tol: float) -> SuiteResult:
     rows = []
     max_conv_defect = 0.0
     max_energy_defect = 0.0
-    for group_spec in cfg["groups"]:
-        orders = parse_group_token(group_spec)
+    for orders in cfg["groups"]:
         grp = make_group(orders)
         gtok = _group_token(orders)
-        for wtok in cfg["windows"]:
-            window = signal_from_spec(grp, parse_signal_token(wtok))
-            for stok in cfg["signals"]:
-                sig = signal_from_spec(grp, parse_signal_token(stok))
+        for wtok, wspec in cfg["windows"]:
+            window = signal_from_spec(grp, wspec)
+            for stok, sspec in cfg["signals"]:
+                sig = signal_from_spec(grp, sspec)
                 s0_conv = mod_norm_conv(sig, window)
                 m1 = mod_norm(sig, window, 1)
                 m2 = mod_norm(sig, window, 2)
                 m4 = mod_norm(sig, window, 4)
                 minf = mod_norm(sig, window, math.inf)
-                rows.append((gtok, str(wtok), str(stok), s0_conv, m1, m2, m4, minf))
+                rows.append((gtok, wtok, stok, s0_conv, m1, m2, m4, minf))
                 scale = max(1.0, m1)
                 conv_defect = abs(s0_conv - m1_norm(sig, involute(window)))
                 energy_defect = abs(m2 - l2_norm(sig) * l2_norm(window))
@@ -343,13 +445,9 @@ def run_norms(cfg: dict, seed: int, tol: float) -> SuiteResult:
 def run_kernel(cfg: dict, seed: int, tol: float) -> SuiteResult:
     res = SuiteResult("kernel")
     which = cfg["op"]
-    if which is not None and which not in _KERNEL_CHECKS:
-        raise ConfigError(
-            f"unknown kernel check {which!r}; expected one of {list(_KERNEL_CHECKS)}"
-        )
     checks = _KERNEL_CHECKS if which is None else (which,)
     rng = suite_rng(seed, "kernel")
-    count = _int_field(cfg, "count")
+    count = cfg["count"]
     rows = []
 
     def record(check, detail, value, threshold):
@@ -360,10 +458,7 @@ def run_kernel(cfg: dict, seed: int, tol: float) -> SuiteResult:
                 f"kernel: {check} [{detail}]: {value:.3e} > {threshold:.3e}"
             )
 
-    pairs = [
-        (make_group(parse_group_token(a)), make_group(parse_group_token(b)))
-        for a, b in cfg["pairs"]
-    ]
+    pairs = [(make_group(a), make_group(b)) for a, b in cfg["pairs"]]
 
     if "apply" in checks:
         for dom, cod in pairs:
@@ -385,7 +480,7 @@ def run_kernel(cfg: dict, seed: int, tol: float) -> SuiteResult:
             record("roundtrip", detail, worst_round, tol)
 
     if "compose" in checks:
-        chain = [make_group(parse_group_token(g)) for g in cfg["chain"]]
+        chain = [make_group(orders) for orders in cfg["chain"]]
         worst_dense = 0.0
         worst_assoc = 0.0
         worst_ratio = 0.0
@@ -490,10 +585,10 @@ def run_kernel(cfg: dict, seed: int, tol: float) -> SuiteResult:
 
 def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
     res = SuiteResult("frames")
-    grp = make_group(parse_group_token(cfg["group"]))
-    window = signal_from_spec(grp, parse_signal_token(cfg["window"]))
+    grp = make_group(cfg["group"])
+    window = signal_from_spec(grp, cfg["window"])
     try:
-        lattice = make_lattice(grp, _int_field(cfg, "a"), _int_field(cfg, "b"))
+        lattice = make_lattice(grp, cfg["a"], cfg["b"])
     except LatticeError as exc:
         raise ConfigError(f"bad frames lattice: {exc}") from exc
     system = GaborSystem(window, lattice)
@@ -522,7 +617,7 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
             [],
         )
         return res
-    probes = standard_probes(grp, _int_field(cfg, "probe_seed"))
+    probes = standard_probes(grp, cfg["probe_seed"])
     worst_rep = 0.0
     for f in probes:
         coeffs = atomic_expand(f, system)
@@ -582,6 +677,7 @@ def _onb_system(grp: Group) -> GaborSystem:
 
 
 def _build_net(grp: Group, construction: str, stages: int) -> RegNet:
+    """The net of one of the constructions pc, loc or gabor."""
     if construction == "pc":
         return pc_net(grp, _spread_schedule(stages))
     if construction == "loc":
@@ -589,39 +685,29 @@ def _build_net(grp: Group, construction: str, stages: int) -> RegNet:
             _normalized_gauss(grp),
             [box_mask(grp, r, r) for r in _radius_schedule(grp, stages)],
         )
-    if construction == "gabor":
-        system = _onb_system(grp)
-        points = list(system.lattice.points())
-        sizes = [
-            max(1, math.ceil(len(points) * (j + 1) / stages)) for j in range(stages)
-        ]
-        return gabor_partial_net(system, [points[:k] for k in sizes])
-    raise ConfigError(
-        f"unknown construction {construction!r}; expected pc, loc, or gabor"
-    )
+    system = _onb_system(grp)
+    points = list(system.lattice.points())
+    sizes = [
+        max(1, math.ceil(len(points) * (j + 1) / stages)) for j in range(stages)
+    ]
+    return gabor_partial_net(system, [points[:k] for k in sizes])
 
 
 def run_regnet(
     cfg: dict, seed: int, tol: float, filename: str = "convergence.csv"
 ) -> SuiteResult:
     res = SuiteResult("regnet")
-    grp = make_group(parse_group_token(cfg["group"]))
-    stages = _int_field(cfg, "stages")
-    if stages < 1:
-        raise ConfigError(f"stages must be >= 1, got {stages}")
-    construction = str(cfg["construction"])
-    target_name = str(cfg["target"])
+    grp = make_group(cfg["group"])
+    stages = cfg["stages"]
+    construction = cfg["construction"]
+    target_name = cfg["target"]
 
     if target_name == "identity":
         target = identity_operator(grp)
     elif target_name == "fourier":
         target = fourier_operator(grp)
-    elif target_name == "random":
+    else:  # random
         target = _random_kernel(suite_rng(seed, "regnet"), grp, grp)
-    else:
-        raise ConfigError(
-            f"unknown target {target_name!r}; expected identity, fourier, or random"
-        )
 
     cod = target.codomain
     net_dom = _build_net(grp, construction, stages)
@@ -629,7 +715,7 @@ def run_regnet(
     win_dom = _normalized_gauss(grp)
     win_cod = win_dom if cod == grp else _normalized_gauss(cod)
 
-    probe_seed = _int_field(cfg, "probe_seed")
+    probe_seed = cfg["probe_seed"]
     probes_dom = standard_probes(grp, probe_seed)
     probes_cod = standard_probes(cod, probe_seed + 50)
 
@@ -703,8 +789,8 @@ def _run_regnet_all(cfg: dict, seed: int, tol: float) -> SuiteResult:
 
 def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
     res = SuiteResult("mpq")
-    grp = make_group(parse_group_token(cfg["group"]))
-    g1 = signal_from_spec(grp, parse_signal_token(cfg["window"]))
+    grp = make_group(cfg["group"])
+    g1 = signal_from_spec(grp, cfg["window"])
     g1 = Signal(grp, g1.values / l2_norm(g1))
     if np.max(np.abs(g1.values.imag)) > 0:
         raise ConfigError("mpq window must be real for the domination bound")
@@ -717,12 +803,12 @@ def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
         ("fourier", fourier_operator(grp), g2_dual),
         ("random", _random_kernel(rng, grp, grp), g1),
     )
-    probe_seed = _int_field(cfg, "probe_seed")
+    probe_seed = cfg["probe_seed"]
     probes = standard_probes(grp, probe_seed) + stft_probes(
-        grp, g1, probe_seed + 1, count=_int_field(cfg, "probe_count")
+        grp, g1, probe_seed + 1, count=cfg["probe_count"]
     )
-    ps = [parse_exponent(p) for p in cfg["p"]]
-    qs = [parse_exponent(q) for q in cfg["q"]]
+    ps = cfg["p"]
+    qs = cfg["q"]
     rows = []
     worst_ratio = 0.0
     for op_id, op, g2 in operators:
@@ -754,11 +840,11 @@ def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
         rows,
     )
     gap = {}
-    for n in cfg["gap_orders"]:
-        gn = make_group(parse_group_token(n if isinstance(n, (list, str)) else [n]))
+    for orders in cfg["gap_orders"]:
+        gn = make_group(orders)
         wn = _normalized_gauss(gn)
         gap_probes = standard_probes(gn, probe_seed) + stft_probes(
-            gn, wn, probe_seed + 1, count=_int_field(cfg, "probe_count")
+            gn, wn, probe_seed + 1, count=cfg["probe_count"]
         )
         cond = float(mpq_bounds(identity_operator(gn), wn, wn, [2], [2])[0, 0])
         emp = empirical_mpq_opnorms(identity_operator(gn), wn, wn, [2], [2], gap_probes)
@@ -789,32 +875,35 @@ _RUNNERS = {
 }
 
 
+def _parse_section(config: dict, name: str) -> dict:
+    return parse_keys(SCHEMA[name], config[name], prefix=f"{name}.")
+
+
 def run_suite(name: str, config: dict, seed: int, tol: float) -> SuiteResult:
+    """Parse the suite's section of a merged config, then run the suite."""
     if name not in _RUNNERS:
         raise ConfigError(f"unknown suite {name!r}; expected one of {list(SUITE_ORDER)}")
-    return _RUNNERS[name](config[name], seed, tol)
+    return _RUNNERS[name](_parse_section(config, name), seed, tol)
 
 
 def run_all(config: dict, seed: int, tol: float) -> list:
-    """Run every suite (regnet in its three standard configurations).
+    """Run every suite (regnet in its three standard configurations),
+    after every section of the config has parsed.
 
-    TFKIT_THREADS > 1 runs the suites on a thread pool; results come
+    TFKIT_THREADS >= 1 (default 1) sets the worker count; results come
     back in the fixed suite order either way.
     """
     raw = os.environ.get("TFKIT_THREADS", "1").strip() or "1"
     try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"TFKIT_THREADS must be an integer, got {raw!r}") from exc
+        threads = config_int(raw, 1)
+    except ConfigError as exc:
+        raise ConfigError(f"TFKIT_THREADS: {exc}") from exc
+    sections = {name: _parse_section(config, name) for name in SUITE_ORDER}
 
     jobs = []
     for name in SUITE_ORDER:
-        if name == "regnet":
-            jobs.append(lambda: _run_regnet_all(config["regnet"], seed, tol))
-        else:
-            jobs.append(
-                lambda name=name: _RUNNERS[name](config[name], seed, tol)
-            )
+        runner = _run_regnet_all if name == "regnet" else _RUNNERS[name]
+        jobs.append(functools.partial(runner, sections[name], seed, tol))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(job) for job in jobs]

@@ -2,8 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tfkit.cli import build_parser, main
+from tfkit.suites import DEFAULTS
 
 
 def read_tree(out_dir):
@@ -155,6 +158,24 @@ def test_seed_changes_random_content(tmp_path):
         (["regnet"], {"regnet": {"stages": 2.9}}),
         (["mpq"], {"mpq": {"gap_orders": [4.5]}}),
         (["kernel"], {"kernel": {"op": "apply", "count": math.inf}}),
+        (["norms"], {"norms": {"groups": 8}}),
+        (["mpq"], {"mpq": {"p": 1}}),
+        (["kernel"], {"kernel": {"pairs": 5}}),
+        (["mpq"], {"mpq": {"gap_orders": 8}}),
+        (["kernel"], {"kernel": {"chain": [[8], [5]]}}),
+        (["frames"], {"frames": {"probe_seed": -1}}),
+        (["frames", "--window", "random:-1"], None),
+        (["frames", "--a", "x"], None),
+        (["regnet", "--stages", "x"], None),
+        (["kernel", "--op", "bogus"], None),
+        (["frames"], {"frames": {"window": {"kind": "gauss", "spread": "x"}}}),
+        (["norms"], {"norms": {"signals": [{"kind": "random", "seed": 1.5}]}}),
+        (["kernel", "--seed", "-1"], None),
+        (["norms", "--tol", "nan"], None),
+        (["norms", "--tol", "0"], None),
+        (["kernel", "--tol", "inf"], None),
+        (["kernel"], {"kernel": {"count": 0}}),
+        (["mpq"], {"mpq": {"probe_count": -1}}),
     ],
 )
 def test_malformed_flag_or_config_exits_two_with_one_line(tmp_path, capsys, argv, config):
@@ -167,3 +188,54 @@ def test_malformed_flag_or_config_exits_two_with_one_line(tmp_path, capsys, argv
     assert err.startswith("tfkit: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_thread_count_below_one_exits_two_with_one_line(
+    tmp_path, capsys, monkeypatch, threads
+):
+    monkeypatch.setenv("TFKIT_THREADS", threads)
+    assert main(["all", "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tfkit: TFKIT_THREADS")
+    assert err.count("\n") == 1
+
+
+_FUZZ_KEYS = [(suite, key) for suite, keys in DEFAULTS.items() for key in keys]
+# Every value here that a key accepts keeps its suite small (orders <= 12,
+# counts and stages <= 12), so each example runs in well under a second.
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([0.5, 2.0, -1.5, math.inf, math.nan]),
+    st.sampled_from(
+        ["", "x", "inf", "2x3", "12", "dirac", "gauss:1.0", "random:3", "random:-1",
+         "trace", "loc", "fourier"]
+    ),
+    st.none(),
+    st.booleans(),
+    st.sampled_from(
+        [[], [2, 3], [[2], [3]], [[2, 3]], [[1], [2], [3], [2]], [[[2], [3]]],
+         ["2x3"], ["dirac", "random:1"], [1, "inf"], [[2, "x"]], [[[]]]]
+    ),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(target=st.sampled_from(_FUZZ_KEYS), value=_FUZZ_VALUES)
+def test_fuzzed_config_key_keeps_the_exit_contract(tmp_path, capsys, target, value):
+    suite, key = target
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({suite: {key: value}}), encoding="utf-8")
+    code = main([suite, "--config", str(cfg), "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert captured.err.startswith("tfkit: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert (code == 1) == ("failing rows:" in captured.out)

@@ -10,6 +10,7 @@ from tfkit.errors import ConfigError, GroupMismatchError
 from tfkit.groups import PhasePoint, make_group
 from tfkit.signals import (
     Signal,
+    config_int,
     constant,
     convolve,
     dirac,
@@ -298,6 +299,39 @@ def test_signal_from_spec():
         {"kind": "dirac", "at": 3},
         {"kind": "dirac", "at": [1, 2]},
         {},
+        {"kind": "gauss", "spread": "x"},
+        {"kind": "gauss", "spread": None},
+        {"kind": "random", "seed": "x"},
+        {"kind": "random", "seed": 1.5},
+        {"kind": "random", "seed": -1},
+        {"kind": "random", "seed": True},
+        {"kind": "values", "re": "ab"},
+        {"kind": "values", "re": [1] * 8, "im": ["x"] * 8},
     ]:
         with pytest.raises(ConfigError):
             signal_from_spec(g, bad)
+
+
+def test_config_int():
+    assert config_int(3) == 3
+    assert config_int("7", 0) == 7
+    assert config_int(2.0, 1) == 2
+    assert config_int(0, 0) == 0
+    g = make_group((8,))
+    assert np.array_equal(
+        signal_from_spec(g, {"kind": "random", "seed": 3.0}).values,
+        random_signal(g, 3).values,
+    )
+    for bad, minimum in [
+        (True, None),
+        (1.5, None),
+        (math.inf, None),
+        (math.nan, None),
+        ("x", None),
+        (None, None),
+        ([1], None),
+        (-1, 0),
+        ("0", 1),
+    ]:
+        with pytest.raises(ConfigError):
+            config_int(bad, minimum)

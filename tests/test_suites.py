@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tfkit import modspaces, regnets
+from tfkit import modspaces, regnets, suites
 from tfkit.errors import ConfigError
 from tfkit.groups import make_group
 from tfkit.kernels import operator_pairing_table
@@ -90,6 +90,9 @@ def test_parse_group_token():
         parse_group_token("ax3")
     with pytest.raises(ConfigError):
         parse_group_token(7)
+    for bad in ([], "", [0], [2, True], [2.5]):
+        with pytest.raises(ConfigError):
+            parse_group_token(bad)
 
 
 def test_parse_signal_token():
@@ -118,6 +121,9 @@ def test_parse_exponent():
         parse_exponent("abc")
     with pytest.raises(ConfigError):
         parse_exponent(0.5)
+    for bad in (True, [2], None, "nan"):
+        with pytest.raises(ConfigError):
+            parse_exponent(bad)
 
 
 def test_suite_rng_streams_are_stable_and_distinct():
@@ -280,6 +286,34 @@ def test_run_all_order_and_tables():
     regnet = results[3]
     assert set(regnet.tables) == {"regnet_pc.csv", "regnet_loc.csv", "regnet_gabor.csv"}
     assert all(r.failures == [] for r in results)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"mpq": {"p": ["x"]}},
+        # `all` runs its own constructions, but the key must still parse
+        {"regnet": {"construction": "bogus"}},
+    ],
+)
+def test_run_all_parses_every_section_before_running_any(monkeypatch, overrides):
+    calls = []
+
+    def counting(runner):
+        def run(*args, **kwargs):
+            calls.append(runner.__name__)
+            return runner(*args, **kwargs)
+
+        return run
+
+    for name, runner in suites._RUNNERS.items():
+        monkeypatch.setitem(suites._RUNNERS, name, counting(runner))
+    monkeypatch.setattr(suites, "_run_regnet_all", counting(suites._run_regnet_all))
+    with pytest.raises(ConfigError):
+        run_all(merge_config(overrides), seed=0, tol=1e-8)
+    assert calls == []
+    run_suite("frames", merge_config({}), seed=0, tol=1e-8)
+    assert calls == ["run_frames"]  # the counters do see a run
 
 
 def test_run_all_rejects_bad_thread_setting(monkeypatch):
