@@ -94,13 +94,14 @@ def empirical_mpq_opnorms(
         mags1 = np.abs(pairing_table(g1, s).values)
         mags2 = np.abs(pairing_table(g2, op.apply(s)).values)
         dens = [float(weighted_pnorm(mags1, g1.group.phase_weight, p)) for p in p_conjs]
-        nums = [float(weighted_pnorm(mags2, g2.group.phase_weight, q)) for q in qs]
+        nums = np.array(
+            [float(weighted_pnorm(mags2, g2.group.phase_weight, q)) for q in qs]
+        )
         for i, den in enumerate(dens):
             if den <= 1e-300:
                 continue
             live[i] = True
-            for j, num in enumerate(nums):
-                best[i, j] = max(best[i, j], num / den)
+            best[i] = np.maximum(best[i], nums / den)  # keeps a NaN
     if not live.all():
         raise ValueError("every probe had vanishing modulation norm")
     return best

@@ -261,7 +261,9 @@ def induced_norms(op: KernelOperator, g1: Signal, g2: Signal = None) -> tuple:
 
 @dataclass(frozen=True)
 class RegularizingReport:
-    """Certificate data for one net against one window and probe set."""
+    """Certificate data for one net against one window and probe set.
+    Its maxima are np.max, which keeps a NaN, so a NaN error or norm
+    fails the certificate."""
 
     labels: tuple
     final_m1_errors: tuple
@@ -272,19 +274,19 @@ class RegularizingReport:
 
     @property
     def sup_m1_opnorm(self) -> float:
-        return max(self.m1_opnorms)
+        return float(np.max(self.m1_opnorms))
 
     @property
     def sup_minf_opnorm(self) -> float:
-        return max(self.minf_opnorms)
+        return float(np.max(self.minf_opnorms))
 
     @property
     def final_ok(self) -> bool:
-        return max(self.final_m1_errors) <= self.tol
+        return bool(np.max(self.final_m1_errors) <= self.tol)
 
     @property
     def weak_ok(self) -> bool:
-        return max(self.weak_errors) <= self.tol
+        return bool(np.max(self.weak_errors) <= self.tol)
 
     @property
     def bounded_ok(self) -> bool:
@@ -381,12 +383,12 @@ def compose_approx(
     for s1, s2 in zip(first_stages, second_stages):
         approx = compose(s1, s2)
         stages.append(approx)
-        worst = 0.0
-        for fa in probes1:
-            for fb in probes2:
-                defect = bilinear_form(approx, fa, fb) - bilinear_form(target, fa, fb)
-                worst = max(worst, abs(defect))
-        weak.append(worst)
+        defects = [
+            abs(bilinear_form(approx, fa, fb) - bilinear_form(target, fa, fb))
+            for fa in probes1
+            for fb in probes2
+        ]
+        weak.append(float(np.max(defects)))
         kerr.append(float(np.max(np.abs(approx.kernel - target.kernel))))
     return ComposeApproxReport(
         stages=tuple(stages),

@@ -176,6 +176,10 @@ def test_seed_changes_random_content(tmp_path):
         (["kernel", "--tol", "inf"], None),
         (["kernel"], {"kernel": {"count": 0}}),
         (["mpq"], {"mpq": {"probe_count": -1}}),
+        (["norms"], {"norms": {"windows": ["gauss:1e-300"]}}),
+        (["mpq"], {"mpq": {"p": []}}),
+        (["norms"], {"norms": {"groups": []}}),
+        (["kernel"], {"kernel": {"pairs": []}}),
     ],
 )
 def test_malformed_flag_or_config_exits_two_with_one_line(tmp_path, capsys, argv, config):
@@ -188,6 +192,27 @@ def test_malformed_flag_or_config_exits_two_with_one_line(tmp_path, capsys, argv
     assert err.startswith("tfkit: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # an all-zero window normalizes to NaN everywhere
+    zero = {"kind": "values", "re": [0] * 8}
+    cfg.write_text(json.dumps({"mpq": {"window": zero}}), encoding="utf-8")
+    out = tmp_path / "report"
+    with pytest.warns(RuntimeWarning):
+        code = main(["mpq", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    out_text = capsys.readouterr().out
+    assert "failing rows:\n  mpq: ratio [rank_one p=1 q=1]: nan > " in out_text
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    text = (out / "summary.json").read_text(encoding="utf-8")
+    payload = json.loads(text, parse_constant=reject)
+    assert payload["suites"]["mpq"]["worst_ratio"] == "nan"
+    assert len(payload["failures"]) == 4 * 3 * 3
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])

@@ -358,6 +358,28 @@ def test_check_regularizing_fails_a_bad_net():
     assert not report.final_ok
 
 
+def test_regularizing_report_with_a_nan_does_not_pass():
+    fine = dict(
+        labels=("a", "b"),
+        final_m1_errors=(0.0, 0.0),
+        weak_errors=(0.0, 0.0),
+        m1_opnorms=(1.0, 1.0),
+        minf_opnorms=(1.0, 1.0),
+        tol=1e-10,
+    )
+    assert RegularizingReport(**fine).passed
+    for field, broken in (
+        ("final_m1_errors", (0.0, math.nan)),
+        ("weak_errors", (math.nan, 0.0)),
+        ("m1_opnorms", (1.0, math.nan)),
+    ):
+        report = RegularizingReport(**dict(fine, **{field: broken}))
+        assert not report.passed, field
+    report = RegularizingReport(**dict(fine, minf_opnorms=(math.nan, 1.0)))
+    assert math.isnan(report.sup_minf_opnorm)
+    assert not report.bounded_ok
+
+
 def test_pair_weak_vanishes_on_identity():
     g = make_group((8,))
     op = identity_operator(g)

@@ -89,6 +89,16 @@ def test_dirac_constant_gauss():
     assert np.max(np.abs(bell.values.imag)) == 0.0
 
 
+def test_gauss_spread_whose_square_underflows_is_rejected():
+    g = make_group((8,))
+    for bad in (1e-300, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            gauss(g, bad)
+    assert np.all(np.isfinite(gauss(g, 1e-150).values))
+    # the square overflows, and the bump is 1 everywhere
+    assert np.array_equal(gauss(g, 1e200).values, np.ones(8))
+
+
 def test_gauss_is_symmetric():
     g = make_group((8,))
     bell = gauss(g, 0.7)
@@ -307,6 +317,9 @@ def test_signal_from_spec():
         {"kind": "random", "seed": True},
         {"kind": "values", "re": "ab"},
         {"kind": "values", "re": [1] * 8, "im": ["x"] * 8},
+        {"kind": "gauss", "spread": 1e-300},
+        {"kind": "dirac", "at": [1.5]},
+        {"kind": "dirac", "at": "3"},
     ]:
         with pytest.raises(ConfigError):
             signal_from_spec(g, bad)

@@ -110,6 +110,9 @@ def test_parse_signal_token():
         parse_signal_token("blur:1")
     with pytest.raises(ConfigError):
         parse_signal_token(42)
+    for bad in ("gauss:1e-300", "gauss:x", "dirac:x", {"kind": "gauss"}):
+        with pytest.raises(ConfigError):
+            parse_signal_token(bad)
 
 
 def test_parse_exponent():
@@ -241,6 +244,28 @@ def test_mpq_suite_passes_defaults():
         assert entry["empirical"] == pytest.approx(1.0, rel=1e-10)
 
 
+def test_grade_passes_only_value_at_most_threshold():
+    res = SuiteResult("demo")
+    res.grade("even", "x", 1.0, 1.0)
+    res.grade("over", "y", 2.0, 1.0)
+    res.grade("nan", "z", math.nan, math.inf)
+    assert [c[-1] for c in res.checks] == ["pass", "fail", "fail"]
+    assert res.checks[0] == ("even", "x", 1.0, 1.0, "pass")
+    assert res.failures == [
+        "demo: over [y]: 2.000e+00 > 1.000e+00",
+        "demo: nan [z]: nan > inf",
+    ]
+
+
+def test_suite_that_grades_nothing_fails(monkeypatch):
+    def silent(cfg, seed, tol):
+        return SuiteResult("norms")
+
+    monkeypatch.setitem(suites._RUNNERS, "norms", silent)
+    res = run_suite("norms", merge_config({}), seed=0, tol=1e-8)
+    assert res.failures == ["norms: no check was graded"]
+
+
 def test_mpq_suite_rejects_complex_window():
     with pytest.raises(ConfigError):
         run_default(
@@ -294,6 +319,9 @@ def test_run_all_order_and_tables():
         {"mpq": {"p": ["x"]}},
         # `all` runs its own constructions, but the key must still parse
         {"regnet": {"construction": "bogus"}},
+        # signal literals are checked without their group
+        {"mpq": {"window": {"kind": "gauss", "spread": "x"}}},
+        {"mpq": {"window": "random:1"}},
     ],
 )
 def test_run_all_parses_every_section_before_running_any(monkeypatch, overrides):
@@ -309,9 +337,11 @@ def test_run_all_parses_every_section_before_running_any(monkeypatch, overrides)
     for name, runner in suites._RUNNERS.items():
         monkeypatch.setitem(suites._RUNNERS, name, counting(runner))
     monkeypatch.setattr(suites, "_run_regnet_all", counting(suites._run_regnet_all))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         run_all(merge_config(overrides), seed=0, tol=1e-8)
     assert calls == []
+    ((section, keys),) = overrides.items()
+    assert str(info.value).startswith(f"{section}.{next(iter(keys))}: ")
     run_suite("frames", merge_config({}), seed=0, tol=1e-8)
     assert calls == ["run_frames"]  # the counters do see a run
 
