@@ -6,7 +6,8 @@ Suites: norms, kernel, frames, regnet, mpq, all.  Each run writes CSV
 tables plus summary.json into the output directory and prints one line
 per suite.  Exit status: 0 all checks passed, 1 at least one check
 failed (failing rows are listed; a check passes only when its value is
-at most its threshold, so a NaN fails), 2 a config value, flag or
+at most its threshold, so a NaN fails, and a window or frame error
+inside a suite is a failing row), 2 a config value, flag or
 TFKIT_THREADS was malformed (one `tfkit: ...` line on stderr).  The
 suite flags and their checks come from `suites.SCHEMA`.
 """

@@ -132,15 +132,21 @@ def _walnut_blocks(system: GaborSystem) -> tuple:
 
 def frame_bounds(system: GaborSystem) -> tuple:
     """(A, B): extreme eigenvalues of the weight-folded frame matrix,
-    taken over its Walnut blocks."""
+    taken over its Walnut blocks; FrameError when they are not finite."""
     evals = np.linalg.eigvalsh(_walnut_blocks(system)[0])
-    return (float(np.min(evals)), float(np.max(evals)))
+    a, b = float(np.min(evals)), float(np.max(evals))
+    if not np.isfinite([a, b]).all():
+        raise FrameError(
+            f"frame matrix is not finite: bounds A={a:.3e}, B={b:.3e}", bounds=(a, b)
+        )
+    return (a, b)
 
 
 def _require_frame(evals: np.ndarray) -> None:
-    """FrameError unless the frame matrix's eigenvalues bound a frame."""
+    """FrameError unless the frame matrix's eigenvalues bound a frame; a
+    NaN bound is no frame."""
     a, b = float(np.min(evals)), float(np.max(evals))
-    if b <= 0 or a < _NONFRAME_RATIO * b:
+    if not (b > 0 and a >= _NONFRAME_RATIO * b):
         raise FrameError(
             f"system is not a frame: bounds A={a:.3e}, B={b:.3e}", bounds=(a, b)
         )

@@ -16,8 +16,8 @@ norms in (ii)/(iii) are computed exactly for the phase-space lift of
 each stage (analysis o T o synthesis through the window), which
 dominates the norm on the embedded signal space; finiteness of the
 logged values is the certificate.  induced_norms reads all of a stage's
-lift norms off one operator phase table, built once per stage by
-kernels.operator_pairing_table.
+lift norms, and the table's own phase-space L1 size, off one operator
+phase table, built once per stage by kernels.operator_pairing_table.
 
 sandwich pushes a fixed operator through two nets stage by stage, and
 compose_approx staggers two sandwiched operators to approximate a
@@ -239,24 +239,29 @@ def standard_probes(group: Group, seed: int, extra: int = 2) -> list:
 
 
 def induced_norms(op: KernelOperator, g1: Signal, g2: Signal = None) -> tuple:
-    """(m1, minf, m1_to_minf): exact norms of the phase-space lift of T
-    (analysis through g2 after T after synthesis through g1; g2 defaults
-    to g1) between weighted-l1 coefficient spaces, between sup spaces,
-    and from weighted l1 into sup.  The first two bound the m1 -> m1 and
+    """(m1, minf, m1_to_minf, b): exact norms of the phase-space lift of
+    T (analysis through g2 after T after synthesis through g1; g2
+    defaults to g1) between weighted-l1 coefficient spaces, between sup
+    spaces, and from weighted l1 into sup, and the phase-space L1 size b
+    of the table itself.  The first two bound the m1 -> m1 and
     sup-modulation operator norms; the third is the uniform bound logged
     for sandwiched nets.
 
-    All three reduce one operator phase table: the lift's entries are
+    All four reduce one operator phase table: the lift's entries are
     ||g1||^-2 * phase_weight * operator_pairing_table(op, conj g1, g2),
-    up to the permutation w -> -w of its rows.
+    up to the permutation w -> -w of its rows.  b always equals
+    operator_m1_norm(op, conj g1, g2); when g1 is real it also equals
+    operator_m1_norm(op, g1, g2), bit for bit.
     """
     g2 = g1 if g2 is None else g2
     wp1, wp2 = op.domain.phase_weight, op.codomain.phase_weight
     conj_g1 = Signal(g1.group, g1.values.conj())
-    b = np.abs(operator_pairing_table(op, conj_g1, g2)) * (wp1 / l2_norm(g1) ** 2)
-    m1 = float(np.max(np.sum(b, axis=1)) * wp2 / wp1)
-    minf = float(np.max(np.sum(b, axis=0)))
-    return m1, minf, float(np.max(b) / wp1)
+    mags = np.abs(operator_pairing_table(op, conj_g1, g2))
+    lift = mags * (wp1 / l2_norm(g1) ** 2)
+    m1 = float(np.max(np.sum(lift, axis=1)) * wp2 / wp1)
+    minf = float(np.max(np.sum(lift, axis=0)))
+    b = float(np.sum(mags) * wp1 * wp2)
+    return m1, minf, float(np.max(lift) / wp1), b
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,7 @@ def check_regularizing(net: RegNet, probes, window: Signal, tol: float) -> Regul
     for f in probes:
         for s in probes:
             weak.append(abs(pair_weak(final, f, s)))
-    m1_ops, minf_ops, _ = zip(*(induced_norms(op, window) for op in net.stages))
+    m1_ops, minf_ops, _, _ = zip(*(induced_norms(op, window) for op in net.stages))
     return RegularizingReport(
         labels=net.labels,
         final_m1_errors=m1_errors,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -213,6 +214,33 @@ def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):
     payload = json.loads(text, parse_constant=reject)
     assert payload["suites"]["mpq"]["worst_ratio"] == "nan"
     assert len(payload["failures"]) == 4 * 3 * 3
+
+
+@pytest.mark.parametrize(
+    "suite, overrides, message",
+    [
+        ("frames", {"window": {"kind": "values", "re": [0] * 8}}, "window is identically zero"),
+        # the S - I norm's SVD would not converge on this frame matrix
+        ("frames", {"window": {"kind": "values", "re": [1e308] * 8}}, "not finite"),
+        ("mpq", {"window": {"kind": "values", "re": [1e200] + [0] * 7}}, "overflows"),
+        (
+            "norms",
+            {"groups": [[8]], "windows": [{"kind": "values", "re": [0] * 8}]},
+            "window is identically zero",
+        ),
+    ],
+)
+def test_hostile_window_is_a_failing_row(tmp_path, capsys, suite, overrides, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({suite: overrides}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([suite, "--config", str(cfg), "--out", str(tmp_path / "report")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"failing rows:\n  {suite}: " in captured.out
+    assert message in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])

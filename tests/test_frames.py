@@ -138,6 +138,18 @@ def test_non_frame_raises_with_bounds(design):
     assert a < 1e-10 * b
 
 
+@pytest.mark.parametrize(
+    "design", [frame_bounds, canonical_dual, tight_window], ids=lambda f: f.__name__
+)
+def test_overflowing_frame_matrix_raises(design):
+    # the Gram products of 1e308 overflow: the block eigenvalues are NaN
+    g = make_group((8,))
+    system = GaborSystem(Signal(g, np.full(8, 1e308)), make_lattice(g, 2, 2))
+    with pytest.raises(FrameError) as info, np.errstate(all="ignore"):
+        design(system)
+    assert np.isnan(info.value.bounds).all()
+
+
 # ---------------------------------------------------------------------------
 # the block route against the dense frame matrix
 

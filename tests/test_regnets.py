@@ -11,6 +11,7 @@ from tfkit.kernels import (
     fourier_operator,
     identity_operator,
     inv_fourier_operator,
+    operator_m1_norm,
     operator_pairing_table,
 )
 from tfkit.regnets import (
@@ -262,7 +263,7 @@ def test_induced_norms_frozen_identity_values():
     g = make_group((8,))
     w = normalized_gauss(g)
     op = identity_operator(g)
-    m1, minf, m1_to_minf = induced_norms(op, w)
+    m1, minf, m1_to_minf, _ = induced_norms(op, w)
     assert m1 == pytest.approx(1.1082215897348011, rel=1e-12)
     assert minf == pytest.approx(1.1082215897348011, rel=1e-10)
     assert m1_to_minf == pytest.approx(1.0, rel=1e-12)
@@ -295,10 +296,26 @@ def test_induced_norms_reduce_the_conjugate_window_phase_table(dom_orders, cod_o
     conj_g1 = Signal(dom, g1.values.conj())
     wp1, wp2 = dom.phase_weight, cod.phase_weight
     b = np.abs(operator_pairing_table(op, conj_g1, g2)) * (wp1 / l2_norm(g1) ** 2)
-    m1, minf, m1_to_minf = induced_norms(op, g1, g2)
+    m1, minf, m1_to_minf, _ = induced_norms(op, g1, g2)
     assert m1 == pytest.approx(np.max(np.sum(b, axis=1)) * wp2 / wp1, rel=1e-12)
     assert minf == pytest.approx(np.max(np.sum(b, axis=0)), rel=1e-12)
     assert m1_to_minf == pytest.approx(np.max(b) / wp1, rel=1e-12)
+
+
+@pytest.mark.parametrize("dom_orders, cod_orders", [((8,), (8,)), ((6,), (2, 3)), ((12,), (8,))])
+def test_induced_norms_b_is_the_operator_m1_norm_of_its_table(dom_orders, cod_orders):
+    # the fourth value is operator_m1_norm against conj g1, bit for bit;
+    # a real window is its own conjugate
+    dom, cod = make_group(dom_orders), make_group(cod_orders)
+    rng = np.random.default_rng(23)
+    shape = (dom.order, cod.order)
+    op = KernelOperator(dom, cod, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    g1, g2 = normalized_gauss(dom), normalized_gauss(cod)
+    assert induced_norms(op, g1, g2)[3] == operator_m1_norm(op, g1, g2)
+    g1 = random_signal(dom, 5)
+    g2 = random_signal(cod, 6)
+    conj_g1 = Signal(dom, g1.values.conj())
+    assert induced_norms(op, g1, g2)[3] == operator_m1_norm(op, conj_g1, g2)
 
 
 def test_induced_norm_rejects_foreign_window():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tfkit import modspaces, regnets, suites
+from tfkit import kernels, modspaces, regnets, suites
 from tfkit.errors import ConfigError
 from tfkit.groups import make_group
 from tfkit.kernels import operator_pairing_table
@@ -244,6 +244,13 @@ def test_mpq_suite_passes_defaults():
         assert entry["empirical"] == pytest.approx(1.0, rel=1e-10)
 
 
+def test_mpq_suite_grades_the_identity_gap_per_order():
+    res = run_default("mpq")
+    gaps = [c for c in res.checks if c[0] == "identity_gap"]
+    assert [c[1] for c in gaps] == ["order=4", "order=8", "order=16"]
+    assert all(c[-1] == "pass" for c in gaps)
+
+
 def test_grade_passes_only_value_at_most_threshold():
     res = SuiteResult("demo")
     res.grade("even", "x", 1.0, 1.0)
@@ -284,9 +291,16 @@ def test_each_operator_phase_table_is_built_once(monkeypatch):
 
     monkeypatch.setattr(modspaces, "operator_pairing_table", counting_table)
     monkeypatch.setattr(regnets, "operator_pairing_table", counting_table)
+    # operator_m1_norm's binding
+    monkeypatch.setattr(kernels, "operator_pairing_table", counting_table)
     run_default("mpq")
     # one table per operator of mpq.csv, one per identity-gap order
     assert len(builds) == 4 + len(DEFAULTS["mpq"]["gap_orders"])
+    builds.clear()
+    run_default("regnet")
+    # one per sandwiched stage (b_norm and both induced norms), one per
+    # stage of the net's certificate
+    assert len(builds) == 2 * DEFAULTS["regnet"]["stages"]
     builds.clear()
     g = make_group((8,))
     window = gauss(g, 1.0)
@@ -294,6 +308,16 @@ def test_each_operator_phase_table_is_built_once(monkeypatch):
     net = pc_net(g, (2.0, 1.0, 0.5))
     check_regularizing(net, standard_probes(g, 1), window, 1e-10)
     assert builds == list(net.stages)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_window_error_in_run_all_is_the_suites_failing_row(monkeypatch, threads):
+    monkeypatch.setenv("TFKIT_THREADS", threads)
+    config = merge_config({"frames": {"window": {"kind": "values", "re": [0] * 8}}})
+    results = run_all(config, seed=0, tol=1e-8)
+    assert [r.failures for r in results] == [
+        [], [], ["frames: window is identically zero"], [], []
+    ]
 
 
 def test_run_suite_rejects_unknown_name():
