@@ -197,22 +197,17 @@ def gabor_synthesize(system: GaborSystem, coefficients: np.ndarray) -> Signal:
     return Signal(system.group, coefficients @ atoms)
 
 
-def partial_frame_sum(system: GaborSystem, subset) -> KernelOperator:
-    """The truncated frame operator using only the given lattice points.
+def partial_frame_sum(system: GaborSystem, count: int) -> KernelOperator:
+    """The truncated frame operator over the first count lattice points,
+    in lattice.points() order.
 
-    Kernel: sum over the subset of weight * conj(atom(t1)) atom(t2).
-    Points must lie on the lattice (LatticeError otherwise).
+    Kernel: sum over those points of weight * conj(atom(t1)) atom(t2).
+    LatticeError unless 1 <= count <= lattice.size.
     """
-    grp = system.group
-    positions = {p: i for i, p in enumerate(system.lattice.points())}
-    rows = []
-    for point in subset:
-        point = PhasePoint(grp.reduce(point[0]), grp.reduce(point[1]))
-        if point not in positions:
-            raise LatticeError(f"phase point {point} is not on the lattice")
-        rows.append(positions[point])
-    atoms = gabor_atoms(system)[sorted(set(rows))]
-    return _accumulated_kernel(system, atoms)
+    size = system.lattice.size
+    if not 1 <= count <= size:
+        raise LatticeError(f"partial sum of {count} points on a {size}-point lattice")
+    return _accumulated_kernel(system, gabor_atoms(system)[:count])
 
 
 @dataclass(frozen=True)

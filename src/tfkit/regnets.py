@@ -6,7 +6,8 @@ Three constructions are provided:
   pc_net           product-convolution stages (s . g) * h with a plateau
                    g rising to 1 and an L1-normalized spike h
   localization_net masked phase-space synthesis around one window
-  gabor_partial_net growing partial sums of a Parseval Gabor frame
+  gabor_partial_net partial sums of a Parseval Gabor frame over growing
+                   counts of lattice points
 
 check_regularizing evaluates the four certificate conditions on a net:
 (i) the final stage reproduces probes in the windowed m1 norm, (ii) the
@@ -212,9 +213,10 @@ def localization_net(window: Signal, masks) -> RegNet:
     return RegNet(grp, tuple(stages), tuple(labels))
 
 
-def gabor_partial_net(system: GaborSystem, exhaustion) -> RegNet:
-    """Partial sums of a Parseval system along a growing exhaustion of
-    the lattice; the full lattice gives the identity."""
+def gabor_partial_net(system: GaborSystem, counts) -> RegNet:
+    """Partial sums of a Parseval system over the first counts[i] lattice
+    points (partial_frame_sum) at stage i; the full lattice gives the
+    identity."""
     a, b = frame_bounds(system)
     if abs(a - 1.0) > 1e-8 or abs(b - 1.0) > 1e-8:
         raise FrameError(
@@ -223,10 +225,9 @@ def gabor_partial_net(system: GaborSystem, exhaustion) -> RegNet:
         )
     stages = []
     labels = []
-    for i, subset in enumerate(exhaustion):
-        subset = list(subset)
-        stages.append(partial_frame_sum(system, subset))
-        labels.append(f"gabor[{i}:{len(subset)}/{system.lattice.size}]")
+    for i, count in enumerate(counts):
+        stages.append(partial_frame_sum(system, count))
+        labels.append(f"gabor[{i}:{count}/{system.lattice.size}]")
     return RegNet(system.group, tuple(stages), tuple(labels))
 
 

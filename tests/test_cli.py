@@ -57,6 +57,7 @@ def test_failing_suite_exits_one(tmp_path, capsys):
     assert "not a frame" in captured.out
     payload = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert payload["failures"]
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
 
 
 def test_regnet_flags(tmp_path):
@@ -201,9 +202,7 @@ def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):
     zero = {"kind": "values", "re": [0] * 8}
     cfg.write_text(json.dumps({"mpq": {"window": zero}}), encoding="utf-8")
     out = tmp_path / "report"
-    with pytest.warns(RuntimeWarning):
-        code = main(["mpq", "--config", str(cfg), "--out", str(out)])
-    assert code == 1
+    assert main(["mpq", "--config", str(cfg), "--out", str(out)]) == 1
     out_text = capsys.readouterr().out
     assert "failing rows:\n  mpq: ratio [rank_one p=1 q=1]: nan > " in out_text
 
@@ -233,14 +232,16 @@ def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):
 def test_hostile_window_is_a_failing_row(tmp_path, capsys, suite, overrides, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({suite: overrides}), encoding="utf-8")
+    out = tmp_path / "report"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main([suite, "--config", str(cfg), "--out", str(tmp_path / "report")])
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([suite, "--config", str(cfg), "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
     assert f"failing rows:\n  {suite}: " in captured.out
     assert message in captured.out
     assert "Traceback" not in captured.out + captured.err
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])

@@ -274,20 +274,25 @@ def test_tight_window_parseval_energy():
 def test_partial_sum_full_subset_is_frame_operator():
     g = make_group((8,))
     system = GaborSystem(gauss(g, 1.0), make_lattice(g, 2, 2))
-    full = partial_frame_sum(system, system.lattice.points())
+    full = partial_frame_sum(system, system.lattice.size)
     assert np.allclose(full.kernel, frame_operator(system).kernel, atol=1e-13)
 
 
-def test_partial_sum_quadratic_form_identity():
-    # <S_subset f, f> equals the weighted coefficient energy over the
-    # subset, for any subset of any system
-    g = make_group((8,))
-    system = GaborSystem(gauss(g, 1.0), make_lattice(g, 2, 2))
+@pytest.mark.parametrize(
+    "orders, a, b, cuts",
+    [((8,), 2, 2, (1, 5, 16)), ((2, 6), (1, 2), (2, 3), range(1, 13))],
+    ids=["z8", "z2x6"],
+)
+def test_partial_sum_quadratic_form_identity(orders, a, b, cuts):
+    # <S_k f, f> equals the weighted coefficient energy over the first k
+    # lattice points, in lattice.points() order on every factor layout
+    g = make_group(orders)
+    system = GaborSystem(gauss(g, 1.0), make_lattice(g, a, b))
     points = system.lattice.points()
     f = random_signal(g, 7)
-    for cut in (1, 5, len(points)):
+    for cut in cuts:
         subset = points[:cut]
-        quad = inner(partial_frame_sum(system, subset).apply(f), f)
+        quad = inner(partial_frame_sum(system, cut).apply(f), f)
         direct = sum(
             system.weight * abs(inner(f, Signal(g, naive_atom(system.window, p)))) ** 2
             for p in subset
@@ -305,7 +310,7 @@ def test_partial_sum_tail_identity():
     subset, rest = points[:6], points[6:]
     defect = inner(
         frame_operator(system).apply(f), f
-    ) - inner(partial_frame_sum(system, subset).apply(f), f)
+    ) - inner(partial_frame_sum(system, len(subset)).apply(f), f)
     tail = sum(
         system.weight * abs(inner(f, Signal(g, naive_atom(system.window, p)))) ** 2
         for p in rest
@@ -320,17 +325,21 @@ def test_onb_partial_sums_obey_pythagoras_exactly():
     f = random_signal(grp, 5)
     running = 0.0
     for cut in range(1, len(points) + 1):
-        quad = inner(partial_frame_sum(system, points[:cut]).apply(f), f)
+        quad = inner(partial_frame_sum(system, cut).apply(f), f)
         running += system.weight * abs(inner(f, Signal(grp, naive_atom(system.window, points[cut - 1])))) ** 2
         assert quad.real == pytest.approx(running, rel=1e-12)
     assert running == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
 
 
-def test_partial_sum_rejects_off_lattice_points():
+def test_partial_sum_rejects_counts_off_the_lattice():
+    # a slice would silently clamp size + 1 to the full sum and read -1
+    # as "all but the last point"
     g = make_group((8,))
     system = GaborSystem(gauss(g, 1.0), make_lattice(g, 2, 2))
-    with pytest.raises(LatticeError):
-        partial_frame_sum(system, [((1,), (0,))])
+    assert system.lattice.size == 16
+    for count in (0, -1, 17):
+        with pytest.raises(LatticeError):
+            partial_frame_sum(system, count)
 
 
 # ---------------------------------------------------------------------------

@@ -228,16 +228,15 @@ def test_gabor_partial_net_needs_parseval():
     g = make_group((8,))
     system = GaborSystem(gauss(g, 1.0), make_lattice(g, 1, 1))
     with pytest.raises(FrameError) as info:
-        gabor_partial_net(system, [system.lattice.points()])
+        gabor_partial_net(system, [system.lattice.size])
     assert info.value.bounds == pytest.approx(frame_bounds(system), rel=1e-12)
 
 
 def test_gabor_partial_net_full_exhaustion_ends_at_identity():
     grp = make_group((4,))
     system = onb_system(grp)
-    points = system.lattice.points()
-    assert len(points) == 4
-    net = gabor_partial_net(system, [points[:1], points[:2], points])
+    assert system.lattice.size == 4
+    net = gabor_partial_net(system, [1, 2, 4])
     assert net.labels[-1] == "gabor[2:4/4]"
     want = identity_operator(grp).kernel
     assert np.max(np.abs(net.final.kernel - want)) < 1e-12 * np.max(np.abs(want))
@@ -356,9 +355,8 @@ def test_check_regularizing_localization_net():
 def test_check_regularizing_gabor_net():
     grp = make_group((8,))
     system = onb_system(grp)
-    points = system.lattice.points()
-    cuts = [points[: grp.order * k] for k in (2, 4, 6, 8)]
-    net = gabor_partial_net(system, cuts)
+    net = gabor_partial_net(system, [2, 4, 6, 8])
+    assert net.labels == ("gabor[0:2/8]", "gabor[1:4/8]", "gabor[2:6/8]", "gabor[3:8/8]")
     report = check_regularizing(
         net, standard_probes(grp, 3), normalized_gauss(grp), 1e-10
     )
