@@ -63,6 +63,7 @@ from .transform import (
 )
 from .kernels import (
     KernelOperator,
+    PhaseSums,
     TensorExpansion,
     bilinear_form,
     compose,
@@ -74,7 +75,7 @@ from .kernels import (
     operator_m1_norm,
     operator_matrix,
     operator_minf_norm,
-    operator_pairing_table,
+    operator_phase_sums,
     rank_one,
     tensor_expand,
     weak_reconstruct,

@@ -93,7 +93,7 @@ def main(argv=None) -> int:
 
     failures = [line for r in results for line in r.failures]
     for result in results:
-        tables = ", ".join(sorted(result.tables))
+        tables = ", ".join(sorted(result.tables)) or "no tables"
         n_fail = len(result.failures)
         print(f"suite {result.name}: {tables} ({n_fail} failing checks)")
     print(f"summary: {summary_path}")

@@ -20,6 +20,7 @@ gives A = B = ||g||_2^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,20 +76,28 @@ class GaborSystem:
     def weight(self) -> float:
         return float(self.lattice.weight)
 
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        """gabor_atoms(self), built once and read-only."""
+        atoms = gabor_atoms(self, self.window)
+        atoms.flags.writeable = False
+        return atoms
+
 
 def gabor_atoms(system: GaborSystem, window: Signal = None) -> np.ndarray:
     """Atom matrix, row per lattice point (time-major): pi(lambda) g.
 
     An alternative window (e.g. a dual) may be substituted for the
-    system's own.
+    system's own; without one this is the system's cached atoms.
     """
-    g = system.window if window is None else window
-    if g.group != system.group:
+    if window is None:
+        return system.atoms
+    if window.group != system.group:
         raise GroupMismatchError("substitute window lives on the wrong group")
     grp, lat = system.group, system.lattice
     times = [grp.index(p) for p in lat.side_nodes(lat.time_step)]
     freqs = [grp.index(p) for p in lat.side_nodes(lat.freq_step)]
-    return phase_atoms(g, times, freqs)
+    return phase_atoms(window, times, freqs)
 
 
 def _accumulated_kernel(system: GaborSystem, atoms: np.ndarray) -> KernelOperator:
@@ -188,7 +197,9 @@ def atomic_expand(f: Signal, system: GaborSystem) -> np.ndarray:
 
 def gabor_synthesize(system: GaborSystem, coefficients: np.ndarray) -> Signal:
     """sum_lambda c_lambda pi(lambda) g."""
-    atoms = gabor_atoms(system)
+    # a transient matrix: one product does not justify keeping the atoms
+    # alive on the system (GaborSystem.atoms) between calls
+    atoms = gabor_atoms(system, system.window)
     coefficients = np.asarray(coefficients, dtype=complex).reshape(-1)
     if coefficients.size != atoms.shape[0]:
         raise ValueError(

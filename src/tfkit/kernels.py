@@ -14,10 +14,17 @@ Because the kernel is itself a signal on the product group, every norm
 and expansion defined for signals applies verbatim to operators; the
 operator-level phase-space norms at the bottom of this module are the
 bridge the tests cross in both directions.
+
+Those norms, and those of regnets and modspaces, reduce the operator
+phase table B[nu1, nu2] = (pi(nu2) g2, T pi(nu1) g1), the kernel's own
+time-frequency table on G1 x G2 (the kernel theorem).  It has
+|G1|^2 |G2|^2 entries and is never held whole: operator_phase_sums
+streams it in chunks into a PhaseSums record of O(|G2|^2) floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,8 +32,8 @@ import numpy as np
 
 from .errors import GroupMismatchError
 from .groups import Group, character_table, product_group
-from .signals import Signal, gauss, l2_norm
-from .transform import m1_norm, pairing_rows, phase_atoms, stft
+from .signals import Signal, gauss, l2_norm, shift_matrix
+from .transform import m1_norm, phase_atoms, stft
 
 __all__ = [
     "KernelOperator",
@@ -39,7 +46,8 @@ __all__ = [
     "inv_fourier_operator",
     "kernel_signal",
     "operator_matrix",
-    "operator_pairing_table",
+    "PhaseSums",
+    "operator_phase_sums",
     "operator_m1_norm",
     "operator_minf_norm",
     "TensorExpansion",
@@ -172,17 +180,102 @@ def operator_matrix(op: KernelOperator) -> np.ndarray:
     return op.kernel.T * float(op.domain.weight)
 
 
-def operator_pairing_table(op: KernelOperator, g1: Signal, g2: Signal) -> np.ndarray:
-    """Table B[nu1, nu2] = (pi(nu2) g2, T pi(nu1) g1), shape (|G1|^2, |G2|^2).
+# Entries of B per chunk of domain time nodes (at least one node): 2^18
+# complex values, 4 MB.  It fixes the summation order, and so the report
+# bytes; it never depends on the thread count.
+_CHUNK_ENTRIES = 2**18
 
-    Two passes of the batched bilinear table: pairing each kernel column
-    K(., y) with pi(nu1) g1 gives (T pi(nu1) g1)(y), and pairing those rows
-    with pi(nu2) g2 gives B.  The tests keep the quadruple direct sum as
-    an oracle on small orders.
+
+@dataclass(frozen=True, eq=False)
+class PhaseSums:
+    """Reductions of |B| for the operator phase table
+    B[nu1, nu2] = (pi(nu2) g2, T pi(nu1) g1), nu1 over the domain's phase
+    space (rows), nu2 over the codomain's (columns), with no phase weight
+    folded in:
+
+        total       sum of |B|
+        peak        max |B|
+        row_peak    max over nu1 of the row sum over nu2
+        col_sums    column sums over nu1, one per nu2 (length |G2|^2)
+        col_powers  per requested p, column sums over nu1 of |B|^p, or
+                    the column maxima at p = inf
+
+    phase_weights is (domain, codomain) phase weight.  Every maximum is
+    np.maximum, so a NaN entry of B stays NaN.
+    """
+
+    total: float
+    peak: float
+    row_peak: float
+    col_sums: np.ndarray
+    col_powers: tuple
+    phase_weights: tuple
+
+    @property
+    def m1_norm(self) -> float:
+        """Phase-space L1 size: total times both phase weights."""
+        wp1, wp2 = self.phase_weights
+        return float(self.total * wp1 * wp2)
+
+
+def _char_sums(prod: np.ndarray, group: Group, axis: int) -> np.ndarray:
+    """Replace the flat group axis `axis` of prod, in place, by the
+    character sums sum_u prod[..., u, ...] w(u), one per w.  Like
+    transform.pairing_rows it takes ifftn and then multiplies by the
+    order."""
+    shaped = prod.reshape(prod.shape[:axis] + group.orders + prod.shape[axis + 1 :])
+    axes = tuple(range(axis, axis + group.nfactors))
+    np.fft.ifftn(shaped, axes=axes, out=shaped)
+    prod *= group.order
+    return prod
+
+
+def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> PhaseSums:
+    """One chunked pass over B; see PhaseSums for what it returns.
+
+    For each chunk of domain time nodes x1, with the Haar weights folded
+    into the kernel once:
+
+        half[(x1, w1), t]     = sum_s g1(s - x1) w1(s) K(s, t)
+        B[(x1, w1), (x2, w2)] = sum_t g2(t - x2) w2(t) half[(x1, w1), t]
+
+    each an FFT per factor, and B comes out in the table's own layout.
+    With unit Haar weights a table that fits in one chunk has the bits
+    of the full table (tests/oracles.py), so its sums are exactly the
+    full table's.
     """
     if g1.group != op.domain or g2.group != op.codomain:
         raise GroupMismatchError("windows do not match the operator's groups")
-    return pairing_rows(g2, pairing_rows(g1, op.kernel.T).T)
+    ps = tuple(ps)  # walked once per chunk
+    G1, G2 = op.domain, op.codomain
+    n1, n2 = G1.order, G2.order
+    kernel = op.kernel * (float(G1.weight) * float(G2.weight))
+    shifts1, shifts2 = shift_matrix(g1), shift_matrix(g2)
+    step = max(1, _CHUNK_ENTRIES // (n1 * n2 * n2))
+    total, peak, row_peak = 0.0, 0.0, 0.0
+    col_sums = np.zeros(n2 * n2)
+    col_powers = [np.zeros(n2 * n2) for _ in ps]
+    for lo in range(0, n1, step):
+        half = _char_sums(shifts1[lo : lo + step, :, None] * kernel, G1, 1)
+        b = _char_sums(half.reshape(-1, 1, n2) * shifts2, G2, 2)
+        mags = np.abs(b).reshape(-1, n2 * n2)
+        total += np.sum(mags)
+        peak = np.maximum(peak, np.max(mags))
+        row_peak = np.maximum(row_peak, np.max(np.sum(mags, axis=1)))
+        col_sums += np.sum(mags, axis=0)
+        for acc, p in zip(col_powers, ps):
+            if p == math.inf:
+                np.maximum(acc, np.max(mags, axis=0), out=acc)
+            else:
+                acc += np.sum(mags**p, axis=0)
+    return PhaseSums(
+        total=float(total),
+        peak=float(peak),
+        row_peak=float(row_peak),
+        col_sums=col_sums,
+        col_powers=tuple(col_powers),
+        phase_weights=(G1.phase_weight, G2.phase_weight),
+    )
 
 
 def operator_m1_norm(op: KernelOperator, g1: Signal, g2: Signal) -> float:
@@ -194,14 +287,13 @@ def operator_m1_norm(op: KernelOperator, g1: Signal, g2: Signal) -> float:
     kernel signal with window tensor(g1, g2), which the tests check as a
     second, independent code path.
     """
-    b = np.abs(operator_pairing_table(op, g1, g2))
-    return float(np.sum(b) * op.domain.phase_weight * op.codomain.phase_weight)
+    return operator_phase_sums(op, g1, g2).m1_norm
 
 
 def operator_minf_norm(op: KernelOperator, g1: Signal, g2: Signal) -> float:
     """Supremum counterpart: max |(pi(nu2) g2, T pi(nu1) g1)|; equals the
     sup modulation norm of the kernel signal with the tensor window."""
-    return float(np.max(np.abs(operator_pairing_table(op, g1, g2))))
+    return operator_phase_sums(op, g1, g2).peak
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ norms in (ii)/(iii) are computed exactly for the phase-space lift of
 each stage (analysis o T o synthesis through the window), which
 dominates the norm on the embedded signal space; finiteness of the
 logged values is the certificate.  induced_norms reads all of a stage's
-lift norms, and the table's own phase-space L1 size, off one operator
-phase table, built once per stage by kernels.operator_pairing_table.
+lift norms, and the table's own phase-space L1 size, off one streamed
+pass over the operator phase table per stage
+(kernels.operator_phase_sums); the table itself is never held.
 
 sandwich pushes a fixed operator through two nets stage by stage, and
 compose_approx staggers two sandwiched operators to approximate a
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import FrameError, GroupMismatchError, WindowError
 from .groups import Group
-from .kernels import KernelOperator, bilinear_form, compose, operator_pairing_table
+from .kernels import KernelOperator, bilinear_form, compose, operator_phase_sums
 from .signals import (
     Signal,
     dirac,
@@ -248,21 +249,22 @@ def induced_norms(op: KernelOperator, g1: Signal, g2: Signal = None) -> tuple:
     sup-modulation operator norms; the third is the uniform bound logged
     for sandwiched nets.
 
-    All four reduce one operator phase table: the lift's entries are
-    ||g1||^-2 * phase_weight * operator_pairing_table(op, conj g1, g2),
-    up to the permutation w -> -w of its rows.  b always equals
-    operator_m1_norm(op, conj g1, g2); when g1 is real it also equals
-    operator_m1_norm(op, g1, g2), bit for bit.
+    All four come from one pass over the operator phase table
+    B = (pi(nu2) g2, T pi(nu1) g1) against conj g1
+    (kernels.operator_phase_sums): the lift's entries are
+    ||g1||^-2 * phase_weight * |B| up to the permutation w -> -w of its
+    rows, so m1 is the largest row sum, minf the largest column sum and
+    m1_to_minf the largest entry.  b is the record's m1_norm, the same
+    code operator_m1_norm(op, conj g1, g2) runs; when g1 is real it also
+    equals operator_m1_norm(op, g1, g2), bit for bit.
     """
     g2 = g1 if g2 is None else g2
     wp1, wp2 = op.domain.phase_weight, op.codomain.phase_weight
-    conj_g1 = Signal(g1.group, g1.values.conj())
-    mags = np.abs(operator_pairing_table(op, conj_g1, g2))
-    lift = mags * (wp1 / l2_norm(g1) ** 2)
-    m1 = float(np.max(np.sum(lift, axis=1)) * wp2 / wp1)
-    minf = float(np.max(np.sum(lift, axis=0)))
-    b = float(np.sum(mags) * wp1 * wp2)
-    return m1, minf, float(np.max(lift) / wp1), b
+    sums = operator_phase_sums(op, Signal(g1.group, g1.values.conj()), g2)
+    scale = wp1 / l2_norm(g1) ** 2
+    m1 = float(sums.row_peak * scale * wp2 / wp1)
+    minf = float(np.max(sums.col_sums) * scale)
+    return m1, minf, float(sums.peak * scale / wp1), sums.m1_norm
 
 
 @dataclass(frozen=True)

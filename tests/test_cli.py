@@ -244,6 +244,16 @@ def test_hostile_window_is_a_failing_row(tmp_path, capsys, suite, overrides, mes
     assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
 
 
+def test_a_suite_without_tables_says_so(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    hostile = {"kind": "values", "re": [1e308] * 8}
+    cfg.write_text(json.dumps({"frames": {"window": hostile}}), encoding="utf-8")
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "suite frames: no tables (1 failing checks)" in lines
+    assert "suite kernel: kernel.csv (0 failing checks)" in lines
+
+
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_thread_count_below_one_exits_two_with_one_line(
     tmp_path, capsys, monkeypatch, threads

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tfkit import frames
 from tfkit.errors import FrameError, GroupMismatchError, LatticeError
 from tfkit.frames import (
     GaborSystem,
@@ -21,6 +22,7 @@ from tfkit.frames import (
 from tfkit.groups import make_group, make_lattice
 from tfkit.kernels import KernelOperator, identity_operator, operator_matrix, rank_one
 from tfkit.signals import Signal, dirac, gauss, inner, l2_norm, random_signal, tensor
+from tfkit.transform import phase_atoms
 
 
 def naive_char(group, x, w):
@@ -75,6 +77,30 @@ def test_atoms_are_shifted_windows_time_major():
     assert atoms.shape == (len(points), 6) == (6, 6)
     for row, point in zip(atoms, points):
         assert np.allclose(row, naive_atom(system.window, point), atol=1e-12)
+
+
+def test_system_atoms_are_built_once_and_read_only(monkeypatch):
+    g = make_group((6,))
+    system = GaborSystem(gauss(g, 1.0), make_lattice(g, 3, 2))
+    builds = []
+
+    def counting_atoms(*args):
+        builds.append(args)
+        return phase_atoms(*args)
+
+    monkeypatch.setattr(frames, "phase_atoms", counting_atoms)
+    atoms = gabor_atoms(system)
+    assert gabor_atoms(system) is atoms is system.atoms
+    for count in (1, 3, 6):
+        partial_frame_sum(system, count)
+    assert len(builds) == 1
+    assert not atoms.flags.writeable
+    with pytest.raises(ValueError):
+        atoms[0, 0] = 0.0
+    # a substitute window gets its own, writable, matrix
+    dual = gabor_atoms(system, gauss(g, 2.0))
+    assert dual is not atoms and dual.flags.writeable
+    assert len(builds) == 2
 
 
 def test_atoms_substitute_window_checks_group():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tfkit import kernels
 from tfkit.errors import GroupMismatchError
 from tfkit.groups import make_group, product_group
 from tfkit.kernels import (
@@ -21,7 +22,7 @@ from tfkit.kernels import (
     operator_m1_norm,
     operator_matrix,
     operator_minf_norm,
-    operator_pairing_table,
+    operator_phase_sums,
     rank_one,
     tensor_expand,
     weak_reconstruct,
@@ -38,6 +39,8 @@ from tfkit.signals import (
     tensor,
 )
 from tfkit.transform import mod_norm, m1_norm
+
+from oracles import operator_pairing_table
 
 GROUP_PAIRS = [((8,), (8,)), ((5,), (7,)), ((2, 3), (4,))]
 
@@ -357,10 +360,59 @@ def test_operator_pairing_table_matches_direct_sums(orders1, orders2):
 
 
 def test_operator_pairing_table_rejects_mismatched_windows():
+    # the streamed table checks its windows before it reads the kernel
     g1, g2 = make_group((3,)), make_group((2,))
     op = random_operator(g1, g2, 1)
     with pytest.raises(GroupMismatchError):
-        operator_pairing_table(op, gauss(g2, 1.0), gauss(g2, 1.0))
+        operator_phase_sums(op, gauss(g2, 1.0), gauss(g2, 1.0))
+    with pytest.raises(GroupMismatchError):
+        operator_phase_sums(op, gauss(g1, 1.0), gauss(g1, 1.0))
+
+
+PASS_EXPONENTS = (1, 2, 3.5, math.inf)
+
+
+def assert_sums_reduce_the_table(sums, table, ps):
+    mags = np.abs(table)
+    assert sums.total == pytest.approx(np.sum(mags), rel=1e-13)
+    assert sums.peak == pytest.approx(np.max(mags), rel=1e-13)
+    assert sums.row_peak == pytest.approx(np.max(np.sum(mags, axis=1)), rel=1e-13)
+    np.testing.assert_allclose(sums.col_sums, np.sum(mags, axis=0), rtol=1e-13)
+    assert len(sums.col_powers) == len(ps)
+    for got, p in zip(sums.col_powers, ps):
+        want = np.max(mags, axis=0) if p == math.inf else np.sum(mags**p, axis=0)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "orders1,orders2",
+    [((8,), (8,)), ((6,), (2, 3)), ((12,), (8,)), ((2, 4), (3, 4)), ((1,), (5,)), ((5,), (1,))],
+)
+def test_phase_sums_reduce_the_full_table(orders1, orders2):
+    g1, g2 = make_group(orders1), make_group(orders2)
+    op = random_operator(g1, g2, 31)
+    w1 = random_signal(g1, 5) + gauss(g1, 1.0)  # complex
+    w2 = gauss(g2, 1.5)
+    sums = operator_phase_sums(op, w1, w2, PASS_EXPONENTS)
+    assert_sums_reduce_the_table(sums, operator_pairing_table(op, w1, w2), PASS_EXPONENTS)
+    assert sums.phase_weights == (g1.phase_weight, g2.phase_weight)
+    assert sums.m1_norm == operator_m1_norm(op, w1, w2)
+    assert sums.peak == operator_minf_norm(op, w1, w2)
+
+
+def test_phase_sums_with_a_ragged_last_chunk(monkeypatch):
+    # chunks of two time nodes walk Z/5 as 2 + 2 + 1; the Fourier
+    # operator's codomain carries a non-unit Haar weight
+    g = make_group((5,))
+    op = fourier_operator(g)
+    w1 = random_signal(g, 8) + gauss(g, 1.0)
+    w2 = gauss(g.dual(), 1.0)
+    whole = operator_phase_sums(op, w1, w2, PASS_EXPONENTS)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 2 * 5 * 25)
+    chunked = operator_phase_sums(op, w1, w2, PASS_EXPONENTS)
+    assert_sums_reduce_the_table(chunked, operator_pairing_table(op, w1, w2), PASS_EXPONENTS)
+    assert chunked.total == pytest.approx(whole.total, rel=1e-14)
+    np.testing.assert_allclose(chunked.col_sums, whole.col_sums, rtol=1e-14)
 
 
 def test_operator_m1_norm_equals_kernel_signal_route():

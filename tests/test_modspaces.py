@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from tfkit.kernels import (
     identity_operator,
     operator_m1_norm,
     operator_minf_norm,
-    operator_pairing_table,
     rank_one,
 )
 from tfkit.modspaces import (
@@ -22,6 +22,8 @@ from tfkit.modspaces import (
 )
 from tfkit.signals import Signal, gauss, l2_norm, random_signal
 from tfkit.transform import mod_norm
+
+from oracles import operator_pairing_table
 
 EXPONENTS = (1, 2, math.inf)
 
@@ -108,6 +110,28 @@ def test_mpq_bounds_fold_window_energy():
         for j, q in enumerate(qs):
             outer = inner.max() if q == math.inf else (wp * (inner**q).sum()) ** (1 / q)
             assert bounds[i, j] == pytest.approx(outer / l2_norm(w) ** 2, rel=1e-13)
+
+
+@pytest.mark.parametrize("dom_orders, cod_orders", [((64,), (64,)), ((8, 8), (4, 16))])
+def test_two_two_condition_is_moyals_closed_form(dom_orders, cod_orders):
+    # Moyal's identity makes the (2, 2) table norm ||g1|| ||g2|| ||K||_HS,
+    # with ||K||_HS^2 = sum |K|^2 w1 w2; the full table would take 256 MB
+    # here, while the streamed pass holds a few 4 MB chunks
+    dom, cod = make_group(dom_orders), make_group(cod_orders).dual()
+    rng = np.random.default_rng(5)
+    shape = (dom.order, cod.order)
+    op = KernelOperator(dom, cod, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    g1 = random_signal(dom, 1) + gauss(dom, 2.0)
+    g2 = gauss(cod, 3.0)
+    hs = math.sqrt(np.sum(np.abs(op.kernel) ** 2) * float(dom.weight) * float(cod.weight))
+    tracemalloc.start()
+    try:
+        cond = mpq_bounds(op, g1, g2, [2], [2])[0, 0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cond == pytest.approx(l2_norm(g2) * hs / l2_norm(g1), rel=1e-13)
+    assert peak < (dom.order * cod.order) ** 2 * 16 / 8
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from tfkit.kernels import (
     identity_operator,
     inv_fourier_operator,
     operator_m1_norm,
-    operator_pairing_table,
 )
 from tfkit.regnets import (
     ComposeApproxReport,
@@ -47,6 +46,8 @@ from tfkit.signals import (
     random_signal,
 )
 from tfkit.transform import m1_norm
+
+from oracles import operator_pairing_table
 
 SPREADS = (2.0, 1.0, 0.5, 0.25)
 

@@ -7,7 +7,7 @@ import pytest
 from tfkit import kernels, modspaces, regnets, suites
 from tfkit.errors import ConfigError
 from tfkit.groups import make_group
-from tfkit.kernels import operator_pairing_table
+from tfkit.kernels import operator_phase_sums
 from tfkit.regnets import check_regularizing, pc_net, standard_probes
 from tfkit.signals import Signal, gauss, l2_norm
 from tfkit.suites import (
@@ -284,31 +284,32 @@ def test_mpq_suite_rejects_complex_window():
 
 
 def test_each_operator_phase_table_is_built_once(monkeypatch):
-    builds = []
+    # counts passes of the streamed phase table, kernels.operator_phase_sums
+    passes = []
 
-    def counting_table(op, g1, g2):
-        builds.append(op)
-        return operator_pairing_table(op, g1, g2)
+    def counting_pass(op, g1, g2, ps=()):
+        passes.append(op)
+        return operator_phase_sums(op, g1, g2, ps)
 
-    monkeypatch.setattr(modspaces, "operator_pairing_table", counting_table)
-    monkeypatch.setattr(regnets, "operator_pairing_table", counting_table)
+    monkeypatch.setattr(modspaces, "operator_phase_sums", counting_pass)
+    monkeypatch.setattr(regnets, "operator_phase_sums", counting_pass)
     # operator_m1_norm's binding
-    monkeypatch.setattr(kernels, "operator_pairing_table", counting_table)
+    monkeypatch.setattr(kernels, "operator_phase_sums", counting_pass)
     run_default("mpq")
-    # one table per operator of mpq.csv, one per identity-gap order
-    assert len(builds) == 4 + len(DEFAULTS["mpq"]["gap_orders"])
-    builds.clear()
+    # one pass per operator of mpq.csv, one per identity-gap order
+    assert len(passes) == 4 + len(DEFAULTS["mpq"]["gap_orders"])
+    passes.clear()
     run_default("regnet")
     # one per sandwiched stage (b_norm and both induced norms), one per
     # stage of the net's certificate
-    assert len(builds) == 2 * DEFAULTS["regnet"]["stages"]
-    builds.clear()
+    assert len(passes) == 2 * DEFAULTS["regnet"]["stages"]
+    passes.clear()
     g = make_group((8,))
     window = gauss(g, 1.0)
     window = Signal(g, window.values / l2_norm(window))
     net = pc_net(g, (2.0, 1.0, 0.5))
     check_regularizing(net, standard_probes(g, 1), window, 1e-10)
-    assert builds == list(net.stages)
+    assert passes == list(net.stages)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
