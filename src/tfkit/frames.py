@@ -78,8 +78,10 @@ class GaborSystem:
 
     @cached_property
     def atoms(self) -> np.ndarray:
-        """gabor_atoms(self), built once and read-only."""
-        atoms = gabor_atoms(self, self.window)
+        """gabor_atoms(self), built on first use and kept, read-only, for
+        the system's lifetime: partial_frame_sum slices it, since a net
+        or a sweep takes many prefixes of one system."""
+        atoms = gabor_atoms(self)
         atoms.flags.writeable = False
         return atoms
 
@@ -88,16 +90,15 @@ def gabor_atoms(system: GaborSystem, window: Signal = None) -> np.ndarray:
     """Atom matrix, row per lattice point (time-major): pi(lambda) g.
 
     An alternative window (e.g. a dual) may be substituted for the
-    system's own; without one this is the system's cached atoms.
+    system's own.
     """
-    if window is None:
-        return system.atoms
-    if window.group != system.group:
+    g = system.window if window is None else window
+    if g.group != system.group:
         raise GroupMismatchError("substitute window lives on the wrong group")
     grp, lat = system.group, system.lattice
     times = [grp.index(p) for p in lat.side_nodes(lat.time_step)]
     freqs = [grp.index(p) for p in lat.side_nodes(lat.freq_step)]
-    return phase_atoms(window, times, freqs)
+    return phase_atoms(g, times, freqs)
 
 
 def _accumulated_kernel(system: GaborSystem, atoms: np.ndarray) -> KernelOperator:
@@ -197,9 +198,7 @@ def atomic_expand(f: Signal, system: GaborSystem) -> np.ndarray:
 
 def gabor_synthesize(system: GaborSystem, coefficients: np.ndarray) -> Signal:
     """sum_lambda c_lambda pi(lambda) g."""
-    # a transient matrix: one product does not justify keeping the atoms
-    # alive on the system (GaborSystem.atoms) between calls
-    atoms = gabor_atoms(system, system.window)
+    atoms = gabor_atoms(system)
     coefficients = np.asarray(coefficients, dtype=complex).reshape(-1)
     if coefficients.size != atoms.shape[0]:
         raise ValueError(
@@ -218,7 +217,7 @@ def partial_frame_sum(system: GaborSystem, count: int) -> KernelOperator:
     size = system.lattice.size
     if not 1 <= count <= size:
         raise LatticeError(f"partial sum of {count} points on a {size}-point lattice")
-    return _accumulated_kernel(system, gabor_atoms(system)[:count])
+    return _accumulated_kernel(system, system.atoms[:count])
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import GroupMismatchError
 from .groups import Group, character_table, product_group
-from .signals import Signal, gauss, l2_norm, shift_matrix
-from .transform import m1_norm, phase_atoms, stft
+from .signals import Signal, gauss, l2_norm
+from .transform import m1_norm, pairing_rows, phase_atoms, stft
 
 __all__ = [
     "KernelOperator",
@@ -190,91 +190,62 @@ _CHUNK_ENTRIES = 2**18
 class PhaseSums:
     """Reductions of |B| for the operator phase table
     B[nu1, nu2] = (pi(nu2) g2, T pi(nu1) g1), nu1 over the domain's phase
-    space (rows), nu2 over the codomain's (columns), with no phase weight
-    folded in:
+    space (rows), nu2 over the codomain's (columns):
 
-        total       sum of |B|
+        m1          sum of |B| times both phase weights, the phase-space
+                    L1 size
         peak        max |B|
         row_peak    max over nu1 of the row sum over nu2
-        col_sums    column sums over nu1, one per nu2 (length |G2|^2)
         col_powers  per requested p, column sums over nu1 of |B|^p, or
-                    the column maxima at p = inf
+                    the column maxima at p = inf (length |G2|^2 each)
 
-    phase_weights is (domain, codomain) phase weight.  Every maximum is
-    np.maximum, so a NaN entry of B stays NaN.
+    Every maximum is np.maximum, so a NaN entry of B stays NaN.
     """
 
-    total: float
+    m1: float
     peak: float
     row_peak: float
-    col_sums: np.ndarray
     col_powers: tuple
-    phase_weights: tuple
-
-    @property
-    def m1_norm(self) -> float:
-        """Phase-space L1 size: total times both phase weights."""
-        wp1, wp2 = self.phase_weights
-        return float(self.total * wp1 * wp2)
-
-
-def _char_sums(prod: np.ndarray, group: Group, axis: int) -> np.ndarray:
-    """Replace the flat group axis `axis` of prod, in place, by the
-    character sums sum_u prod[..., u, ...] w(u), one per w.  Like
-    transform.pairing_rows it takes ifftn and then multiplies by the
-    order."""
-    shaped = prod.reshape(prod.shape[:axis] + group.orders + prod.shape[axis + 1 :])
-    axes = tuple(range(axis, axis + group.nfactors))
-    np.fft.ifftn(shaped, axes=axes, out=shaped)
-    prod *= group.order
-    return prod
 
 
 def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> PhaseSums:
     """One chunked pass over B; see PhaseSums for what it returns.
 
-    For each chunk of domain time nodes x1, with the Haar weights folded
-    into the kernel once:
+    Each chunk of domain time nodes x1 takes the two batched bilinear
+    tables of the full table, restricted to those x1:
 
-        half[(x1, w1), t]     = sum_s g1(s - x1) w1(s) K(s, t)
-        B[(x1, w1), (x2, w2)] = sum_t g2(t - x2) w2(t) half[(x1, w1), t]
+        half[t, (x1, w1)]     = (pi(x1, w1) g1, K(., t))
+        B[(x1, w1), (x2, w2)] = (pi(x2, w2) g2, half[., (x1, w1)])
 
-    each an FFT per factor, and B comes out in the table's own layout.
-    With unit Haar weights a table that fits in one chunk has the bits
-    of the full table (tests/oracles.py), so its sums are exactly the
-    full table's.
+    so B comes out in the table's own layout, by the same arithmetic as
+    the rows tests/oracles.py builds whole; only the order of the sums
+    differs.
     """
     if g1.group != op.domain or g2.group != op.codomain:
         raise GroupMismatchError("windows do not match the operator's groups")
     ps = tuple(ps)  # walked once per chunk
-    G1, G2 = op.domain, op.codomain
-    n1, n2 = G1.order, G2.order
-    kernel = op.kernel * (float(G1.weight) * float(G2.weight))
-    shifts1, shifts2 = shift_matrix(g1), shift_matrix(g2)
+    n1, n2 = op.domain.order, op.codomain.order
     step = max(1, _CHUNK_ENTRIES // (n1 * n2 * n2))
     total, peak, row_peak = 0.0, 0.0, 0.0
-    col_sums = np.zeros(n2 * n2)
     col_powers = [np.zeros(n2 * n2) for _ in ps]
     for lo in range(0, n1, step):
-        half = _char_sums(shifts1[lo : lo + step, :, None] * kernel, G1, 1)
-        b = _char_sums(half.reshape(-1, 1, n2) * shifts2, G2, 2)
-        mags = np.abs(b).reshape(-1, n2 * n2)
+        half = pairing_rows(g1, op.kernel.T, slice(lo, lo + step))
+        # C order, or the products inherit the transposed layout and
+        # every reshape downstream copies the chunk
+        mags = np.abs(pairing_rows(g2, np.ascontiguousarray(half.T)))
         total += np.sum(mags)
         peak = np.maximum(peak, np.max(mags))
         row_peak = np.maximum(row_peak, np.max(np.sum(mags, axis=1)))
-        col_sums += np.sum(mags, axis=0)
         for acc, p in zip(col_powers, ps):
             if p == math.inf:
                 np.maximum(acc, np.max(mags, axis=0), out=acc)
             else:
                 acc += np.sum(mags**p, axis=0)
     return PhaseSums(
-        total=float(total),
+        m1=float(total * op.domain.phase_weight * op.codomain.phase_weight),
         peak=float(peak),
         row_peak=float(row_peak),
-        col_sums=col_sums,
         col_powers=tuple(col_powers),
-        phase_weights=(G1.phase_weight, G2.phase_weight),
     )
 
 
@@ -287,7 +258,7 @@ def operator_m1_norm(op: KernelOperator, g1: Signal, g2: Signal) -> float:
     kernel signal with window tensor(g1, g2), which the tests check as a
     second, independent code path.
     """
-    return operator_phase_sums(op, g1, g2).m1_norm
+    return operator_phase_sums(op, g1, g2).m1
 
 
 def operator_minf_norm(op: KernelOperator, g1: Signal, g2: Signal) -> float:

@@ -253,18 +253,19 @@ def induced_norms(op: KernelOperator, g1: Signal, g2: Signal = None) -> tuple:
     B = (pi(nu2) g2, T pi(nu1) g1) against conj g1
     (kernels.operator_phase_sums): the lift's entries are
     ||g1||^-2 * phase_weight * |B| up to the permutation w -> -w of its
-    rows, so m1 is the largest row sum, minf the largest column sum and
-    m1_to_minf the largest entry.  b is the record's m1_norm, the same
-    code operator_m1_norm(op, conj g1, g2) runs; when g1 is real it also
-    equals operator_m1_norm(op, g1, g2), bit for bit.
+    rows, so m1 is the largest row sum, minf the largest column sum (the
+    p = 1 column power sums) and m1_to_minf the largest entry.  b is the
+    record's m1, the same code operator_m1_norm(op, conj g1, g2) runs;
+    when g1 is real it also equals operator_m1_norm(op, g1, g2), bit for
+    bit.
     """
     g2 = g1 if g2 is None else g2
     wp1, wp2 = op.domain.phase_weight, op.codomain.phase_weight
-    sums = operator_phase_sums(op, Signal(g1.group, g1.values.conj()), g2)
+    sums = operator_phase_sums(op, Signal(g1.group, g1.values.conj()), g2, ps=(1,))
     scale = wp1 / l2_norm(g1) ** 2
     m1 = float(sums.row_peak * scale * wp2 / wp1)
-    minf = float(np.max(sums.col_sums) * scale)
-    return m1, minf, float(sums.peak * scale / wp1), sums.m1_norm
+    minf = float(np.max(sums.col_powers[0]) * scale)
+    return m1, minf, float(sums.peak * scale / wp1), sums.m1
 
 
 @dataclass(frozen=True)

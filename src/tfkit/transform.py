@@ -92,10 +92,15 @@ def _fft_rows(rows: np.ndarray, group: Group) -> np.ndarray:
 
 
 def _char_sum_rows(rows: np.ndarray, group: Group) -> np.ndarray:
-    """Apply sum_t u(t) w(t) along each row."""
+    """Apply sum_t u(t) w(t) along each row, overwriting rows where its
+    layout allows, so callers pass an array they own: the operator pass
+    runs this per chunk, and a fresh FFT output there costs about as
+    much again.  The out= of numpy.fft needs NumPy 2."""
     shaped = rows.reshape((-1,) + group.orders)
     axes = tuple(range(1, group.nfactors + 1))
-    return (np.fft.ifftn(shaped, axes=axes) * group.order).reshape(rows.shape)
+    np.fft.ifftn(shaped, axes=axes, out=shaped)
+    shaped *= group.order
+    return shaped.reshape(rows.shape)
 
 
 def phase_atoms(window: Signal, times=slice(None), freqs=slice(None)) -> np.ndarray:
@@ -106,13 +111,16 @@ def phase_atoms(window: Signal, times=slice(None), freqs=slice(None)) -> np.ndar
     return (shifts[:, None, :] * chars[None, :, :]).reshape(-1, window.group.order)
 
 
-def pairing_rows(window: Signal, rows: np.ndarray) -> np.ndarray:
+def pairing_rows(window: Signal, rows: np.ndarray, times=slice(None)) -> np.ndarray:
     """Bilinear tables of a stack of value rows, time-major like
-    phase_points: out[j, (x, w)] = (pi(x,w) window, rows[j])."""
+    phase_points: out[j, (x, w)] = (pi(x,w) window, rows[j]); times
+    optionally restricts x to an index subset, as in phase_atoms."""
     grp, n = window.group, window.group.order
-    prod = rows[:, None, :] * shift_matrix(window)[None, :, :]
-    tables = _char_sum_rows(prod.reshape(-1, n), grp).reshape(len(rows), n * n)
-    return tables * float(grp.weight)
+    shifts = shift_matrix(window)[times]
+    prod = rows[:, None, :] * shifts[None, :, :]
+    tables = _char_sum_rows(prod.reshape(-1, n), grp).reshape(len(rows), len(shifts) * n)
+    tables *= float(grp.weight)
+    return tables
 
 
 def weighted_pnorm(mags: np.ndarray, weight: float, p, axis=None):
@@ -156,7 +164,7 @@ def stft_invert(window: Signal, table: PhaseTable) -> Signal:
         raise GroupMismatchError("table and window live on different groups")
     norm_sq = l2_norm(window) ** 2
     # sum over frequencies first: A[x, t] = sum_w table[x, w] w(t)
-    a = _char_sum_rows(table.values, g)
+    a = _char_sum_rows(table.values.copy(), g)
     vals = np.sum(a * shift_matrix(window), axis=0)
     return Signal(g, vals * (table.phase_weight / norm_sq))
 

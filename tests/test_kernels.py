@@ -372,12 +372,12 @@ def test_operator_pairing_table_rejects_mismatched_windows():
 PASS_EXPONENTS = (1, 2, 3.5, math.inf)
 
 
-def assert_sums_reduce_the_table(sums, table, ps):
+def assert_sums_reduce_the_table(sums, op, table, ps):
     mags = np.abs(table)
-    assert sums.total == pytest.approx(np.sum(mags), rel=1e-13)
+    weights = op.domain.phase_weight * op.codomain.phase_weight
+    assert sums.m1 == pytest.approx(np.sum(mags) * weights, rel=1e-13)
     assert sums.peak == pytest.approx(np.max(mags), rel=1e-13)
     assert sums.row_peak == pytest.approx(np.max(np.sum(mags, axis=1)), rel=1e-13)
-    np.testing.assert_allclose(sums.col_sums, np.sum(mags, axis=0), rtol=1e-13)
     assert len(sums.col_powers) == len(ps)
     for got, p in zip(sums.col_powers, ps):
         want = np.max(mags, axis=0) if p == math.inf else np.sum(mags**p, axis=0)
@@ -394,9 +394,8 @@ def test_phase_sums_reduce_the_full_table(orders1, orders2):
     w1 = random_signal(g1, 5) + gauss(g1, 1.0)  # complex
     w2 = gauss(g2, 1.5)
     sums = operator_phase_sums(op, w1, w2, PASS_EXPONENTS)
-    assert_sums_reduce_the_table(sums, operator_pairing_table(op, w1, w2), PASS_EXPONENTS)
-    assert sums.phase_weights == (g1.phase_weight, g2.phase_weight)
-    assert sums.m1_norm == operator_m1_norm(op, w1, w2)
+    assert_sums_reduce_the_table(sums, op, operator_pairing_table(op, w1, w2), PASS_EXPONENTS)
+    assert sums.m1 == operator_m1_norm(op, w1, w2)
     assert sums.peak == operator_minf_norm(op, w1, w2)
 
 
@@ -410,9 +409,11 @@ def test_phase_sums_with_a_ragged_last_chunk(monkeypatch):
     whole = operator_phase_sums(op, w1, w2, PASS_EXPONENTS)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 2 * 5 * 25)
     chunked = operator_phase_sums(op, w1, w2, PASS_EXPONENTS)
-    assert_sums_reduce_the_table(chunked, operator_pairing_table(op, w1, w2), PASS_EXPONENTS)
-    assert chunked.total == pytest.approx(whole.total, rel=1e-14)
-    np.testing.assert_allclose(chunked.col_sums, whole.col_sums, rtol=1e-14)
+    assert_sums_reduce_the_table(chunked, op, operator_pairing_table(op, w1, w2), PASS_EXPONENTS)
+    assert chunked.m1 == pytest.approx(whole.m1, rel=1e-14)
+    assert chunked.peak == whole.peak
+    for got, want in zip(chunked.col_powers, whole.col_powers):
+        np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 def test_operator_m1_norm_equals_kernel_signal_route():
