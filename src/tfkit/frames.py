@@ -11,10 +11,12 @@ separable lattice with frequency steps b_j the weight-folded matrix is
 nonzero only where t1 - t2 lies in H = sum_j (n_j / b_j) Z (the Walnut
 representation), so it splits into one Hermitian |H| x |H| block per
 coset of H.  Bounds, the canonical dual and the tight window are read
-off those blocks, never off the dense |G| x |G| matrix, which only the
-public frame_operator and partial_frame_sum build (the tests keep the
-dense eigen-solves as oracles).  A full lattice with the ambient weight
-gives A = B = ||g||_2^2.
+off those blocks, never off the dense |G| x |G| matrix, which only
+partial_frame_sum builds (frame_operator sums every lattice point; the
+tests keep the dense eigen-solves as oracles).  atomic_expand reads the
+frame coefficients off transform.pairing_rows; only partial_frame_sum
+and gabor_synthesize build the L x |G| atom matrix.  A full lattice
+with the ambient weight gives A = B = ||g||_2^2.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .groups import (
 )
 from .kernels import KernelOperator, kernel_signal
 from .signals import Signal, shift_matrix
-from .transform import phase_atoms
+from .transform import pairing_rows, phase_atoms
 
 __all__ = [
     "GaborSystem",
@@ -86,32 +88,27 @@ class GaborSystem:
         return atoms
 
 
-def gabor_atoms(system: GaborSystem, window: Signal = None) -> np.ndarray:
-    """Atom matrix, row per lattice point (time-major): pi(lambda) g.
-
-    An alternative window (e.g. a dual) may be substituted for the
-    system's own.
-    """
-    g = system.window if window is None else window
-    if g.group != system.group:
-        raise GroupMismatchError("substitute window lives on the wrong group")
-    grp, lat = system.group, system.lattice
-    times = [grp.index(p) for p in lat.side_nodes(lat.time_step)]
-    freqs = [grp.index(p) for p in lat.side_nodes(lat.freq_step)]
-    return phase_atoms(g, times, freqs)
+def _lattice_nodes(lat: Lattice) -> tuple:
+    """(times, freqs): enumeration indices of the lattice's time nodes and
+    of its frequency nodes."""
+    return tuple(
+        [lat.group.index(p) for p in lat.side_nodes(steps)]
+        for steps in (lat.time_step, lat.freq_step)
+    )
 
 
-def _accumulated_kernel(system: GaborSystem, atoms: np.ndarray) -> KernelOperator:
-    k = (atoms.conj().T @ atoms) * system.weight
-    return KernelOperator(system.group, system.group, k)
+def gabor_atoms(system: GaborSystem) -> np.ndarray:
+    """Atom matrix, row per lattice point (time-major): pi(lambda) g."""
+    return phase_atoms(system.window, *_lattice_nodes(system.lattice))
 
 
 def frame_operator(system: GaborSystem) -> KernelOperator:
-    """Kernel of S: K(t1, t2) = sum_lambda weight conj(atom(t1)) atom(t2).
+    """Kernel of S: K(t1, t2) = sum_lambda weight conj(atom(t1)) atom(t2),
+    the partial frame sum over every lattice point.
 
     Hermitian positive semidefinite after weight folding.
     """
-    return _accumulated_kernel(system, gabor_atoms(system))
+    return partial_frame_sum(system, system.lattice.size)
 
 
 def _walnut_blocks(system: GaborSystem) -> tuple:
@@ -134,7 +131,7 @@ def _walnut_blocks(system: GaborSystem) -> tuple:
     steps = np.indices(lat.freq_step).reshape(grp.nfactors, 1, -1)
     coords = reps + np.reshape(cosets, (-1, 1, 1)) * steps
     index = np.ravel_multi_index(tuple(coords), grp.orders)
-    times = [grp.index(p) for p in lat.side_nodes(lat.time_step)]
+    times, _ = _lattice_nodes(lat)
     cols = shift_matrix(system.window)[times][:, index].transpose(1, 0, 2)
     scale = float(lat.weight * len(index) * grp.weight)
     return (cols.transpose(0, 2, 1) @ cols.conj()) * scale, index
@@ -188,16 +185,20 @@ def tight_window(system: GaborSystem) -> Signal:
 def atomic_expand(f: Signal, system: GaborSystem) -> np.ndarray:
     """Frame coefficients c_lambda = weight * <f, pi(lambda) h> against the
     canonical dual h, aligned with lattice.points().  Synthesizing the
-    system's own atoms with these coefficients returns f exactly."""
+    system's own atoms with these coefficients returns f exactly.  Read
+    off the conjugate of the bilinear table of conj(f), no atom matrix."""
     if f.group != system.group:
         raise GroupMismatchError("signal lives on the wrong group")
-    dual_atoms = gabor_atoms(system, canonical_dual(system))
-    w_haar = float(system.group.weight)
-    return (dual_atoms.conj() @ f.values) * (system.weight * w_haar)
+    times, freqs = _lattice_nodes(system.lattice)
+    table = pairing_rows(canonical_dual(system), np.conj(f.values)[None, :], times)
+    coeffs = np.conj(table.reshape(len(times), system.group.order)[:, freqs])
+    return coeffs.ravel() * system.weight
 
 
 def gabor_synthesize(system: GaborSystem, coefficients: np.ndarray) -> Signal:
     """sum_lambda c_lambda pi(lambda) g."""
+    # A fresh matrix, not the cached system.atoms: one synthesis must
+    # not keep an L x |G| matrix alive for the system's lifetime.
     atoms = gabor_atoms(system)
     coefficients = np.asarray(coefficients, dtype=complex).reshape(-1)
     if coefficients.size != atoms.shape[0]:
@@ -217,7 +218,9 @@ def partial_frame_sum(system: GaborSystem, count: int) -> KernelOperator:
     size = system.lattice.size
     if not 1 <= count <= size:
         raise LatticeError(f"partial sum of {count} points on a {size}-point lattice")
-    return _accumulated_kernel(system, system.atoms[:count])
+    atoms = system.atoms[:count]
+    k = (atoms.conj().T @ atoms) * system.weight
+    return KernelOperator(system.group, system.group, k)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GroupMismatchError
-from .groups import Group, PhasePoint, difference_table, negation_table, product_group
+from .groups import (
+    Group,
+    PhasePoint,
+    character_table,
+    difference_table,
+    negation_table,
+    product_group,
+)
 
 __all__ = [
     "Signal",
@@ -269,25 +276,16 @@ def shift_matrix(g: Signal) -> np.ndarray:
     return g.values[difference_table(g.group)]
 
 
-def _character_rows(group: Group, ws) -> np.ndarray:
-    """Values t -> w(t) as one flat row per w in ws, built factor by factor."""
-    coords = np.array([group.reduce(w) for w in ws]).reshape(-1, group.nfactors)
-    rows = np.ones((len(coords), 1), dtype=complex)
-    for j, n in enumerate(group.orders):
-        factor = np.exp(2j * np.pi * coords[:, j, None] * np.arange(n) / n)
-        rows = (rows[:, :, None] * factor[:, None, :]).reshape(len(coords), -1)
-    return rows
-
-
 def modulate(f: Signal, w) -> Signal:
     """(E_w f)(t) = w(t) f(t)."""
-    return Signal(f.group, _character_rows(f.group, [w])[0] * f.values)
+    g = f.group
+    return Signal(g, character_table(g)[g.index(w)] * f.values)
 
 
 def modulations(f: Signal) -> np.ndarray:
     """All modulations as rows: row i is modulate(f, w).values for the
     i-th element w of the enumeration."""
-    return _character_rows(f.group, f.group.elements()) * f.values[None, :]
+    return character_table(f.group) * f.values[None, :]
 
 
 def tf_shift(f: Signal, point) -> Signal:

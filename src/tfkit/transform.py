@@ -2,7 +2,9 @@
 
 The phase-space core the other modules build on lives here: the atom
 matrix phase_atoms, the batched bilinear table pairing_rows and the
-weighted p-norm weighted_pnorm.
+weighted p-norm weighted_pnorm.  pairing_rows is the only forward
+analysis: the STFT, the operator phase sums and the Gabor coefficients
+are all read off it, stft(g, s) as conj(pairing_table(g, conj(s))).
 
 A phase table is a function on G x dual(G), stored as an (|G|, |G|)
 array indexed [time, frequency] in enumeration order.  Two tables are
@@ -84,13 +86,6 @@ def _require_window(g: Signal):
         raise WindowError("window is identically zero")
 
 
-def _fft_rows(rows: np.ndarray, group: Group) -> np.ndarray:
-    """Apply sum_t u(t) conj(w(t)) along each row."""
-    shaped = rows.reshape((-1,) + group.orders)
-    axes = tuple(range(1, group.nfactors + 1))
-    return np.fft.fftn(shaped, axes=axes).reshape(rows.shape)
-
-
 def _char_sum_rows(rows: np.ndarray, group: Group) -> np.ndarray:
     """Apply sum_t u(t) w(t) along each row, overwriting rows where its
     layout allows, so callers pass an array they own: the operator pass
@@ -134,13 +129,13 @@ def weighted_pnorm(mags: np.ndarray, weight: float, p, axis=None):
 def stft(window: Signal, s: Signal) -> PhaseTable:
     """Sesquilinear short-time Fourier transform <s, pi(x,w) window>.
 
-    Entry [x, w] = sum_t weight * s(t) * conj(window(t-x)) * conj(w(t)).
+    Entry [x, w] = sum_t weight * s(t) * conj(window(t-x)) * conj(w(t)),
+    the conjugate of the bilinear table (pi(x,w) window, conj s).
     """
     same_group(window, s)
     _require_window(window)
-    g = window.group
-    rows = s.values[None, :] * np.conj(shift_matrix(window))
-    return PhaseTable(g, _fft_rows(rows, g) * float(g.weight))
+    table = pairing_rows(window, np.conj(s.values)[None, :])
+    return PhaseTable(window.group, np.conj(table))
 
 
 def pairing_table(window: Signal, s: Signal) -> PhaseTable:

@@ -1,6 +1,7 @@
 """Dense oracles shared by the test modules."""
 
 from tfkit.errors import GroupMismatchError
+from tfkit.frames import GaborSystem, canonical_dual, gabor_atoms
 from tfkit.transform import pairing_rows
 
 
@@ -14,3 +15,13 @@ def operator_pairing_table(op, g1, g2):
     if g1.group != op.domain or g2.group != op.codomain:
         raise GroupMismatchError("windows do not match the operator's groups")
     return pairing_rows(g2, pairing_rows(g1, op.kernel.T).T)
+
+
+def dual_atom_coefficients(f, system):
+    """The frame coefficients c_lambda = weight * <f, pi(lambda) h> against
+    the canonical dual h by their dense definition: one matrix-vector
+    product with the conjugated dual atom matrix, scaled by the lattice
+    weight and the Haar weight.  The library reads them off
+    transform.pairing_rows instead."""
+    dual_atoms = gabor_atoms(GaborSystem(canonical_dual(system), system.lattice))
+    return (dual_atoms.conj() @ f.values) * (system.weight * float(system.group.weight))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tfkit import frames
+from tfkit import frames, transform
 from tfkit.errors import FrameError, GroupMismatchError, LatticeError
 from tfkit.frames import (
     GaborSystem,
@@ -22,7 +22,9 @@ from tfkit.frames import (
 from tfkit.groups import make_group, make_lattice
 from tfkit.kernels import KernelOperator, identity_operator, operator_matrix, rank_one
 from tfkit.signals import Signal, dirac, gauss, inner, l2_norm, random_signal, tensor
-from tfkit.transform import phase_atoms
+from tfkit.transform import phase_atoms, stft
+
+from oracles import dual_atom_coefficients
 
 
 def naive_char(group, x, w):
@@ -101,13 +103,6 @@ def test_partial_sums_slice_one_read_only_atom_matrix(monkeypatch):
     assert fresh is not atoms and fresh.flags.writeable
     np.testing.assert_array_equal(fresh, atoms)
     assert len(builds) == 2
-
-
-def test_atoms_substitute_window_checks_group():
-    g = make_group((8,))
-    system = GaborSystem(gauss(g, 1.0), make_lattice(g, 2, 2))
-    with pytest.raises(GroupMismatchError):
-        gabor_atoms(system, gauss(make_group((6,)), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +251,48 @@ def test_expand_then_synthesize_reconstructs():
         coeffs = atomic_expand(f, system)
         rebuilt = gabor_synthesize(system, coeffs)
         assert np.max(np.abs(rebuilt.values - f.values)) < 1e-9 * l2_norm(f)
+
+
+@pytest.mark.parametrize(
+    "orders, a, b, window",
+    [
+        ((8,), 2, 2, "gauss"),
+        ((2, 6), (1, 2), (2, 3), "gauss"),
+        ((1, 8), (1, 2), (1, 2), "gauss"),
+        ((12,), 3, 2, "complex"),
+    ],
+)
+def test_expand_matches_dense_dual_atoms(orders, a, b, window):
+    g = make_group(orders)
+    h = gauss(g, 1.0) if window == "gauss" else random_signal(g, 4)
+    system = GaborSystem(h, make_lattice(g, a, b))
+    for seed in range(3):
+        f = random_signal(g, seed)
+        want = dual_atom_coefficients(f, system)
+        got = atomic_expand(f, system)
+        assert got.shape == want.shape == (system.lattice.size,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_analysis_builds_no_atom_matrix(monkeypatch):
+    builds = []
+
+    def counting(build):
+        def wrapped(*args):
+            builds.append(build.__name__)
+            return build(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(frames, "gabor_atoms", counting(gabor_atoms))
+    monkeypatch.setattr(frames, "phase_atoms", counting(phase_atoms))
+    monkeypatch.setattr(transform, "phase_atoms", counting(phase_atoms))
+    g = make_group((2, 6))
+    system = GaborSystem(gauss(g, 1.0), make_lattice(g, (1, 2), (2, 3)))
+    f = random_signal(g, 0)
+    atomic_expand(f, system)
+    stft(system.window, f)
+    assert builds == []
 
 
 def test_expand_rejects_wrong_group():
