@@ -91,7 +91,6 @@ from .frames import (
     gabor_atoms,
     gabor_synthesize,
     partial_frame_sum,
-    synthesize_operator_expansion,
     tight_window,
 )
 from .regnets import (

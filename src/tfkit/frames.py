@@ -10,13 +10,15 @@ whose kernel is sum_lambda weight * conj(atom(t1)) atom(t2).  On a
 separable lattice with frequency steps b_j the weight-folded matrix is
 nonzero only where t1 - t2 lies in H = sum_j (n_j / b_j) Z (the Walnut
 representation), so it splits into one Hermitian |H| x |H| block per
-coset of H.  Bounds, the canonical dual and the tight window are read
-off those blocks, never off the dense |G| x |G| matrix, which only
-partial_frame_sum builds (frame_operator sums every lattice point; the
-tests keep the dense eigen-solves as oracles).  atomic_expand reads the
-frame coefficients off transform.pairing_rows; only partial_frame_sum
-and gabor_synthesize build the L x |G| atom matrix.  A full lattice
-with the ambient weight gives A = B = ||g||_2^2.
+coset of H.  Each system decomposes those blocks once
+(GaborSystem.spectrum); the bounds, the canonical dual S^{-1} g and the
+tight window S^{-1/2} g are read off that one spectrum, never off the
+dense |G| x |G| matrix, which only partial_frame_sum builds
+(frame_operator sums every lattice point; the tests keep the dense
+eigen-solves as oracles).  atomic_expand reads the frame coefficients
+off transform.pairing_rows; only partial_frame_sum and gabor_synthesize
+build the L x |G| atom matrix.  A full lattice with the ambient weight
+gives A = B = ||g||_2^2.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .groups import (
     Group,
     Lattice,
     PhasePoint,
-    character_table,
     character_value,
     product_group,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "partial_frame_sum",
     "OperatorExpansion",
     "atomic_operator_expand",
-    "synthesize_operator_expansion",
 ]
 
 _NONFRAME_RATIO = 1e-10
@@ -87,6 +87,37 @@ class GaborSystem:
         atoms.flags.writeable = False
         return atoms
 
+    @cached_property
+    def spectrum(self) -> tuple:
+        """(evals, vecs, index): np.linalg.eigh of the weight-folded frame
+        matrix restricted to the cosets of H = sum_j (n_j / b_j) Z, where
+        it lives; computed on first use and kept, read-only, since the
+        bounds, the canonical dual and the tight window all read it.
+
+        index[c] lists the elements of the c-th coset (shape (|G|/|H|, |H|))
+        and the c-th block is M[index[c]][:, index[c]] for the weight-folded
+        M = operator_matrix(frame_operator(self)).  Summing the characters
+        of the frequency nodes gives
+
+            M[t1, t2] = c * [t1 - t2 in H] * sum_x g(t1 - x) conj(g(t2 - x))
+
+        over the time nodes x, with c the lattice weight times the number of
+        frequency nodes (one per coset) times the Haar weight.
+        """
+        grp, lat = self.group, self.lattice
+        cosets = [n // b for n, b in zip(grp.orders, lat.freq_step)]
+        reps = np.indices(cosets).reshape(grp.nfactors, -1, 1)
+        steps = np.indices(lat.freq_step).reshape(grp.nfactors, 1, -1)
+        coords = reps + np.reshape(cosets, (-1, 1, 1)) * steps
+        index = np.ravel_multi_index(tuple(coords), grp.orders)
+        times, _ = _lattice_nodes(lat)
+        cols = shift_matrix(self.window)[times][:, index].transpose(1, 0, 2)
+        scale = float(lat.weight * len(index) * grp.weight)
+        evals, vecs = np.linalg.eigh((cols.transpose(0, 2, 1) @ cols.conj()) * scale)
+        for arr in (evals, vecs, index):
+            arr.flags.writeable = False
+        return evals, vecs, index
+
 
 def _lattice_nodes(lat: Lattice) -> tuple:
     """(times, freqs): enumeration indices of the lattice's time nodes and
@@ -111,36 +142,10 @@ def frame_operator(system: GaborSystem) -> KernelOperator:
     return partial_frame_sum(system, system.lattice.size)
 
 
-def _walnut_blocks(system: GaborSystem) -> tuple:
-    """(blocks, index): the weight-folded frame matrix restricted to the
-    cosets of H = sum_j (n_j / b_j) Z, where it lives.
-
-    index[c] lists the elements of the c-th coset (shape (|G|/|H|, |H|))
-    and blocks[c] = M[index[c]][:, index[c]] for the weight-folded
-    M = operator_matrix(frame_operator(system)).  Summing the characters
-    of the frequency nodes gives
-
-        M[t1, t2] = c * [t1 - t2 in H] * sum_x g(t1 - x) conj(g(t2 - x))
-
-    over the time nodes x, with c the lattice weight times the number of
-    frequency nodes (one per coset) times the Haar weight.
-    """
-    grp, lat = system.group, system.lattice
-    cosets = [n // b for n, b in zip(grp.orders, lat.freq_step)]
-    reps = np.indices(cosets).reshape(grp.nfactors, -1, 1)
-    steps = np.indices(lat.freq_step).reshape(grp.nfactors, 1, -1)
-    coords = reps + np.reshape(cosets, (-1, 1, 1)) * steps
-    index = np.ravel_multi_index(tuple(coords), grp.orders)
-    times, _ = _lattice_nodes(lat)
-    cols = shift_matrix(system.window)[times][:, index].transpose(1, 0, 2)
-    scale = float(lat.weight * len(index) * grp.weight)
-    return (cols.transpose(0, 2, 1) @ cols.conj()) * scale, index
-
-
 def frame_bounds(system: GaborSystem) -> tuple:
-    """(A, B): extreme eigenvalues of the weight-folded frame matrix,
-    taken over its Walnut blocks; FrameError when they are not finite."""
-    evals = np.linalg.eigvalsh(_walnut_blocks(system)[0])
+    """(A, B): extreme eigenvalues of the weight-folded frame matrix, read
+    off system.spectrum; FrameError when they are not finite."""
+    evals = system.spectrum[0]
     a, b = float(np.min(evals)), float(np.max(evals))
     if not np.isfinite([a, b]).all():
         raise FrameError(
@@ -149,37 +154,31 @@ def frame_bounds(system: GaborSystem) -> tuple:
     return (a, b)
 
 
-def _require_frame(evals: np.ndarray) -> None:
-    """FrameError unless the frame matrix's eigenvalues bound a frame; a
-    NaN bound is no frame."""
-    a, b = float(np.min(evals)), float(np.max(evals))
+def _frame_power(system: GaborSystem, exponent: float) -> Signal:
+    """S^exponent g, block by block off system.spectrum: V Lambda^exponent
+    V^H applied to the window's values on each coset; raises FrameError
+    (with bounds) for non-frames."""
+    a, b = frame_bounds(system)
     if not (b > 0 and a >= _NONFRAME_RATIO * b):
         raise FrameError(
             f"system is not a frame: bounds A={a:.3e}, B={b:.3e}", bounds=(a, b)
         )
+    evals, vecs, index = system.spectrum
+    power = (vecs * evals[:, None, :] ** exponent) @ vecs.conj().transpose(0, 2, 1)
+    out = np.empty(system.group.order, dtype=complex)
+    out[index] = (power @ system.window.values[index][..., None])[..., 0]
+    return Signal(system.group, out)
 
 
 def canonical_dual(system: GaborSystem) -> Signal:
-    """h = S^{-1} g, solved block by block; raises FrameError (with
-    bounds) for non-frames."""
-    blocks, index = _walnut_blocks(system)
-    _require_frame(np.linalg.eigvalsh(blocks))
-    out = np.empty(system.group.order, dtype=complex)
-    out[index] = np.linalg.solve(blocks, system.window.values[index][..., None])[..., 0]
-    return Signal(system.group, out)
+    """h = S^{-1} g; raises FrameError (with bounds) for non-frames."""
+    return _frame_power(system, -1.0)
 
 
 def tight_window(system: GaborSystem) -> Signal:
-    """S^{-1/2} g, by an inverse square root per block: the same lattice
-    with this window is Parseval; raises FrameError (with bounds) for
-    non-frames."""
-    blocks, index = _walnut_blocks(system)
-    evals, vecs = np.linalg.eigh(blocks)
-    _require_frame(evals)
-    inv_sqrt = (vecs * evals[:, None, :] ** -0.5) @ vecs.conj().transpose(0, 2, 1)
-    out = np.empty(system.group.order, dtype=complex)
-    out[index] = (inv_sqrt @ system.window.values[index][..., None])[..., 0]
-    return Signal(system.group, out)
+    """S^{-1/2} g: the same lattice with this window is Parseval; raises
+    FrameError (with bounds) for non-frames."""
+    return _frame_power(system, -0.5)
 
 
 def atomic_expand(f: Signal, system: GaborSystem) -> np.ndarray:
@@ -290,39 +289,3 @@ def atomic_operator_expand(
         system=system,
         kernel_error=kernel_error,
     )
-
-
-def _twisted_sandwich_kernel(
-    prototype: KernelOperator, nu1: PhasePoint, nu2: PhasePoint
-) -> np.ndarray:
-    """Kernel of pi(nu2) o T0 o pi~(nu1) where pi~(x, w) = E_w T_{-x}:
-
-        K(s, z) = w2(z) * w1(s - x1) * K0(s - x1, z - x2)
-    """
-    g1, g2 = prototype.domain, prototype.codomain
-    x1 = g1.reduce(nu1.x)
-    x2 = g2.reduce(nu2.x)
-    grid = prototype.kernel.reshape(g1.orders + g2.orders)
-    rolled = np.roll(grid, shift=x1 + x2, axis=tuple(range(g1.nfactors + g2.nfactors)))
-    row_phase = np.roll(
-        character_table(g1)[g1.index(nu1.w)].reshape(g1.orders),
-        shift=x1,
-        axis=tuple(range(g1.nfactors)),
-    ).ravel()
-    col_phase = character_table(g2)[g2.index(nu2.w)]
-    k = rolled.reshape(g1.order, g2.order)
-    return k * row_phase[:, None] * col_phase[None, :]
-
-
-def synthesize_operator_expansion(
-    prototype: KernelOperator, expansion: OperatorExpansion
-) -> KernelOperator:
-    """Assemble sum_j c_j pi(nu2_j) o T0 o pi~(nu1_j) term by term from
-    the twisted-shift kernels; an independent route from the Gabor
-    synthesis that produced the coefficients."""
-    out = np.zeros((prototype.domain.order, prototype.codomain.order), dtype=complex)
-    for c, nu1, nu2 in zip(
-        expansion.coefficients, expansion.domain_points, expansion.codomain_points
-    ):
-        out += c * _twisted_sandwich_kernel(prototype, nu1, nu2)
-    return KernelOperator(prototype.domain, prototype.codomain, out)

@@ -595,17 +595,13 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
     system = GaborSystem(window, lattice)
 
     lower, upper = frame_bounds(system)
-    full = frame_operator(system)
-    smat = operator_matrix(full)
-    s_minus_i = float(
-        np.linalg.norm(smat - np.eye(grp.order), 2)
-    )
     res.summary.update(
         {
             "group": _group_token(grp.orders),
             "lower_bound": lower,
             "upper_bound": upper,
-            "s_minus_identity": s_minus_i,
+            # S is Hermitian with spectrum in [A, B]: ||S - I||_2 off the bounds
+            "s_minus_identity": max(abs(lower - 1.0), abs(upper - 1.0)),
             "lattice_size": lattice.size,
         }
     )
@@ -623,6 +619,10 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
     detail = f"{_group_token(grp.orders)} a={cfg['a']} b={cfg['b']}"
     res.summary["frame_rep_defect"] = np.max(rep_defects)
     res.grade("dual_reconstruction", detail, np.max(rep_defects), tol * 100)
+    # the dense Gram route against the spectrum route that made the dual
+    full = frame_operator(system)
+    inverts = l2_norm(full.apply(dual) - window) / max(1.0, l2_norm(window))
+    res.grade("dual_inverts_frame", detail, inverts, tol * 100)
 
     probe0 = probes[-1]
     rows = []

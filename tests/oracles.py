@@ -1,7 +1,11 @@
 """Dense oracles shared by the test modules."""
 
+import numpy as np
+
 from tfkit.errors import GroupMismatchError
 from tfkit.frames import GaborSystem, canonical_dual, gabor_atoms
+from tfkit.groups import character_table
+from tfkit.kernels import KernelOperator
 from tfkit.transform import pairing_rows
 
 
@@ -25,3 +29,35 @@ def dual_atom_coefficients(f, system):
     transform.pairing_rows instead."""
     dual_atoms = gabor_atoms(GaborSystem(canonical_dual(system), system.lattice))
     return (dual_atoms.conj() @ f.values) * (system.weight * float(system.group.weight))
+
+
+def _twisted_sandwich_kernel(prototype, nu1, nu2):
+    """Kernel of pi(nu2) o T0 o pi~(nu1) where pi~(x, w) = E_w T_{-x}:
+
+        K(s, z) = w2(z) * w1(s - x1) * K0(s - x1, z - x2)
+    """
+    g1, g2 = prototype.domain, prototype.codomain
+    x1 = g1.reduce(nu1.x)
+    x2 = g2.reduce(nu2.x)
+    grid = prototype.kernel.reshape(g1.orders + g2.orders)
+    rolled = np.roll(grid, shift=x1 + x2, axis=tuple(range(g1.nfactors + g2.nfactors)))
+    row_phase = np.roll(
+        character_table(g1)[g1.index(nu1.w)].reshape(g1.orders),
+        shift=x1,
+        axis=tuple(range(g1.nfactors)),
+    ).ravel()
+    col_phase = character_table(g2)[g2.index(nu2.w)]
+    k = rolled.reshape(g1.order, g2.order)
+    return k * row_phase[:, None] * col_phase[None, :]
+
+
+def synthesize_operator_expansion(prototype, expansion):
+    """Assemble sum_j c_j pi(nu2_j) o T0 o pi~(nu1_j) term by term from
+    the twisted-shift kernels; an independent route from the Gabor
+    synthesis that produced the coefficients (frames.atomic_operator_expand)."""
+    out = np.zeros((prototype.domain.order, prototype.codomain.order), dtype=complex)
+    for c, nu1, nu2 in zip(
+        expansion.coefficients, expansion.domain_points, expansion.codomain_points
+    ):
+        out += c * _twisted_sandwich_kernel(prototype, nu1, nu2)
+    return KernelOperator(prototype.domain, prototype.codomain, out)

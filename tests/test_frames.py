@@ -16,7 +16,6 @@ from tfkit.frames import (
     gabor_atoms,
     gabor_synthesize,
     partial_frame_sum,
-    synthesize_operator_expansion,
     tight_window,
 )
 from tfkit.groups import make_group, make_lattice
@@ -24,7 +23,7 @@ from tfkit.kernels import KernelOperator, identity_operator, operator_matrix, ra
 from tfkit.signals import Signal, dirac, gauss, inner, l2_norm, random_signal, tensor
 from tfkit.transform import phase_atoms, stft
 
-from oracles import dual_atom_coefficients
+from oracles import dual_atom_coefficients, synthesize_operator_expansion
 
 
 def naive_char(group, x, w):
@@ -103,6 +102,42 @@ def test_partial_sums_slice_one_read_only_atom_matrix(monkeypatch):
     assert fresh is not atoms and fresh.flags.writeable
     np.testing.assert_array_equal(fresh, atoms)
     assert len(builds) == 2
+
+
+def test_designs_read_one_spectrum_per_system(monkeypatch):
+    g = make_group((12,))
+    system = GaborSystem(gauss(g, 2.0), make_lattice(g, 2, 3))
+    calls = {"eigh": 0, "eigvalsh": 0, "solve": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    f = random_signal(g, 4)
+    frame_bounds(system)
+    canonical_dual(system)
+    tight_window(system)
+    atomic_expand(f, system)
+    atomic_expand(f, system)
+    assert calls == {"eigh": 1, "eigvalsh": 0, "solve": 0}
+
+
+def test_spectrum_is_read_only():
+    g = make_group((12,))
+    system = GaborSystem(gauss(g, 2.0), make_lattice(g, 2, 3))
+    spectrum = system.spectrum
+    assert system.spectrum is spectrum
+    for arr in spectrum:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +258,16 @@ def test_block_tight_window_matches_dense_inverse_root(case):
     tight = tight_window(system)
     scale = np.max(np.abs(expected))
     assert np.allclose(tight.values, expected, rtol=0, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: f"{c[0]}-{c[3]}-{c[4]}")
+def test_bounds_give_dense_distance_to_identity(case):
+    # run_frames' s_minus_identity: S is Hermitian with spectrum in [A, B]
+    system = block_case_system(*case)
+    smat = dense_frame_matrix(system)
+    expected = np.linalg.norm(smat - np.eye(len(smat)), 2)
+    a, b = frame_bounds(system)
+    assert max(abs(a - 1.0), abs(b - 1.0)) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("design", [canonical_dual, tight_window], ids=lambda f: f.__name__)

@@ -197,6 +197,18 @@ def test_frames_suite_passes_defaults():
         assert key in res.summary
 
 
+def test_frames_suite_grades_dual_against_dense_frame_operator(monkeypatch):
+    def inverts_row(res):
+        (row,) = [row for row in res.checks if row[0] == "dual_inverts_frame"]
+        return row
+
+    assert inverts_row(run_default("frames"))[-1] == "pass"
+    # a dual off by one part in 10^3 no longer inverts the dense S
+    exact = suites.canonical_dual
+    monkeypatch.setattr(suites, "canonical_dual", lambda system: exact(system) * 1.001)
+    assert inverts_row(run_default("frames"))[-1] == "fail"
+
+
 def test_frames_suite_flags_non_frame():
     res = run_default("frames", b=4)
     assert len(res.failures) == 1
