@@ -16,9 +16,11 @@ tight window S^{-1/2} g are read off that one spectrum, never off the
 dense |G| x |G| matrix, which only partial_frame_sum builds
 (frame_operator sums every lattice point; the tests keep the dense
 eigen-solves as oracles).  atomic_expand reads the frame coefficients
-off transform.pairing_rows; only partial_frame_sum and gabor_synthesize
-build the L x |G| atom matrix.  A full lattice with the ambient weight
-gives A = B = ||g||_2^2.
+off transform.pairing_rows and gabor_synthesize sums them back through
+its transpose transform.synthesis, both at the lattice's nodes; only
+partial_frame_sum builds the L x |G| atom matrix (the tests keep the
+dense analysis and synthesis as oracles).  A full lattice with the
+ambient weight gives A = B = ||g||_2^2.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .groups import (
 )
 from .kernels import KernelOperator, kernel_signal
 from .signals import Signal, shift_matrix
-from .transform import pairing_rows, phase_atoms
+from .transform import pairing_rows, phase_atoms, synthesis
 
 __all__ = [
     "GaborSystem",
@@ -111,7 +113,7 @@ class GaborSystem:
         coords = reps + np.reshape(cosets, (-1, 1, 1)) * steps
         index = np.ravel_multi_index(tuple(coords), grp.orders)
         times, _ = _lattice_nodes(lat)
-        cols = shift_matrix(self.window)[times][:, index].transpose(1, 0, 2)
+        cols = shift_matrix(self.window, times)[:, index].transpose(1, 0, 2)
         scale = float(lat.weight * len(index) * grp.weight)
         evals, vecs = np.linalg.eigh((cols.transpose(0, 2, 1) @ cols.conj()) * scale)
         for arr in (evals, vecs, index):
@@ -195,16 +197,16 @@ def atomic_expand(f: Signal, system: GaborSystem) -> np.ndarray:
 
 
 def gabor_synthesize(system: GaborSystem, coefficients: np.ndarray) -> Signal:
-    """sum_lambda c_lambda pi(lambda) g."""
-    # A fresh matrix, not the cached system.atoms: one synthesis must
-    # not keep an L x |G| matrix alive for the system's lifetime.
-    atoms = gabor_atoms(system)
+    """sum_lambda c_lambda pi(lambda) g, the coefficients aligned with
+    lattice.points().  transform.synthesis at the lattice's nodes, no
+    atom matrix."""
+    times, freqs = _lattice_nodes(system.lattice)
     coefficients = np.asarray(coefficients, dtype=complex).reshape(-1)
-    if coefficients.size != atoms.shape[0]:
-        raise ValueError(
-            f"got {coefficients.size} coefficients for {atoms.shape[0]} lattice points"
-        )
-    return Signal(system.group, coefficients @ atoms)
+    size = system.lattice.size
+    if coefficients.size != size:
+        raise ValueError(f"got {coefficients.size} coefficients for {size} lattice points")
+    table = coefficients.reshape(len(times), len(freqs))
+    return Signal(system.group, synthesis(system.window, table, times, freqs))
 
 
 def partial_frame_sum(system: GaborSystem, count: int) -> KernelOperator:

@@ -271,9 +271,11 @@ def translate(f: Signal, x) -> Signal:
     return Signal(f.group, rolled.ravel())
 
 
-def shift_matrix(g: Signal) -> np.ndarray:
-    """All translates of g as rows: row x is T_x g, i.e. row_x(t) = g(t - x)."""
-    return g.values[difference_table(g.group)]
+def shift_matrix(g: Signal, times=slice(None)) -> np.ndarray:
+    """Translates of g as rows: row x is T_x g, i.e. row_x(t) = g(t - x),
+    for every x, or for the index subset times; only those rows are
+    gathered."""
+    return g.values[difference_table(g.group)[times]]
 
 
 def modulate(f: Signal, w) -> Signal:

@@ -635,7 +635,6 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
         ("subset_size", "kernel_defect", "probe_defect"),
         rows,
     )
-    res.grade("final_partial_sum", detail, rows[-1][1], tol)
     res.summary["final_partial_defect"] = rows[-1][1]
     res.summary["dual_norm"] = l2_norm(dual)
     return res

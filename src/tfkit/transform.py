@@ -1,10 +1,12 @@
 """Short-time Fourier transform, phase-space tables, and modulation norms.
 
 The phase-space core the other modules build on lives here: the atom
-matrix phase_atoms, the batched bilinear table pairing_rows and the
-weighted p-norm weighted_pnorm.  pairing_rows is the only forward
-analysis: the STFT, the operator phase sums and the Gabor coefficients
-are all read off it, stft(g, s) as conj(pairing_table(g, conj(s))).
+matrix phase_atoms, the batched bilinear table pairing_rows, its
+transpose synthesis and the weighted p-norm weighted_pnorm.
+pairing_rows is the only forward analysis: the STFT, the operator phase
+sums and the Gabor coefficients are all read off it, stft(g, s) as
+conj(pairing_table(g, conj(s))).  synthesis is the only way back: the
+inversion formula (stft_invert) and the Gabor synthesis are read off it.
 
 A phase table is a function on G x dual(G), stored as an (|G|, |G|)
 array indexed [time, frequency] in enumeration order.  Two tables are
@@ -45,6 +47,7 @@ __all__ = [
     "phase_points",
     "phase_atoms",
     "pairing_rows",
+    "synthesis",
     "weighted_pnorm",
     "stft",
     "stft_invert",
@@ -101,7 +104,7 @@ def _char_sum_rows(rows: np.ndarray, group: Group) -> np.ndarray:
 def phase_atoms(window: Signal, times=slice(None), freqs=slice(None)) -> np.ndarray:
     """Atom matrix, one row pi(x, w) window per phase point, time-major;
     times and freqs optionally restrict x and w to index subsets."""
-    shifts = shift_matrix(window)[times]
+    shifts = shift_matrix(window, times)
     chars = character_table(window.group)[freqs]
     return (shifts[:, None, :] * chars[None, :, :]).reshape(-1, window.group.order)
 
@@ -111,11 +114,30 @@ def pairing_rows(window: Signal, rows: np.ndarray, times=slice(None)) -> np.ndar
     phase_points: out[j, (x, w)] = (pi(x,w) window, rows[j]); times
     optionally restricts x to an index subset, as in phase_atoms."""
     grp, n = window.group, window.group.order
-    shifts = shift_matrix(window)[times]
+    shifts = shift_matrix(window, times)
     prod = rows[:, None, :] * shifts[None, :, :]
     tables = _char_sum_rows(prod.reshape(-1, n), grp).reshape(len(rows), len(shifts) * n)
     tables *= float(grp.weight)
     return tables
+
+
+def synthesis(
+    window: Signal, table: np.ndarray, times=slice(None), freqs=slice(None)
+) -> np.ndarray:
+    """sum_(x,w) table[x, w] pi(x,w) window over the phase points of the
+    index subsets times and freqs (all of them by default), table shaped
+    [time, frequency] over those subsets.  The transpose of pairing_rows
+    for the Haar pairing on G: sum_nu c[nu] (pi(nu) g, s) = (synthesis(g, c), s).
+
+    The table goes into a zero (len(times), |G|) array at the freqs
+    columns; one character sum per row gives A[x, t] = sum_w c[x, w] w(t),
+    which is then summed against the shift rows g(t - x).  No atom matrix.
+    """
+    grp = window.group
+    shifts = shift_matrix(window, times)
+    coeffs = np.zeros((len(shifts), grp.order), dtype=complex)
+    coeffs[:, freqs] = table
+    return np.sum(_char_sum_rows(coeffs, grp) * shifts, axis=0)
 
 
 def weighted_pnorm(mags: np.ndarray, weight: float, p, axis=None):
@@ -158,10 +180,7 @@ def stft_invert(window: Signal, table: PhaseTable) -> Signal:
     if table.group != g:
         raise GroupMismatchError("table and window live on different groups")
     norm_sq = l2_norm(window) ** 2
-    # sum over frequencies first: A[x, t] = sum_w table[x, w] w(t)
-    a = _char_sum_rows(table.values.copy(), g)
-    vals = np.sum(a * shift_matrix(window), axis=0)
-    return Signal(g, vals * (table.phase_weight / norm_sq))
+    return Signal(g, synthesis(window, table.values) * (table.phase_weight / norm_sq))
 
 
 def mod_norm(s: Signal, window: Signal, p) -> float:

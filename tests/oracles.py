@@ -31,6 +31,13 @@ def dual_atom_coefficients(f, system):
     return (dual_atoms.conj() @ f.values) * (system.weight * float(system.group.weight))
 
 
+def gabor_synthesis(system, coefficients):
+    """sum_lambda c_lambda pi(lambda) g by its dense definition: one
+    product of the coefficients with the system's atom matrix.  The
+    library sums them back through transform.synthesis instead."""
+    return coefficients @ gabor_atoms(system)
+
+
 def _twisted_sandwich_kernel(prototype, nu1, nu2):
     """Kernel of pi(nu2) o T0 o pi~(nu1) where pi~(x, w) = E_w T_{-x}:
 

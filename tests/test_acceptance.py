@@ -4,13 +4,15 @@ tolerance it was held to.  Run `pytest tests/test_acceptance.py` to see
 the lines (they bypass output capture)."""
 
 import math
-import shutil
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tfkit
 from tfkit.errors import GroupMismatchError
 from tfkit.frames import (
     GaborSystem,
@@ -439,22 +441,18 @@ def test_c10_mixed_norm_domination(capsys):
 
 
 def test_c11_cli_reports_are_byte_identical(capsys, tmp_path):
-    exe = shutil.which("tfkit")
-    if exe:
-        base = [exe]
-        label = "tfkit"
-    else:
-        base = [sys.executable, "-m", "tfkit.cli"]
-        label = "python -m tfkit.cli"
+    # the checkout under test, never an installed tfkit
+    env = {**os.environ, "PYTHONPATH": str(Path(tfkit.__file__).resolve().parents[1])}
     trees = []
     codes = []
     for name in ("one", "two"):
         out = tmp_path / name
         proc = subprocess.run(
-            base + ["all", "--seed", "7", "--out", str(out)],
+            [sys.executable, "-m", "tfkit.cli", "all", "--seed", "7", "--out", str(out)],
             capture_output=True,
             text=True,
             timeout=600,
+            env=env,
         )
         codes.append(proc.returncode)
         trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
@@ -464,7 +462,7 @@ def test_c11_cli_reports_are_byte_identical(capsys, tmp_path):
         11,
         "command line reports are reproducible",
         ok,
-        f"`{label} all --seed 7` twice: exit codes {codes}, "
+        f"`python -m tfkit.cli all --seed 7` twice: exit codes {codes}, "
         f"{len(trees[0])} files byte-identical={trees[0] == trees[1]}",
     )
     assert ok

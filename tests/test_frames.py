@@ -21,9 +21,9 @@ from tfkit.frames import (
 from tfkit.groups import make_group, make_lattice
 from tfkit.kernels import KernelOperator, identity_operator, operator_matrix, rank_one
 from tfkit.signals import Signal, dirac, gauss, inner, l2_norm, random_signal, tensor
-from tfkit.transform import phase_atoms, stft
+from tfkit.transform import phase_atoms, stft, stft_invert
 
-from oracles import dual_atom_coefficients, synthesize_operator_expansion
+from oracles import dual_atom_coefficients, gabor_synthesis, synthesize_operator_expansion
 
 
 def naive_char(group, x, w):
@@ -298,7 +298,8 @@ def test_expand_then_synthesize_reconstructs():
         assert np.max(np.abs(rebuilt.values - f.values)) < 1e-9 * l2_norm(f)
 
 
-@pytest.mark.parametrize(
+# Z/8 with a = b = 2, two factors, a Z/1 factor and a non-square lattice
+ON_FOUR_SYSTEMS = pytest.mark.parametrize(
     "orders, a, b, window",
     [
         ((8,), 2, 2, "gauss"),
@@ -307,10 +308,18 @@ def test_expand_then_synthesize_reconstructs():
         ((12,), 3, 2, "complex"),
     ],
 )
-def test_expand_matches_dense_dual_atoms(orders, a, b, window):
+
+
+def make_system(orders, a, b, window):
     g = make_group(orders)
     h = gauss(g, 1.0) if window == "gauss" else random_signal(g, 4)
-    system = GaborSystem(h, make_lattice(g, a, b))
+    return GaborSystem(h, make_lattice(g, a, b))
+
+
+@ON_FOUR_SYSTEMS
+def test_expand_matches_dense_dual_atoms(orders, a, b, window):
+    system = make_system(orders, a, b, window)
+    g = system.group
     for seed in range(3):
         f = random_signal(g, seed)
         want = dual_atom_coefficients(f, system)
@@ -319,7 +328,19 @@ def test_expand_matches_dense_dual_atoms(orders, a, b, window):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_analysis_builds_no_atom_matrix(monkeypatch):
+@ON_FOUR_SYSTEMS
+def test_synthesize_matches_dense_atoms(orders, a, b, window):
+    system = make_system(orders, a, b, window)
+    rng = np.random.default_rng(7)
+    size = system.lattice.size
+    for _ in range(3):
+        coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        want = gabor_synthesis(system, coeffs)
+        got = gabor_synthesize(system, coeffs).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_analysis_and_synthesis_build_no_atom_matrix(monkeypatch):
     builds = []
 
     def counting(build):
@@ -335,9 +356,10 @@ def test_analysis_builds_no_atom_matrix(monkeypatch):
     g = make_group((2, 6))
     system = GaborSystem(gauss(g, 1.0), make_lattice(g, (1, 2), (2, 3)))
     f = random_signal(g, 0)
-    atomic_expand(f, system)
-    stft(system.window, f)
+    gabor_synthesize(system, atomic_expand(f, system))
+    stft_invert(system.window, stft(system.window, f))
     assert builds == []
+    assert "atoms" not in vars(system)
 
 
 def test_expand_rejects_wrong_group():

@@ -7,7 +7,7 @@ import pytest
 from tfkit import kernels, modspaces, regnets, suites
 from tfkit.errors import ConfigError
 from tfkit.groups import make_group
-from tfkit.kernels import operator_phase_sums
+from tfkit.kernels import KernelOperator, operator_phase_sums
 from tfkit.regnets import check_regularizing, pc_net, standard_probes
 from tfkit.signals import Signal, gauss, l2_norm
 from tfkit.suites import (
@@ -207,6 +207,19 @@ def test_frames_suite_grades_dual_against_dense_frame_operator(monkeypatch):
     exact = suites.canonical_dual
     monkeypatch.setattr(suites, "canonical_dual", lambda system: exact(system) * 1.001)
     assert inverts_row(run_default("frames"))[-1] == "fail"
+
+
+def test_frames_suite_fails_on_a_non_finite_frame_kernel(monkeypatch):
+    # dual_inverts_frame is the suite's one check on the dense frame
+    # operator: a NaN kernel must fail it
+    def nan_frame_operator(system):
+        n = system.group.order
+        return KernelOperator(system.group, system.group, np.full((n, n), np.nan))
+
+    monkeypatch.setattr(suites, "frame_operator", nan_frame_operator)
+    res = run_default("frames")
+    assert [row[0] for row in res.checks if row[-1] == "fail"] == ["dual_inverts_frame"]
+    assert len(res.failures) == 1
 
 
 def test_frames_suite_flags_non_frame():
