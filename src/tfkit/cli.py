@@ -8,7 +8,8 @@ per suite.  Exit status: 0 all checks passed, 1 at least one check
 failed (failing rows are listed; a check passes only when its value is
 at most its threshold, so a NaN fails, and a window or frame error
 inside a suite is a failing row), 2 a config value, flag or
-TFKIT_THREADS was malformed (one `tfkit: ...` line on stderr).  The
+TFKIT_THREADS was malformed or the report directory could not be
+written (one `tfkit: ...` line on stderr).  The
 suite flags and their checks come from `suites.SCHEMA`.
 """
 

@@ -36,6 +36,7 @@ from .groups import (
     Lattice,
     PhasePoint,
     character_value,
+    element_coords,
     product_group,
 )
 from .kernels import KernelOperator, kernel_signal
@@ -123,9 +124,11 @@ class GaborSystem:
 
 def _lattice_nodes(lat: Lattice) -> tuple:
     """(times, freqs): enumeration indices of the lattice's time nodes and
-    of its frequency nodes."""
+    of its frequency nodes, the elements whose coordinates are multiples
+    of the steps, in the lexicographic order of lat.side_nodes."""
+    coords = element_coords(lat.group)
     return tuple(
-        [lat.group.index(p) for p in lat.side_nodes(steps)]
+        np.flatnonzero(np.all(coords % np.reshape(steps, (-1, 1)) == 0, axis=0))
         for steps in (lat.time_step, lat.freq_step)
     )
 

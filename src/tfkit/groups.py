@@ -40,8 +40,8 @@ __all__ = [
     "phase_space",
     "character_value",
     "character_table",
-    "difference_table",
-    "negation_table",
+    "element_coords",
+    "wrap_distance",
     "make_lattice",
 ]
 
@@ -212,26 +212,18 @@ def character_table(group: Group) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=64)
-def difference_table(group: Group) -> np.ndarray:
-    """Index table [x_index, t_index] = index(t - x); read-only."""
-    shape = group.orders
-    coords = [ax.ravel() for ax in np.indices(shape)]
-    diffs = [(c[None, :] - c[:, None]) % n for c, n in zip(coords, shape)]
-    table = np.ravel_multi_index(diffs, shape)
-    table.flags.writeable = False
-    return table
+def element_coords(group: Group) -> np.ndarray:
+    """Coordinates of every element, shape (nfactors, |G|): column i is
+    group.coords(i).  Shift, negation and lattice-node indices are built
+    from this grid for the rows asked; nothing |G| x |G| is cached."""
+    return np.indices(group.orders).reshape(group.nfactors, group.order)
 
 
-@lru_cache(maxsize=64)
-def negation_table(group: Group) -> np.ndarray:
-    """Index table [t_index] = index(-t); read-only."""
-    shape = group.orders
-    coords = [ax.ravel() for ax in np.indices(shape)]
-    negs = [(-c) % n for c, n in zip(coords, shape)]
-    table = np.ravel_multi_index(negs, shape)
-    table.flags.writeable = False
-    return table
+def wrap_distance(group: Group) -> np.ndarray:
+    """Wrap-around distance to 0 per factor, min(c, n - c), shaped like
+    element_coords."""
+    coords = element_coords(group)
+    return np.minimum(coords, np.reshape(group.orders, (-1, 1)) - coords)
 
 
 def _broadcast_step(group: Group, step) -> tuple:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, GroupMismatchError, WindowError
-from .groups import Group
+from .groups import Group, wrap_distance
 from .kernels import KernelOperator, bilinear_form, compose, operator_phase_sums
 from .signals import (
     Signal,
@@ -181,10 +181,7 @@ def box_mask(group: Group, time_radius: float, freq_radius: float) -> PhaseTable
     """Indicator of a centered phase-space box: wrap-around distance at
     most time_radius in every time coordinate and freq_radius in every
     frequency coordinate."""
-    coords = [ax.ravel() for ax in np.indices(group.orders)]
-    dist = np.zeros(group.order)
-    for c, n in zip(coords, group.orders):
-        dist = np.maximum(dist, np.minimum(c, n - c))
+    dist = np.max(wrap_distance(group), axis=0)
     tmask = dist <= time_radius
     fmask = dist <= freq_radius
     return PhaseTable(group, np.outer(tmask, fmask).astype(complex))

@@ -30,9 +30,9 @@ from .groups import (
     Group,
     PhasePoint,
     character_table,
-    difference_table,
-    negation_table,
+    element_coords,
     product_group,
+    wrap_distance,
 )
 
 __all__ = [
@@ -125,12 +125,7 @@ def constant(group: Group, value=1.0) -> Signal:
 
 def periodized_sqdist(group: Group) -> np.ndarray:
     """d(t, 0)^2 with the wrap-around distance per factor, flat order."""
-    coords = [ax.ravel() for ax in np.indices(group.orders)]
-    sq = np.zeros(group.order)
-    for c, n in zip(coords, group.orders):
-        d = np.minimum(c, n - c)
-        sq = sq + d.astype(float) ** 2
-    return sq
+    return np.sum(wrap_distance(group) ** 2, axis=0, dtype=float)
 
 
 def _spread_square(spread: float) -> float:
@@ -273,9 +268,14 @@ def translate(f: Signal, x) -> Signal:
 
 def shift_matrix(g: Signal, times=slice(None)) -> np.ndarray:
     """Translates of g as rows: row x is T_x g, i.e. row_x(t) = g(t - x),
-    for every x, or for the index subset times; only those rows are
-    gathered."""
-    return g.values[difference_table(g.group)[times]]
+    for every x, or for the index subset times (a slice, list or index
+    array).  The index of t - x is raveled from the coordinate
+    differences of the asked rows only (wrapped mod n per factor), so
+    memory is O(rows x |G|) and no table is kept."""
+    grp = g.group
+    coords = element_coords(grp)
+    diffs = coords[:, None, :] - coords[:, times, None]
+    return g.values[np.ravel_multi_index(tuple(diffs), grp.orders, mode="wrap")]
 
 
 def modulate(f: Signal, w) -> Signal:
@@ -341,8 +341,11 @@ def pointwise(f: Signal, g: Signal) -> Signal:
 
 
 def involute(f: Signal) -> Signal:
-    """f(-t); applying it twice gives the original signal back."""
-    return Signal(f.group, f.values[negation_table(f.group)])
+    """f(-t), gathered through the index of -t raveled from the negated
+    coordinates; applying it twice gives the original signal back."""
+    grp = f.group
+    index = np.ravel_multi_index(tuple(-element_coords(grp)), grp.orders, mode="wrap")
+    return Signal(grp, f.values[index])
 
 
 def pair_bilinear(f: Signal, s: Signal) -> complex:

@@ -920,16 +920,9 @@ def _jsonable(value):
 
 def write_results(out_dir, results, seed: int, tol: float) -> Path:
     """Write every table as CSV plus one summary.json; returns the
-    summary path.  Output is a pure function of (config, seed, tol)."""
+    summary path.  Output is a pure function of (config, seed, tol).
+    ConfigError when the directory cannot be made or written."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for result in results:
-        for filename, (header, rows) in result.tables.items():
-            with open(out / filename, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_format_cell(v) for v in row])
     payload = {
         "seed": int(seed),
         "tol": float(tol),
@@ -937,8 +930,19 @@ def write_results(out_dir, results, seed: int, tol: float) -> Path:
         "failures": [f for r in results for f in r.failures],
     }
     summary_path = out / "summary.json"
-    summary_path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for result in results:
+            for filename, (header, rows) in result.tables.items():
+                with open(out / filename, "w", newline="", encoding="utf-8") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(header)
+                    for row in rows:
+                        writer.writerow([_format_cell(v) for v in row])
+        summary_path.write_text(
+            json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n",
+            encoding="utf-8",
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write report to {out}: {exc.strerror or exc}") from exc
     return summary_path

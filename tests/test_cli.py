@@ -196,6 +196,20 @@ def test_malformed_flag_or_config_exits_two_with_one_line(tmp_path, capsys, argv
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
+def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker.joinpath(*below)
+    assert main(["kernel", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"tfkit: cannot write report to {out}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     # an all-zero window normalizes to NaN everywhere

@@ -13,12 +13,12 @@ from tfkit.groups import (
     PhasePoint,
     character_table,
     character_value,
-    difference_table,
+    element_coords,
     make_group,
     make_lattice,
-    negation_table,
     phase_space,
     product_group,
+    wrap_distance,
 )
 
 ORDERS = st.sampled_from([(2,), (3,), (8,), (2, 3), (4, 2), (2, 2, 2)])
@@ -113,23 +113,21 @@ def test_character_table_rows_are_orthogonal():
     assert np.max(np.abs(gram - g.order * np.eye(g.order))) < 1e-12
 
 
-def test_difference_and_negation_tables():
-    g = make_group((5,))
-    diff = difference_table(g)
-    negs = negation_table(g)
-    els = g.elements()
-    for ix, x in enumerate(els):
-        assert negs[ix] == g.index(g.neg(x))
-        for it, t in enumerate(els):
-            assert diff[ix, it] == g.index(g.add(t, g.neg(x)))
+@pytest.mark.parametrize("orders", [(5,), (2, 3), (1, 4), (4, 1, 2)])
+def test_element_coords_and_wrap_distance(orders):
+    g = make_group(orders)
+    coords = element_coords(g)
+    dist = wrap_distance(g)
+    assert coords.shape == dist.shape == (g.nfactors, g.order)
+    for i, x in enumerate(g.elements()):
+        assert tuple(coords[:, i]) == x
+        assert tuple(dist[:, i]) == tuple(min(c, n - c) for c, n in zip(x, orders))
 
 
 def test_tables_are_read_only():
     g = make_group((4,))
     with pytest.raises(ValueError):
         character_table(g)[0, 0] = 0
-    with pytest.raises(ValueError):
-        difference_table(g)[0, 0] = 0
 
 
 def test_product_group_multiplies_weights():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from tfkit.signals import (
     pair_bilinear,
     pointwise,
     random_signal,
+    shift_matrix,
     signal_from_spec,
     sup_norm,
     tensor,
@@ -223,14 +225,51 @@ def test_convolution_with_dirac_is_identity():
     assert np.max(np.abs(out.values - s.values)) < 1e-12
 
 
+INDEX_ORDERS = [(5,), (2, 3), (1, 4), (4, 1, 2)]
+
+
 def test_involute_is_an_involution():
-    g = make_group((2, 3))
-    s = random_signal(g, 6)
-    assert np.array_equal(involute(involute(s)).values, s.values)
-    els = g.elements()
-    flipped = involute(s)
-    for ix, x in enumerate(els):
-        assert flipped.values[ix] == s.values[g.index(g.neg(x))]
+    for orders in INDEX_ORDERS:
+        g = make_group(orders)
+        s = random_signal(g, 6)
+        assert np.array_equal(involute(involute(s)).values, s.values)
+        els = g.elements()
+        flipped = involute(s)
+        for ix, x in enumerate(els):
+            assert flipped.values[ix] == s.values[g.index(g.neg(x))]
+
+
+@pytest.mark.parametrize("orders", INDEX_ORDERS)
+def test_shift_matrix_rows_are_translates(orders):
+    g = make_group(orders)
+    s = random_signal(g, 3)
+    rows = shift_matrix(s)
+    assert rows.shape == (g.order, g.order)
+    for ix, x in enumerate(g.elements()):
+        assert np.array_equal(rows[ix], translate(s, x).values)
+
+
+@pytest.mark.parametrize("orders", INDEX_ORDERS)
+def test_shift_matrix_builds_only_the_asked_rows(orders):
+    g = make_group(orders)
+    s = random_signal(g, 4)
+    full = shift_matrix(s)
+    times = [g.order - 1, 0, g.order // 2, 0]
+    for asked in (times, np.array(times), slice(1, None, 2)):
+        assert np.array_equal(shift_matrix(s, asked), full[asked])
+
+
+def test_shift_rows_and_involute_keep_no_group_squared_table():
+    # Z/2048: an index table over all pairs would be 33.6 MB of int64.
+    s = random_signal(make_group((2048,)), 6)
+    tracemalloc.start()
+    try:
+        shift_matrix(s, [0, 5])
+        involute(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pairings():
