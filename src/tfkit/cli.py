@@ -9,8 +9,9 @@ failed (failing rows are listed; a check passes only when its value is
 at most its threshold, so a NaN fails, and a window or frame error
 inside a suite is a failing row), 2 a config value, flag or
 TFKIT_THREADS was malformed or the report directory could not be
-written (one `tfkit: ...` line on stderr).  The
-suite flags and their checks come from `suites.SCHEMA`.
+written (one `tfkit: ...` line on stderr).  The directory is made after
+the config has parsed and before the first suite runs.  The suite
+flags and their checks come from `suites.SCHEMA`.
 """
 
 from __future__ import annotations
@@ -82,11 +83,11 @@ def main(argv=None) -> int:
         seed, tol = options["seed"], options["tol"]
         config = merge_config(load_config(args.config) if args.config else {})
         if args.suite == "all":
-            results = run_all(config, seed, tol)
+            results = run_all(config, seed, tol, out_dir=args.out)
         else:
             section = config[args.suite]
             section.update({k: v for k, v in flags.items() if k in section})
-            results = [run_suite(args.suite, config, seed, tol)]
+            results = [run_suite(args.suite, config, seed, tol, out_dir=args.out)]
         summary_path = write_results(args.out, results, seed, tol)
     except ConfigError as exc:
         print(f"tfkit: {exc}", file=sys.stderr)

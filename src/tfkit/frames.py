@@ -17,7 +17,8 @@ dense |G| x |G| matrix, which only partial_frame_sum builds
 (frame_operator sums every lattice point; the tests keep the dense
 eigen-solves as oracles).  atomic_expand reads the frame coefficients
 off transform.pairing_rows and gabor_synthesize sums them back through
-its transpose transform.synthesis, both at the lattice's nodes; only
+its transpose transform.synthesis, both at the node indices
+Lattice.nodes, which gabor_atoms and the spectrum read too; only
 partial_frame_sum builds the L x |G| atom matrix (the tests keep the
 dense analysis and synthesis as oracles).  A full lattice with the
 ambient weight gives A = B = ||g||_2^2.
@@ -36,7 +37,6 @@ from .groups import (
     Lattice,
     PhasePoint,
     character_value,
-    element_coords,
     product_group,
 )
 from .kernels import KernelOperator, kernel_signal
@@ -104,8 +104,9 @@ class GaborSystem:
 
             M[t1, t2] = c * [t1 - t2 in H] * sum_x g(t1 - x) conj(g(t2 - x))
 
-        over the time nodes x, with c the lattice weight times the number of
-        frequency nodes (one per coset) times the Haar weight.
+        over the time nodes x (lattice.nodes), with c the lattice weight
+        times the number of frequency nodes (one per coset) times the Haar
+        weight.
         """
         grp, lat = self.group, self.lattice
         cosets = [n // b for n, b in zip(grp.orders, lat.freq_step)]
@@ -113,7 +114,7 @@ class GaborSystem:
         steps = np.indices(lat.freq_step).reshape(grp.nfactors, 1, -1)
         coords = reps + np.reshape(cosets, (-1, 1, 1)) * steps
         index = np.ravel_multi_index(tuple(coords), grp.orders)
-        times, _ = _lattice_nodes(lat)
+        times, _ = lat.nodes
         cols = shift_matrix(self.window, times)[:, index].transpose(1, 0, 2)
         scale = float(lat.weight * len(index) * grp.weight)
         evals, vecs = np.linalg.eigh((cols.transpose(0, 2, 1) @ cols.conj()) * scale)
@@ -122,20 +123,9 @@ class GaborSystem:
         return evals, vecs, index
 
 
-def _lattice_nodes(lat: Lattice) -> tuple:
-    """(times, freqs): enumeration indices of the lattice's time nodes and
-    of its frequency nodes, the elements whose coordinates are multiples
-    of the steps, in the lexicographic order of lat.side_nodes."""
-    coords = element_coords(lat.group)
-    return tuple(
-        np.flatnonzero(np.all(coords % np.reshape(steps, (-1, 1)) == 0, axis=0))
-        for steps in (lat.time_step, lat.freq_step)
-    )
-
-
 def gabor_atoms(system: GaborSystem) -> np.ndarray:
     """Atom matrix, row per lattice point (time-major): pi(lambda) g."""
-    return phase_atoms(system.window, *_lattice_nodes(system.lattice))
+    return phase_atoms(system.window, *system.lattice.nodes)
 
 
 def frame_operator(system: GaborSystem) -> KernelOperator:
@@ -190,10 +180,11 @@ def atomic_expand(f: Signal, system: GaborSystem) -> np.ndarray:
     """Frame coefficients c_lambda = weight * <f, pi(lambda) h> against the
     canonical dual h, aligned with lattice.points().  Synthesizing the
     system's own atoms with these coefficients returns f exactly.  Read
-    off the conjugate of the bilinear table of conj(f), no atom matrix."""
+    off the conjugate of the bilinear table of conj(f) at the rows and
+    columns of lattice.nodes, no atom matrix."""
     if f.group != system.group:
         raise GroupMismatchError("signal lives on the wrong group")
-    times, freqs = _lattice_nodes(system.lattice)
+    times, freqs = system.lattice.nodes
     table = pairing_rows(canonical_dual(system), np.conj(f.values)[None, :], times)
     coeffs = np.conj(table.reshape(len(times), system.group.order)[:, freqs])
     return coeffs.ravel() * system.weight
@@ -201,9 +192,9 @@ def atomic_expand(f: Signal, system: GaborSystem) -> np.ndarray:
 
 def gabor_synthesize(system: GaborSystem, coefficients: np.ndarray) -> Signal:
     """sum_lambda c_lambda pi(lambda) g, the coefficients aligned with
-    lattice.points().  transform.synthesis at the lattice's nodes, no
-    atom matrix."""
-    times, freqs = _lattice_nodes(system.lattice)
+    lattice.points().  transform.synthesis at the node indices
+    lattice.nodes, no atom matrix."""
+    times, freqs = system.lattice.nodes
     coefficients = np.asarray(coefficients, dtype=complex).reshape(-1)
     size = system.lattice.size
     if coefficients.size != size:

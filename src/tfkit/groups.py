@@ -279,18 +279,21 @@ class Lattice:
     def index_in_phase_space(self) -> int:
         return self.group.order ** 2 // self.size
 
-    def side_nodes(self, steps) -> list:
-        """Group elements that are multiples of the steps, lexicographic."""
-        axes = [range(0, n, s) for n, s in zip(self.group.orders, steps)]
-        nodes = [()]
-        for ax in axes:
-            nodes = [pre + (v,) for pre in nodes for v in ax]
-        return nodes
+    @property
+    def nodes(self) -> tuple:
+        """(times, freqs): enumeration indices of the time nodes and of the
+        frequency nodes, the elements whose coordinates are multiples of
+        the steps, in enumeration order."""
+        coords = element_coords(self.group)
+        return tuple(
+            np.flatnonzero(np.all(coords % np.reshape(steps, (-1, 1)) == 0, axis=0))
+            for steps in (self.time_step, self.freq_step)
+        )
 
     def points(self) -> list:
         """All lattice points as PhasePoint tuples, time-major."""
-        times = self.side_nodes(self.time_step)
-        freqs = self.side_nodes(self.freq_step)
+        coords = element_coords(self.group).T.tolist()
+        times, freqs = ([tuple(coords[i]) for i in side] for side in self.nodes)
         return [PhasePoint(x, w) for x in times for w in freqs]
 
     def contains(self, point: PhasePoint) -> bool:

@@ -56,7 +56,7 @@ from .signals import (
     signal_spec,
     tensor,
 )
-from .transform import m1_norm, mod_norm, mod_norm_conv
+from .transform import m1_norm, mod_norm_conv, pairing_table, weighted_pnorm
 from .kernels import (
     KernelOperator,
     bilinear_form,
@@ -438,10 +438,12 @@ def run_norms(cfg: dict, seed: int, tol: float) -> SuiteResult:
             for stok, sspec in cfg["signals"]:
                 sig = signal_from_spec(grp, sspec)
                 s0_conv = mod_norm_conv(sig, window)
-                m1 = mod_norm(sig, window, 1)
-                m2 = mod_norm(sig, window, 2)
-                m4 = mod_norm(sig, window, 4)
-                minf = mod_norm(sig, window, math.inf)
+                # one bilinear table per row; mod_norm's arithmetic for each p
+                mags = np.abs(pairing_table(window, sig).values)
+                m1, m2, m4, minf = (
+                    float(weighted_pnorm(mags, grp.phase_weight, p))
+                    for p in (1, 2, 4, math.inf)
+                )
                 rows.append((gtok, wtok, stok, s0_conv, m1, m2, m4, minf))
                 threshold = tol * max(1.0, m1)
                 conv_defects.append(abs(s0_conv - m1_norm(sig, involute(window))))
@@ -861,19 +863,25 @@ def _graded(name: str, runner: Callable, section: dict, seed: int, tol: float) -
     return res
 
 
-def run_suite(name: str, config: dict, seed: int, tol: float) -> SuiteResult:
-    """Parse the suite's section of a merged config, then run the suite."""
+def run_suite(name: str, config: dict, seed: int, tol: float, out_dir=None) -> SuiteResult:
+    """Parse the suite's section of a merged config, then run the suite.
+    A given out_dir is made in between, as in run_all."""
     if name not in _RUNNERS:
         raise ConfigError(f"unknown suite {name!r}; expected one of {list(SUITE_ORDER)}")
-    return _graded(name, _RUNNERS[name], _parse_section(config, name), seed, tol)
+    section = _parse_section(config, name)
+    if out_dir is not None:
+        _report_dir(out_dir)
+    return _graded(name, _RUNNERS[name], section, seed, tol)
 
 
-def run_all(config: dict, seed: int, tol: float) -> list:
+def run_all(config: dict, seed: int, tol: float, out_dir=None) -> list:
     """Run every suite (regnet in its three standard configurations),
     after every section of the config has parsed.
 
     TFKIT_THREADS >= 1 (default 1) sets the worker count; results come
-    back in the fixed suite order either way.
+    back in the fixed suite order either way.  A given out_dir is made
+    after the parse and before the first suite runs, so a report
+    directory that cannot be made fails at once (ConfigError).
     """
     raw = os.environ.get("TFKIT_THREADS", "1").strip() or "1"
     try:
@@ -881,6 +889,8 @@ def run_all(config: dict, seed: int, tol: float) -> list:
     except ConfigError as exc:
         raise ConfigError(f"TFKIT_THREADS: {exc}") from exc
     sections = {name: _parse_section(config, name) for name in SUITE_ORDER}
+    if out_dir is not None:
+        _report_dir(out_dir)
 
     jobs = []
     for name in SUITE_ORDER:
@@ -918,11 +928,26 @@ def _jsonable(value):
     return value
 
 
+def _unwritable(out: Path, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write report to {out}: {exc.strerror or exc}")
+
+
+def _report_dir(out_dir) -> Path:
+    """Make the report directory and its parents; ConfigError when it
+    cannot be made (an existing file, or a path through one)."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(out, exc) from exc
+    return out
+
+
 def write_results(out_dir, results, seed: int, tol: float) -> Path:
     """Write every table as CSV plus one summary.json; returns the
     summary path.  Output is a pure function of (config, seed, tol).
     ConfigError when the directory cannot be made or written."""
-    out = Path(out_dir)
+    out = _report_dir(out_dir)
     payload = {
         "seed": int(seed),
         "tol": float(tol),
@@ -931,7 +956,6 @@ def write_results(out_dir, results, seed: int, tol: float) -> Path:
     }
     summary_path = out / "summary.json"
     try:
-        out.mkdir(parents=True, exist_ok=True)
         for result in results:
             for filename, (header, rows) in result.tables.items():
                 with open(out / filename, "w", newline="", encoding="utf-8") as fh:
@@ -944,5 +968,5 @@ def write_results(out_dir, results, seed: int, tol: float) -> Path:
             encoding="utf-8",
         )
     except OSError as exc:
-        raise ConfigError(f"cannot write report to {out}: {exc.strerror or exc}") from exc
+        raise _unwritable(out, exc) from exc
     return summary_path

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, WindowError
-from .groups import Group, PhasePoint, character_table
+from .groups import Group, character_table, make_lattice
 from .signals import Signal, fourier, l2_norm, modulations, same_group, shift_matrix
 
 __all__ = [
@@ -79,9 +79,9 @@ class PhaseTable:
 
 
 def phase_points(group: Group) -> list:
-    """Phase-space points in table order (time-major)."""
-    elems = group.elements()
-    return [PhasePoint(x, w) for x in elems for w in elems]
+    """Phase-space points in table order (time-major): the points of the
+    full lattice."""
+    return make_lattice(group, 1, 1).points()
 
 
 def _require_window(g: Signal):

@@ -6,7 +6,8 @@ from tfkit.errors import GroupMismatchError
 from tfkit.frames import GaborSystem, canonical_dual, gabor_atoms
 from tfkit.groups import character_table
 from tfkit.kernels import KernelOperator
-from tfkit.transform import pairing_rows
+from tfkit.signals import Signal, l2_norm
+from tfkit.transform import pairing_rows, phase_atoms, stft
 
 
 def operator_pairing_table(op, g1, g2):
@@ -19,6 +20,21 @@ def operator_pairing_table(op, g1, g2):
     if g1.group != op.domain or g2.group != op.codomain:
         raise GroupMismatchError("windows do not match the operator's groups")
     return pairing_rows(g2, pairing_rows(g1, op.kernel.T).T)
+
+
+def weak_reconstruction(op, window, s):
+    """T s by its dense weak form
+
+        ||g||_2^{-2} sum_nu phase_weight * stft(g, s)[nu] * T(pi(nu) g)
+
+    over the images of all |G|^2 atoms: one product of the whole atom
+    matrix with the kernel, O(|G|^4).  The library applies T to the
+    synthesis instead (kernels.weak_reconstruct)."""
+    grp = op.domain
+    coeffs = stft(window, s).values.ravel()
+    images = (phase_atoms(window) @ op.kernel) * float(grp.weight)  # row nu = T(pi(nu) g)
+    scale = grp.phase_weight / l2_norm(window) ** 2
+    return Signal(op.codomain, (coeffs @ images) * scale)
 
 
 def dual_atom_coefficients(f, system):

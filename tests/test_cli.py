@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tfkit import suites
 from tfkit.cli import build_parser, main
 from tfkit.suites import DEFAULTS
 
@@ -197,17 +198,47 @@ def test_malformed_flag_or_config_exits_two_with_one_line(tmp_path, capsys, argv
 
 
 @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
-def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, below):
+def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, monkeypatch, below):
+    # the directory is made before the first suite runs
+    calls = []
+
+    def recording(runner):
+        def run(*args, **kwargs):
+            calls.append(runner.__name__)
+            return runner(*args, **kwargs)
+
+        return run
+
+    for name, runner in suites._RUNNERS.items():
+        monkeypatch.setitem(suites._RUNNERS, name, recording(runner))
+    monkeypatch.setattr(suites, "_run_regnet_all", recording(suites._run_regnet_all))
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n", encoding="utf-8")
     out = blocker.joinpath(*below)
-    assert main(["kernel", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"tfkit: cannot write report to {out}: ")
-    assert captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
+    for suite in ("kernel", "all"):
+        assert main([suite, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"tfkit: cannot write report to {out}: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+    assert calls == []
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize("suite", ["all", "norms"])
+def test_malformed_config_wins_over_out_and_makes_no_directory(tmp_path, capsys, suite):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"norms": {"groups": []}}\n', encoding="utf-8")
+    out = tmp_path / "fresh" / "report"
+    assert main([suite, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tfkit: norms.groups: ") and err.count("\n") == 1
+    assert not (tmp_path / "fresh").exists()
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    assert main([suite, "--config", str(cfg), "--out", str(blocker)]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):

@@ -176,6 +176,51 @@ def test_lattice_points_and_contains():
     assert lat.index_in_phase_space == 4
 
 
+# (orders, time steps, frequency steps)
+LATTICE_CASES = [
+    ((12,), (3,), (4,)),
+    ((12,), (1,), (12,)),
+    ((2, 3), (2, 1), (1, 3)),
+    ((1, 4), (1, 2), (1, 4)),
+    ((4, 1, 2), (2, 1, 1), (4, 1, 2)),
+    ((4, 6), (2, 3), (4, 1)),
+]
+
+
+def _side_nodes(group, steps):
+    # oracle: the multiples of the steps by nested loops, lexicographic
+    axes = [range(0, n, s) for n, s in zip(group.orders, steps)]
+    nodes = [()]
+    for ax in axes:
+        nodes = [pre + (v,) for pre in nodes for v in ax]
+    return nodes
+
+
+@pytest.mark.parametrize("orders,a,b", LATTICE_CASES)
+def test_lattice_nodes_are_the_multiples_of_the_steps(orders, a, b):
+    g = make_group(orders)
+    lat = make_lattice(g, a, b)
+    for nodes, steps in zip(lat.nodes, (a, b)):
+        brute = [
+            g.index(x)
+            for x in g.elements()
+            if all(c % s == 0 for c, s in zip(x, steps))
+        ]
+        assert nodes.tolist() == brute
+    times, freqs = lat.nodes
+    assert len(times) * len(freqs) == lat.size
+
+
+@pytest.mark.parametrize("orders,a,b", LATTICE_CASES)
+def test_lattice_points_keep_the_side_node_order(orders, a, b):
+    g = make_group(orders)
+    lat = make_lattice(g, a, b)
+    want = [PhasePoint(x, w) for x in _side_nodes(g, a) for w in _side_nodes(g, b)]
+    pts = lat.points()
+    assert pts == want
+    assert all(type(c) is int for p in pts for c in p.x + p.w)
+
+
 def test_lattice_weightings():
     g = make_group((8,))
     ambient = make_lattice(g, 2, 2)

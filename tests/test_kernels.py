@@ -40,7 +40,7 @@ from tfkit.signals import (
 )
 from tfkit.transform import mod_norm, m1_norm
 
-from oracles import operator_pairing_table
+from oracles import operator_pairing_table, weak_reconstruction
 
 GROUP_PAIRS = [((8,), (8,)), ((5,), (7,)), ((2, 3), (4,))]
 
@@ -547,6 +547,19 @@ def test_weak_reconstruct_matches_apply(orders1, orders2):
     want = op.apply(s)
     scale = max(np.max(np.abs(want.values)), 1.0)
     assert np.max(np.abs(got.values - want.values)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("orders1,orders2", GROUP_PAIRS)
+def test_weak_reconstruct_matches_dense_weak_form(orders1, orders2):
+    # T applied to the synthesis against the sum over the atom images
+    g1, g2 = make_group(orders1), make_group(orders2)
+    op = random_operator(g1, g2, 61)
+    w = gauss(g1, 1.0)
+    s = random_signal(g1, 62)
+    got = weak_reconstruct(op, w, s)
+    want = weak_reconstruction(op, w, s)
+    scale = max(np.max(np.abs(want.values)), 1.0)
+    assert np.max(np.abs(got.values - want.values)) < 1e-12 * scale
 
 
 def test_weak_reconstruct_rejects_mismatch():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tfkit import kernels, modspaces, regnets, suites
+from tfkit import kernels, modspaces, regnets, suites, transform
 from tfkit.errors import ConfigError
 from tfkit.groups import make_group
 from tfkit.kernels import KernelOperator, operator_phase_sums
@@ -395,6 +395,21 @@ def test_run_all_parses_every_section_before_running_any(monkeypatch, overrides)
     assert str(info.value).startswith(f"{section}.{next(iter(keys))}: ")
     run_suite("frames", merge_config({}), seed=0, tol=1e-8)
     assert calls == ["run_frames"]  # the counters do see a run
+
+
+def test_norms_row_builds_two_bilinear_tables(monkeypatch):
+    # one table for m1, m2, m4 and minf, one for the conv-route oracle
+    calls = []
+    pairing_rows = transform.pairing_rows
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pairing_rows(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "pairing_rows", counting)
+    res = run_suite("norms", merge_config({"norms": {"groups": [[8], [2, 3]]}}), 0, 1e-8)
+    assert res.failures == []
+    assert len(calls) == 2 * res.summary["rows"] > 0
 
 
 def test_run_all_rejects_bad_thread_setting(monkeypatch):

@@ -267,6 +267,15 @@ def _complex_window(grp, seed):
     return random_signal(grp, seed) + gauss(grp, 1.0)
 
 
+@pytest.mark.parametrize("orders", [(12,), (2, 3), (1, 4), (4, 1, 2)])
+def test_phase_points_are_every_pair_of_elements(orders):
+    g = make_group(orders)
+    elems = g.elements()
+    pts = phase_points(g)
+    assert pts == [PhasePoint(x, w) for x in elems for w in elems]
+    assert all(type(c) is int for p in pts for c in p.x + p.w)
+
+
 def test_phase_atoms_rows_are_tf_shifts_in_table_order():
     grp = make_group((2, 3))
     window = _complex_window(grp, 11)
@@ -280,9 +289,11 @@ def test_phase_atoms_subset_matches_full_rows_and_gabor_atoms():
     grp = make_group((2, 6))
     window = _complex_window(grp, 12)
     lattice = make_lattice(grp, (1, 2), (2, 3))
-    times = [grp.index(x) for x in lattice.side_nodes(lattice.time_step)]
-    freqs = [grp.index(w) for w in lattice.side_nodes(lattice.freq_step)]
-    rows = [grp.index(x) * grp.order + grp.index(w) for x, w in lattice.points()]
+    points = lattice.points()
+    # node indices in first-seen order, independent of lattice.nodes
+    times = list(dict.fromkeys(grp.index(x) for x, _ in points))
+    freqs = list(dict.fromkeys(grp.index(w) for _, w in points))
+    rows = [grp.index(x) * grp.order + grp.index(w) for x, w in points]
     subset = phase_atoms(window, times, freqs)
     np.testing.assert_array_equal(subset, phase_atoms(window)[rows])
     np.testing.assert_array_equal(subset, gabor_atoms(GaborSystem(window, lattice)))
