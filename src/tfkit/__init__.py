@@ -44,7 +44,6 @@ from .signals import (
     pair_bilinear,
     pointwise,
     random_signal,
-    signal_from_spec,
     sup_norm,
     tensor,
     tf_shift,

@@ -298,7 +298,7 @@ def tensor_expand(
     unit-spread periodized Gaussians), a finite upper bound certificate
     for the kernel's own m1 norm.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     u, sing, vh = np.linalg.svd(op.kernel)
     if sing.size and sing[0] > 0:

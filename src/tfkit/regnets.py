@@ -190,10 +190,10 @@ def box_mask(group: Group, time_radius: float, freq_radius: float) -> PhaseTable
 def localization_net(window: Signal, masks) -> RegNet:
     """Stages T s = sum_nu phase_weight * H(nu) <s, pi(nu) g> pi(nu) g.
 
-    Needs ||g||_2 = 1 (to 1e-10); the all-ones mask then gives the
-    identity exactly, by the inversion formula.
+    Needs ||g||_2 = 1 to 1e-10, so a NaN window fails (WindowError); the
+    all-ones mask then gives the identity exactly, by the inversion formula.
     """
-    if abs(l2_norm(window) - 1.0) > 1e-10:
+    if not abs(l2_norm(window) - 1.0) <= 1e-10:
         raise WindowError("localization window must be L2-normalized")
     grp = window.group
     atoms = phase_atoms(window)
@@ -254,8 +254,10 @@ def induced_norms(op: KernelOperator, g1: Signal, g2: Signal = None) -> tuple:
     p = 1 column power sums) and m1_to_minf the largest entry.  b is the
     record's m1, the same code operator_m1_norm(op, conj g1, g2) runs;
     when g1 is real it also equals operator_m1_norm(op, g1, g2), bit for
-    bit.
+    bit.  WindowError before the pass when g1 is identically zero.
     """
+    if not np.any(g1.values):
+        raise WindowError("window is identically zero")
     g2 = g1 if g2 is None else g2
     wp1, wp2 = op.domain.phase_weight, op.codomain.phase_weight
     sums = operator_phase_sums(op, Signal(g1.group, g1.values.conj()), g2, ps=(1,))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GroupMismatchError
+from .errors import GroupMismatchError
 from .groups import (
     Group,
     PhasePoint,
@@ -42,9 +42,6 @@ __all__ = [
     "gauss",
     "random_signal",
     "periodized_sqdist",
-    "config_int",
-    "signal_spec",
-    "signal_from_spec",
     "translate",
     "shift_matrix",
     "modulate",
@@ -128,24 +125,18 @@ def periodized_sqdist(group: Group) -> np.ndarray:
     return np.sum(wrap_distance(group) ** 2, axis=0, dtype=float)
 
 
-def _spread_square(spread: float) -> float:
-    """spread**2; ValueError unless spread > 0 and its square does not
-    underflow to 0 (a zero square would fill the bump with NaN)."""
+def gauss(group: Group, spread: float) -> Signal:
+    """Periodized Gaussian bump exp(-pi d(t,0)^2 / spread^2).  ValueError
+    unless spread > 0 and spread^2 does not underflow to 0 (a zero square
+    would fill the bump with NaN)."""
     if not spread > 0:
         raise ValueError(f"spread must be positive, got {spread}")
     try:
         square = spread**2
     except OverflowError:  # float ** raises here; the bump is 1 everywhere
-        return math.inf
+        square = math.inf
     if not square > 0:
         raise ValueError(f"the square of spread {spread} underflows to 0")
-    return square
-
-
-def gauss(group: Group, spread: float) -> Signal:
-    """Periodized Gaussian bump exp(-pi d(t,0)^2 / spread^2).  ValueError
-    unless spread > 0 and spread^2 does not underflow to 0."""
-    square = _spread_square(spread)
     return Signal(group, np.exp(-np.pi * periodized_sqdist(group) / square))
 
 
@@ -160,102 +151,6 @@ def random_signal(group: Group, seed) -> Signal:
     )
     re = rng.standard_normal(group.order)
     im = rng.standard_normal(group.order)
-    return Signal(group, re + 1j * im)
-
-
-def config_int(value, minimum=None) -> int:
-    """A config value as an int: an integer, an integral float or a
-    numeric string, at least `minimum` when given.  Booleans and
-    fractional numbers are refused rather than truncated (ConfigError)."""
-    try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError(value)
-        number = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"expected an integer, got {value!r}") from exc
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"expected an integer >= {minimum}, got {value!r}")
-    return number
-
-
-def signal_spec(spec) -> dict:
-    """A signal literal checked without a group, with its fields converted.
-
-    Supported kinds:
-      {"kind": "dirac", "at": [..]}            impulse (default at 0)
-      {"kind": "gauss", "spread": s}           periodized Gaussian, s > 0
-      {"kind": "random", "seed": n}            seeded complex noise, n >= 0
-      {"kind": "values", "re": [..], "im": [..]}  explicit values
-
-    Returns a new dict: `at` as a list of ints, `spread` as a float,
-    `seed` as an int, `re` and `im` as equal-length float arrays (`im`
-    zero when absent).  ConfigError on any malformed field; the checks
-    that need a group are signal_from_spec's.
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"signal literal must be an object with a 'kind', got {spec!r}")
-    kind = spec["kind"]
-    if kind == "dirac":
-        at = spec.get("at")
-        if at is None:
-            return {"kind": "dirac"}
-        if not isinstance(at, (list, tuple)):
-            raise ConfigError(f"bad dirac position {at!r}: expected a list of integers")
-        try:
-            return {"kind": "dirac", "at": [config_int(c) for c in at]}
-        except ConfigError as exc:
-            raise ConfigError(f"bad dirac position {at!r}: {exc}") from exc
-    if kind == "gauss":
-        if "spread" not in spec:
-            raise ConfigError("gauss literal needs a 'spread'")
-        try:
-            spread = float(spec["spread"])
-            _spread_square(spread)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad gauss spread {spec['spread']!r}: {exc}") from exc
-        return {"kind": "gauss", "spread": spread}
-    if kind == "random":
-        if "seed" not in spec:
-            raise ConfigError("random literal needs a 'seed'")
-        try:
-            return {"kind": "random", "seed": config_int(spec["seed"], 0)}
-        except ConfigError as exc:
-            raise ConfigError(f"bad random seed: {exc}") from exc
-    if kind == "values":
-        if "re" not in spec:
-            raise ConfigError("values literal needs 're'")
-        try:
-            re = np.asarray(spec["re"], dtype=float)
-            im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad values literal: {exc}") from exc
-        if re.shape != im.shape:
-            raise ConfigError("'re' and 'im' must have equal length")
-        return {"kind": "values", "re": re, "im": im}
-    raise ConfigError(f"unknown signal kind {kind!r}")
-
-
-def signal_from_spec(group: Group, spec: dict) -> Signal:
-    """Build a signal on `group` from a config literal (see signal_spec for
-    the kinds).  ConfigError on a malformed literal, a dirac position
-    that is not an element of the group, or a values literal whose length
-    is not the group order."""
-    spec = signal_spec(spec)
-    kind = spec["kind"]
-    if kind == "dirac":
-        try:
-            return dirac(group, spec.get("at"))
-        except ValueError as exc:
-            raise ConfigError(f"bad dirac position {spec['at']!r}: {exc}") from exc
-    if kind == "gauss":
-        return gauss(group, spec["spread"])
-    if kind == "random":
-        return random_signal(group, spec["seed"])
-    re, im = spec["re"], spec["im"]
-    if re.size != group.order:
-        raise ConfigError(
-            f"values literal has {re.size} entries, group order is {group.order}"
-        )
     return Signal(group, re + 1j * im)
 
 

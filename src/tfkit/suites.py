@@ -45,15 +45,12 @@ from .errors import ConfigError, FrameError, LatticeError, WindowError
 from .groups import Group, make_group, make_lattice
 from .signals import (
     Signal,
-    config_int,
     dirac,
     gauss,
     involute,
     l2_norm,
     pair_bilinear,
     random_signal,
-    signal_from_spec,
-    signal_spec,
     tensor,
 )
 from .transform import m1_norm, mod_norm_conv, pairing_table, weighted_pnorm
@@ -190,6 +187,21 @@ def _group_token(orders) -> str:
     return "x".join(str(n) for n in orders)
 
 
+def config_int(value, minimum=None) -> int:
+    """A config value as an int: an integer, an integral float or a
+    numeric string, at least `minimum` when given.  Booleans and
+    fractional numbers are refused rather than truncated (ConfigError)."""
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
+        number = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"expected an integer, got {value!r}") from exc
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"expected an integer >= {minimum}, got {value!r}")
+    return number
+
+
 def parse_group_token(token) -> tuple:
     """Accept [2, 3] or the string form '2x3'; every order must be an
     integer >= 1."""
@@ -207,29 +219,100 @@ _TOKEN_FIELDS = {"dirac": "at", "gauss": "spread", "random": "seed"}
 
 
 def parse_signal_token(token) -> dict:
-    """'dirac' | 'dirac:1,2' | 'gauss' | 'gauss:0.5' | 'random:7' -> signal
-    spec dict; a dict literal is checked and returned as it is.  Only
-    the checks that need no group run here (signals.signal_spec)."""
-    if not isinstance(token, str):
-        signal_spec(token)
-        return token
-    kind, _, arg = token.partition(":")
-    if kind not in _TOKEN_FIELDS:
-        raise ConfigError(f"unknown signal kind {kind!r} in token {token!r}")
-    spec = {"kind": kind}
-    if arg:
-        spec[_TOKEN_FIELDS[kind]] = arg.split(",") if kind == "dirac" else arg
-    elif kind == "gauss":
-        spec["spread"] = 1.0
-    return signal_spec(spec)
+    """A signal token ('dirac', 'dirac:1,2', 'gauss', 'gauss:0.5',
+    'random:7') or literal ({"kind": "dirac", "at": [..]}, {"kind":
+    "gauss", "spread": s > 0}, {"kind": "random", "seed": n >= 0},
+    {"kind": "values", "re": [..], "im": [..]}) as a new spec dict: `at`
+    a list of ints (impulse at 0 when absent), `spread` a float, `seed`
+    an int, `re` and `im` equal-length float arrays (`im` zero when
+    absent).  ConfigError on a malformed field; the fit to a group is
+    _check_fit's."""
+    spec = token
+    if isinstance(token, str):
+        kind, _, arg = token.partition(":")
+        if kind not in _TOKEN_FIELDS:
+            raise ConfigError(f"unknown signal kind {kind!r} in token {token!r}")
+        spec = {"kind": kind}
+        if arg:
+            spec[_TOKEN_FIELDS[kind]] = arg.split(",") if kind == "dirac" else arg
+        elif kind == "gauss":
+            spec["spread"] = 1.0
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError(f"signal literal must be an object with a 'kind', got {spec!r}")
+    kind = spec["kind"]
+    if kind == "dirac":
+        at = spec.get("at")
+        if at is None:
+            return {"kind": "dirac"}
+        if not isinstance(at, (list, tuple)):
+            raise ConfigError(f"bad dirac position {at!r}: expected a list of integers")
+        try:
+            return {"kind": "dirac", "at": [config_int(c) for c in at]}
+        except ConfigError as exc:
+            raise ConfigError(f"bad dirac position {at!r}: {exc}") from exc
+    if kind == "gauss":
+        if "spread" not in spec:
+            raise ConfigError("gauss literal needs a 'spread'")
+        try:
+            spread = float(spec["spread"])
+            gauss(make_group((1,)), spread)  # gauss's own check of the spread
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad gauss spread {spec['spread']!r}: {exc}") from exc
+        return {"kind": "gauss", "spread": spread}
+    if kind == "random":
+        if "seed" not in spec:
+            raise ConfigError("random literal needs a 'seed'")
+        try:
+            return {"kind": "random", "seed": config_int(spec["seed"], 0)}
+        except ConfigError as exc:
+            raise ConfigError(f"bad random seed: {exc}") from exc
+    if kind == "values":
+        if "re" not in spec:
+            raise ConfigError("values literal needs 're'")
+        try:
+            re = np.asarray(spec["re"], dtype=float)
+            im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad values literal: {exc}") from exc
+        if re.shape != im.shape:
+            raise ConfigError("'re' and 'im' must have equal length")
+        return {"kind": "values", "re": re, "im": im}
+    raise ConfigError(f"unknown signal kind {kind!r}")
+
+
+def _check_fit(key: str, spec: dict, orders: tuple) -> None:
+    """ConfigError naming `key` unless a parsed signal spec fits the
+    group of `orders`: a dirac position must be an element of it, a
+    values literal must have one entry per element."""
+    group = make_group(orders)
+    if "at" in spec:
+        try:
+            group.reduce(spec["at"])
+        except ValueError as exc:
+            raise ConfigError(f"{key}: bad dirac position {spec['at']!r}: {exc}") from exc
+    if "re" in spec and spec["re"].size != group.order:
+        raise ConfigError(
+            f"{key}: values literal has {spec['re'].size} entries, group order is {group.order}"
+        )
+
+
+def signal_from_spec(group: Group, spec: dict) -> Signal:
+    """The signal a parsed spec names on a group it fits."""
+    kind = spec["kind"]
+    if kind == "dirac":
+        return dirac(group, spec.get("at"))
+    if kind == "gauss":
+        return gauss(group, spec["spread"])
+    if kind == "random":
+        return random_signal(group, spec["seed"])
+    return Signal(group, spec["re"] + 1j * spec["im"])
 
 
 def _real_window(token) -> dict:
     """A window token or literal whose values are real, as the mpq
     domination bound needs."""
     spec = parse_signal_token(token)
-    checked = signal_spec(spec)
-    if checked["kind"] == "random" or np.any(checked.get("im", 0.0)):
+    if spec["kind"] == "random" or np.any(spec.get("im", 0.0)):
         raise ConfigError(f"must be real for the domination bound, got {token!r}")
     return spec
 
@@ -316,9 +399,9 @@ def _choice(default, allowed: tuple, help: str) -> Key:
     return Key(default, parse, help, metavar="{" + ",".join(allowed) + "}")
 
 
-# suite -> key -> Key.  Checks that tie keys together (the lattice steps
-# must divide the group) stay in the runners.  Every sweep list takes at
-# least one entry: an empty sweep would grade nothing.
+# suite -> key -> Key.  Checks that tie keys together (a literal fits its
+# group, the lattice steps divide it) are _parse_section's.  Every sweep
+# list takes at least one entry: an empty sweep would grade nothing.
 SCHEMA = {
     "norms": {
         "groups": Key([[8], [12], [2, 3]], _list_of(parse_group_token, 1)),
@@ -590,10 +673,7 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
     res = SuiteResult("frames")
     grp = make_group(cfg["group"])
     window = signal_from_spec(grp, cfg["window"])
-    try:
-        lattice = make_lattice(grp, cfg["a"], cfg["b"])
-    except LatticeError as exc:
-        raise ConfigError(f"bad frames lattice: {exc}") from exc
+    lattice = make_lattice(grp, cfg["a"], cfg["b"])
     system = GaborSystem(window, lattice)
 
     lower, upper = frame_bounds(system)
@@ -845,7 +925,26 @@ _RUNNERS = {
 
 
 def _parse_section(config: dict, name: str) -> dict:
-    return parse_keys(SCHEMA[name], config[name], prefix=f"{name}.")
+    """One suite's section of a merged config, parsed, then checked where
+    its keys tie together: every signal literal fits each of its groups
+    and the frames lattice steps divide the frames group.  This is where
+    a config is judged; no runner raises ConfigError."""
+    section = parse_keys(SCHEMA[name], config[name], prefix=f"{name}.")
+    if name == "norms":
+        for orders in section["groups"]:
+            for key in ("windows", "signals"):
+                for _, spec in section[key]:
+                    _check_fit(f"norms.{key}", spec, orders)
+    elif name in ("frames", "mpq"):
+        _check_fit(f"{name}.window", section["window"], section["group"])
+    if name == "frames":
+        grp = make_group(section["group"])
+        for key, steps in (("a", (section["a"], 1)), ("b", (1, section["b"]))):
+            try:
+                make_lattice(grp, *steps)
+            except LatticeError as exc:
+                raise ConfigError(f"frames.{key}: bad frames lattice: {exc}") from exc
+    return section
 
 
 def _graded(name: str, runner: Callable, section: dict, seed: int, tol: float) -> SuiteResult:

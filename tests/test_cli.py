@@ -197,9 +197,9 @@ def test_malformed_flag_or_config_exits_two_with_one_line(tmp_path, capsys, argv
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
-def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, monkeypatch, below):
-    # the directory is made before the first suite runs
+@pytest.fixture
+def runner_calls(monkeypatch):
+    """The names of the suite runners called, in order."""
     calls = []
 
     def recording(runner):
@@ -212,6 +212,12 @@ def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, monkeypatch, b
     for name, runner in suites._RUNNERS.items():
         monkeypatch.setitem(suites._RUNNERS, name, recording(runner))
     monkeypatch.setattr(suites, "_run_regnet_all", recording(suites._run_regnet_all))
+    return calls
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
+def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, runner_calls, below):
+    # the directory is made before the first suite runs
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n", encoding="utf-8")
     out = blocker.joinpath(*below)
@@ -222,7 +228,7 @@ def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, monkeypatch, b
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
-    assert calls == []
+    assert runner_calls == []
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
@@ -239,6 +245,34 @@ def test_malformed_config_wins_over_out_and_makes_no_directory(tmp_path, capsys,
     blocker.write_text("", encoding="utf-8")
     assert main([suite, "--config", str(cfg), "--out", str(blocker)]) == 2
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"frames": {"window": "dirac:1,2"}}, "frames.window"),
+        ({"mpq": {"window": "dirac:1,2"}}, "mpq.window"),
+        ({"norms": {"groups": [[8], [2, 3]], "signals": ["dirac:1"]}}, "norms.signals"),
+        ({"frames": {"window": {"kind": "values", "re": [1] * 5}}}, "frames.window"),
+        ({"frames": {"a": 3}}, "frames.a"),
+    ],
+    ids=["frames-dirac", "mpq-dirac", "norms-dirac", "frames-values", "frames-step"],
+)
+def test_misfit_exits_two_before_any_suite_runs(tmp_path, capsys, runner_calls, overrides, key):
+    # a literal that does not fit its group, or lattice steps that do not
+    # divide it, is a config error: no runner is called, no directory made
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides), encoding="utf-8")
+    out = tmp_path / "report"
+    (suite,) = overrides
+    for name in ("all", suite):
+        assert main([name, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"tfkit: {key}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+    assert runner_calls == []
+    assert not out.exists()
 
 
 def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):
@@ -264,7 +298,7 @@ def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):
     "suite, overrides, message",
     [
         ("frames", {"window": {"kind": "values", "re": [0] * 8}}, "window is identically zero"),
-        # the S - I norm's SVD would not converge on this frame matrix
+        # frame_bounds finds this window's frame matrix not finite
         ("frames", {"window": {"kind": "values", "re": [1e308] * 8}}, "not finite"),
         ("mpq", {"window": {"kind": "values", "re": [1e200] + [0] * 7}}, "overflows"),
         (

@@ -529,8 +529,9 @@ def test_tensor_expand_projective_bound_dominates():
 
 def test_tensor_expand_rejects_negative_tol():
     g = make_group((4,))
-    with pytest.raises(ValueError):
-        tensor_expand(identity_operator(g), -1.0)
+    for tol in (-1.0, math.nan):  # a NaN tolerance is no tolerance either
+        with pytest.raises(ValueError):
+            tensor_expand(identity_operator(g), tol)
 
 
 # ---------------------------------------------------------------------------

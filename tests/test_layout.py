@@ -52,3 +52,17 @@ def test_every_exported_name_is_defined_in_its_module():
             if callable(obj) and obj.__module__ != module.__name__:
                 problems.append(f"{path.stem}.{name} is defined in {obj.__module__}")
     assert problems == []
+
+
+def test_no_numeric_module_knows_the_config_error():
+    # a config is judged once, in suites, before any numeric code runs
+    numeric = ("groups", "signals", "transform", "kernels", "frames", "regnets", "modspaces")
+    found = []
+    for stem in numeric:
+        path = SRC / f"{stem}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            if "ConfigError" in names or getattr(node, "attr", None) == "ConfigError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

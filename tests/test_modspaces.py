@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tfkit.errors import GroupMismatchError
+from tfkit import modspaces
+from tfkit.errors import GroupMismatchError, WindowError
 from tfkit.groups import make_group
 from tfkit.kernels import (
     KernelOperator,
@@ -110,6 +111,15 @@ def test_mpq_bounds_fold_window_energy():
         for j, q in enumerate(qs):
             outer = inner.max() if q == math.inf else (wp * (inner**q).sum()) ** (1 / q)
             assert bounds[i, j] == pytest.approx(outer / l2_norm(w) ** 2, rel=1e-13)
+
+
+def test_mpq_bounds_reject_zero_window_before_the_pass(monkeypatch):
+    g = make_group((6,))
+    passes = []
+    monkeypatch.setattr(modspaces, "operator_phase_sums", lambda *a, **k: passes.append(1))
+    with pytest.raises(WindowError):
+        mpq_bounds(identity_operator(g), Signal(g, np.zeros(6)), gauss(g, 1.0), [2], [2])
+    assert passes == []
 
 
 @pytest.mark.parametrize("dom_orders, cod_orders", [((64,), (64,)), ((8, 8), (4, 16))])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tfkit import regnets
 from tfkit.errors import FrameError, GroupMismatchError, WindowError
 from tfkit.frames import GaborSystem, frame_bounds
 from tfkit.groups import make_group, make_lattice
@@ -202,6 +203,8 @@ def test_localization_net_needs_normalized_window():
     g = make_group((8,))
     with pytest.raises(WindowError):
         localization_net(gauss(g, 1.0), [box_mask(g, 4, 4)])
+    with pytest.raises(WindowError):
+        localization_net(Signal(g, np.full(8, np.nan)), [box_mask(g, 4, 4)])
 
 
 def test_localization_net_rejects_foreign_mask():
@@ -267,6 +270,19 @@ def test_induced_norms_frozen_identity_values():
     assert m1 == pytest.approx(1.1082215897348011, rel=1e-12)
     assert minf == pytest.approx(1.1082215897348011, rel=1e-10)
     assert m1_to_minf == pytest.approx(1.0, rel=1e-12)
+
+
+def test_induced_norms_reject_a_zero_window_before_the_pass(monkeypatch):
+    g = make_group((8,))
+    op = identity_operator(g)
+    # a NaN window is no zero window: its norms are NaN, for a graded row to fail
+    norms = induced_norms(op, Signal(g, np.full(8, np.nan)))
+    assert all(math.isnan(value) for value in norms)
+    passes = []
+    monkeypatch.setattr(regnets, "operator_phase_sums", lambda *a, **k: passes.append(1))
+    with pytest.raises(WindowError):
+        induced_norms(op, Signal(g, np.zeros(8)), normalized_gauss(g))
+    assert passes == []
 
 
 def test_induced_norms_scale_linearly():

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tfkit.errors import ConfigError, GroupMismatchError
+from tfkit.errors import GroupMismatchError
 from tfkit.groups import PhasePoint, make_group
 from tfkit.signals import (
     Signal,
-    config_int,
     constant,
     convolve,
     dirac,
@@ -28,7 +27,6 @@ from tfkit.signals import (
     pointwise,
     random_signal,
     shift_matrix,
-    signal_from_spec,
     sup_norm,
     tensor,
     tf_shift,
@@ -317,73 +315,3 @@ def test_pointwise_product():
     f = random_signal(g, 1)
     h = random_signal(g, 2)
     assert np.array_equal(pointwise(f, h).values, f.values * h.values)
-
-
-def test_signal_from_spec():
-    g = make_group((8,))
-    assert np.array_equal(signal_from_spec(g, {"kind": "dirac"}).values, dirac(g).values)
-    assert np.array_equal(
-        signal_from_spec(g, {"kind": "dirac", "at": [3]}).values, dirac(g, (3,)).values
-    )
-    assert np.array_equal(
-        signal_from_spec(g, {"kind": "gauss", "spread": 0.5}).values,
-        gauss(g, 0.5).values,
-    )
-    assert np.array_equal(
-        signal_from_spec(g, {"kind": "random", "seed": 3}).values,
-        random_signal(g, 3).values,
-    )
-    lit = signal_from_spec(g, {"kind": "values", "re": list(range(8))})
-    assert lit.values[5] == 5.0
-    both = signal_from_spec(g, {"kind": "values", "re": [0] * 8, "im": [1] * 8})
-    assert both.values[0] == 1j
-    for bad in [
-        {"kind": "nope"},
-        {"kind": "gauss"},
-        {"kind": "gauss", "spread": -1},
-        {"kind": "random"},
-        {"kind": "values"},
-        {"kind": "values", "re": [1, 2]},
-        {"kind": "values", "re": [1] * 8, "im": [1] * 4},
-        {"kind": "dirac", "at": 3},
-        {"kind": "dirac", "at": [1, 2]},
-        {},
-        {"kind": "gauss", "spread": "x"},
-        {"kind": "gauss", "spread": None},
-        {"kind": "random", "seed": "x"},
-        {"kind": "random", "seed": 1.5},
-        {"kind": "random", "seed": -1},
-        {"kind": "random", "seed": True},
-        {"kind": "values", "re": "ab"},
-        {"kind": "values", "re": [1] * 8, "im": ["x"] * 8},
-        {"kind": "gauss", "spread": 1e-300},
-        {"kind": "dirac", "at": [1.5]},
-        {"kind": "dirac", "at": "3"},
-    ]:
-        with pytest.raises(ConfigError):
-            signal_from_spec(g, bad)
-
-
-def test_config_int():
-    assert config_int(3) == 3
-    assert config_int("7", 0) == 7
-    assert config_int(2.0, 1) == 2
-    assert config_int(0, 0) == 0
-    g = make_group((8,))
-    assert np.array_equal(
-        signal_from_spec(g, {"kind": "random", "seed": 3.0}).values,
-        random_signal(g, 3).values,
-    )
-    for bad, minimum in [
-        (True, None),
-        (1.5, None),
-        (math.inf, None),
-        (math.nan, None),
-        ("x", None),
-        (None, None),
-        ([1], None),
-        (-1, 0),
-        ("0", 1),
-    ]:
-        with pytest.raises(ConfigError):
-            config_int(bad, minimum)

@@ -9,11 +9,12 @@ from tfkit.errors import ConfigError
 from tfkit.groups import make_group
 from tfkit.kernels import KernelOperator, operator_phase_sums
 from tfkit.regnets import check_regularizing, pc_net, standard_probes
-from tfkit.signals import Signal, gauss, l2_norm
+from tfkit.signals import Signal, dirac, gauss, l2_norm, random_signal
 from tfkit.suites import (
     DEFAULTS,
     SUITE_ORDER,
     SuiteResult,
+    config_int,
     load_config,
     merge_config,
     parse_exponent,
@@ -21,6 +22,7 @@ from tfkit.suites import (
     parse_signal_token,
     run_all,
     run_suite,
+    signal_from_spec,
     suite_rng,
     write_results,
 )
@@ -103,7 +105,7 @@ def test_parse_signal_token():
     assert parse_signal_token("gauss") == {"kind": "gauss", "spread": 1.0}
     assert parse_signal_token("random:7") == {"kind": "random", "seed": 7}
     spec = {"kind": "gauss", "spread": 2.0}
-    assert parse_signal_token(spec) is spec
+    assert parse_signal_token(spec) == {"kind": "gauss", "spread": 2.0}
     with pytest.raises(ConfigError):
         parse_signal_token("random")
     with pytest.raises(ConfigError):
@@ -113,6 +115,78 @@ def test_parse_signal_token():
     for bad in ("gauss:1e-300", "gauss:x", "dirac:x", {"kind": "gauss"}):
         with pytest.raises(ConfigError):
             parse_signal_token(bad)
+
+
+def test_signal_from_spec():
+    # a literal is parsed and fitted to its group in the config stage
+    def parsed(literal):
+        return signal_from_spec(g, parse_signal_token(literal))
+
+    g = make_group((8,))
+    assert np.array_equal(parsed({"kind": "dirac"}).values, dirac(g).values)
+    assert np.array_equal(parsed({"kind": "dirac", "at": [3]}).values, dirac(g, (3,)).values)
+    assert np.array_equal(
+        parsed({"kind": "gauss", "spread": 0.5}).values, gauss(g, 0.5).values
+    )
+    assert np.array_equal(
+        parsed({"kind": "random", "seed": 3}).values, random_signal(g, 3).values
+    )
+    lit = parsed({"kind": "values", "re": list(range(8))})
+    assert lit.values[5] == 5.0
+    both = parsed({"kind": "values", "re": [0] * 8, "im": [1] * 8})
+    assert both.values[0] == 1j
+    for bad in [
+        {"kind": "nope"},
+        {"kind": "gauss"},
+        {"kind": "gauss", "spread": -1},
+        {"kind": "random"},
+        {"kind": "values"},
+        {"kind": "values", "re": [1, 2]},
+        {"kind": "values", "re": [1] * 8, "im": [1] * 4},
+        {"kind": "dirac", "at": 3},
+        {"kind": "dirac", "at": [1, 2]},
+        {},
+        {"kind": "gauss", "spread": "x"},
+        {"kind": "gauss", "spread": None},
+        {"kind": "random", "seed": "x"},
+        {"kind": "random", "seed": 1.5},
+        {"kind": "random", "seed": -1},
+        {"kind": "random", "seed": True},
+        {"kind": "values", "re": "ab"},
+        {"kind": "values", "re": [1] * 8, "im": ["x"] * 8},
+        {"kind": "gauss", "spread": 1e-300},
+        {"kind": "dirac", "at": [1.5]},
+        {"kind": "dirac", "at": "3"},
+    ]:
+        config = merge_config({"norms": {"groups": [[8]], "windows": [bad]}})
+        with pytest.raises(ConfigError) as info:
+            run_suite("norms", config, seed=0, tol=1e-8)
+        assert str(info.value).startswith("norms.windows: ")
+
+
+def test_config_int():
+    assert config_int(3) == 3
+    assert config_int("7", 0) == 7
+    assert config_int(2.0, 1) == 2
+    assert config_int(0, 0) == 0
+    g = make_group((8,))
+    assert np.array_equal(
+        signal_from_spec(g, parse_signal_token({"kind": "random", "seed": 3.0})).values,
+        random_signal(g, 3).values,
+    )
+    for bad, minimum in [
+        (True, None),
+        (1.5, None),
+        (math.inf, None),
+        (math.nan, None),
+        ("x", None),
+        (None, None),
+        ([1], None),
+        (-1, 0),
+        ("0", 1),
+    ]:
+        with pytest.raises(ConfigError):
+            config_int(bad, minimum)
 
 
 def test_parse_exponent():
@@ -370,7 +444,7 @@ def test_run_all_order_and_tables():
         {"mpq": {"p": ["x"]}},
         # `all` runs its own constructions, but the key must still parse
         {"regnet": {"construction": "bogus"}},
-        # signal literals are checked without their group
+        # signal literals are checked in the config stage
         {"mpq": {"window": {"kind": "gauss", "spread": "x"}}},
         {"mpq": {"window": "random:1"}},
     ],
