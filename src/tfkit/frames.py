@@ -18,10 +18,10 @@ dense |G| x |G| matrix, which only partial_frame_sum builds
 eigen-solves as oracles).  atomic_expand reads the frame coefficients
 off transform.pairing_rows and gabor_synthesize sums them back through
 its transpose transform.synthesis, both at the node indices
-Lattice.nodes, which gabor_atoms and the spectrum read too; only
-partial_frame_sum builds the L x |G| atom matrix (the tests keep the
-dense analysis and synthesis as oracles).  A full lattice with the
-ambient weight gives A = B = ||g||_2^2.
+Lattice.nodes, which gabor_atoms and the spectrum read too; no system
+keeps an atom matrix (the tests keep the dense analysis and synthesis
+as oracles).  A full lattice with the ambient weight gives
+A = B = ||g||_2^2.
 """
 
 from __future__ import annotations
@@ -80,15 +80,6 @@ class GaborSystem:
     @property
     def weight(self) -> float:
         return float(self.lattice.weight)
-
-    @cached_property
-    def atoms(self) -> np.ndarray:
-        """gabor_atoms(self), built on first use and kept, read-only, for
-        the system's lifetime: partial_frame_sum slices it, since a net
-        or a sweep takes many prefixes of one system."""
-        atoms = gabor_atoms(self)
-        atoms.flags.writeable = False
-        return atoms
 
     @cached_property
     def spectrum(self) -> tuple:
@@ -207,13 +198,14 @@ def partial_frame_sum(system: GaborSystem, count: int) -> KernelOperator:
     """The truncated frame operator over the first count lattice points,
     in lattice.points() order.
 
-    Kernel: sum over those points of weight * conj(atom(t1)) atom(t2).
-    LatticeError unless 1 <= count <= lattice.size.
+    Kernel: sum over those points of weight * conj(atom(t1)) atom(t2),
+    off their atoms only.  LatticeError unless 1 <= count <= lattice.size.
     """
     size = system.lattice.size
     if not 1 <= count <= size:
         raise LatticeError(f"partial sum of {count} points on a {size}-point lattice")
-    atoms = system.atoms[:count]
+    times, freqs = system.lattice.nodes
+    atoms = phase_atoms(system.window, times[: (count - 1) // len(freqs) + 1], freqs)[:count]
     k = (atoms.conj().T @ atoms) * system.weight
     return KernelOperator(system.group, system.group, k)
 

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import GroupMismatchError
 from .groups import Group, character_table, product_group
 from .signals import Signal, gauss
-from .transform import m1_norm, pairing_rows, stft, stft_invert
+from .transform import m1_norm, pairing_rows, require_window, stft, stft_invert
 
 __all__ = [
     "KernelOperator",
@@ -219,10 +219,13 @@ def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> Ph
 
     so B comes out in the table's own layout, by the same arithmetic as
     the rows tests/oracles.py builds whole; only the order of the sums
-    differs.
+    differs.  WindowError before the pass when g1 or g2 is identically
+    zero (transform.require_window).
     """
     if g1.group != op.domain or g2.group != op.codomain:
         raise GroupMismatchError("windows do not match the operator's groups")
+    require_window(g1)
+    require_window(g2)
     ps = tuple(ps)  # walked once per chunk
     n1, n2 = op.domain.order, op.codomain.order
     step = max(1, _CHUNK_ENTRIES // (n1 * n2 * n2))

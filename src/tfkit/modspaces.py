@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import GroupMismatchError, WindowError
+from .errors import GroupMismatchError
 from .groups import Group
 from .kernels import KernelOperator, operator_phase_sums
 from .signals import Signal, l2_norm
@@ -70,10 +70,8 @@ def mpq_bounds(op: KernelOperator, g1: Signal, g2: Signal, ps, qs) -> np.ndarray
     upper bound for the matching entry of empirical_mpq_opnorms when g1
     is closed under conjugation.  One pass over the table serves the
     whole grid: the inner p-norms finish its per-p column sums.
-    WindowError before the pass when g1 is identically zero."""
+    WindowError before the pass when g1 or g2 is identically zero."""
     _check_exponents(ps, qs)
-    if not np.any(g1.values):
-        raise WindowError("window is identically zero")
     sums = operator_phase_sums(op, g1, g2, ps)
     out = np.empty((len(ps), len(qs)))
     for i, (p, acc) in enumerate(zip(ps, sums.col_powers)):

@@ -8,8 +8,7 @@ floats are serialized with the '.17g' round-trip format, CSV rows are
 RFC-4180 (CRLF) in UTF-8, the summary is written with sorted keys, and
 no timestamps or environment details enter the reports -- so two runs
 with equal seeds produce byte-identical output on the same NumPy/BLAS
-build at the same BLAS thread count (a multi-threaded BLAS may round a
-large matrix product differently; the benchmark pins one BLAS thread).
+build, at one BLAS thread or two (run_frames' sweep takes no matrix product).
 
 TFKIT_THREADS (an integer >= 1, default 1: serial) sets the worker
 count used to run the sub-suites of `all` concurrently; reports are
@@ -73,8 +72,8 @@ from .frames import (
     canonical_dual,
     frame_bounds,
     frame_operator,
+    gabor_atoms,
     gabor_synthesize,
-    partial_frame_sum,
 )
 from .regnets import (
     RegNet,
@@ -219,19 +218,32 @@ _TOKEN_FIELDS = {"dirac": "at", "gauss": "spread", "random": "seed"}
 
 
 def parse_signal_token(token) -> dict:
-    """A signal token ('dirac', 'dirac:1,2', 'gauss', 'gauss:0.5',
-    'random:7') or literal ({"kind": "dirac", "at": [..]}, {"kind":
-    "gauss", "spread": s > 0}, {"kind": "random", "seed": n >= 0},
-    {"kind": "values", "re": [..], "im": [..]}) as a new spec dict: `at`
-    a list of ints (impulse at 0 when absent), `spread` a float, `seed`
-    an int, `re` and `im` equal-length float arrays (`im` zero when
-    absent).  ConfigError on a malformed field; the fit to a group is
-    _check_fit's."""
+    """A signal token or literal as a new spec dict.
+
+    Tokens are 'kind' or 'kind:arg', the argument never empty:
+      'dirac'        the impulse at 0
+      'dirac:1,2'    the impulse at (1, 2), one int per factor
+      'gauss'        spread 1.0
+      'gauss:0.5'    spread 0.5 (> 0)
+      'random:7'     seed 7 (>= 0); 'random' alone has no seed
+    Literals are JSON objects:
+      {"kind": "dirac", "at": [..]}      `at` optional, as above
+      {"kind": "gauss", "spread": s}
+      {"kind": "random", "seed": n}
+      {"kind": "values", "re": [..], "im": [..]}  flat lists of one
+          number per element, `im` zero when absent
+
+    In the spec `at` is a list of ints (absent for the impulse at 0),
+    `spread` a float, `seed` an int, `re` and `im` equal-length flat
+    float arrays.  ConfigError on a malformed field; the fit to a group
+    is _check_fit's."""
     spec = token
     if isinstance(token, str):
-        kind, _, arg = token.partition(":")
+        kind, colon, arg = token.partition(":")
         if kind not in _TOKEN_FIELDS:
             raise ConfigError(f"unknown signal kind {kind!r} in token {token!r}")
+        if colon and not arg:
+            raise ConfigError(f"empty argument in signal token {token!r}")
         spec = {"kind": kind}
         if arg:
             spec[_TOKEN_FIELDS[kind]] = arg.split(",") if kind == "dirac" else arg
@@ -274,6 +286,8 @@ def parse_signal_token(token) -> dict:
             im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad values literal: {exc}") from exc
+        if re.ndim != 1 or im.ndim != 1:
+            raise ConfigError("'re' and 'im' must be flat lists of numbers")
         if re.shape != im.shape:
             raise ConfigError("'re' and 'im' must have equal length")
         return {"kind": "values", "re": re, "im": im}
@@ -706,13 +720,20 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
     inverts = l2_norm(full.apply(dual) - window) / max(1.0, l2_norm(window))
     res.grade("dual_inverts_frame", detail, inverts, tol * 100)
 
-    probe0 = probes[-1]
+    # partial sum k minus the full sum is minus the tail past point k,
+    # walked back by one elementwise rank-one add per point, with its image
+    # of the probe; no matrix product, so no BLAS thread count moves a row
+    atoms = gabor_atoms(system)
+    weight = system.weight
+    coeffs = np.sum(probes[-1].values * atoms.conj(), axis=1) * (weight * float(grp.weight))
+    tail = np.zeros((grp.order, grp.order), dtype=complex)
+    image = np.zeros(grp.order, dtype=complex)
     rows = []
-    for k in range(1, lattice.size + 1):
-        partial = partial_frame_sum(system, k)
-        kernel_defect = float(np.max(np.abs(partial.kernel - full.kernel)))
-        probe_defect = l2_norm(partial.apply(probe0) - full.apply(probe0))
-        rows.append((k, kernel_defect, probe_defect))
+    for k in range(lattice.size, 0, -1):
+        rows.append((k, float(np.max(np.abs(tail))), l2_norm(Signal(grp, image))))
+        tail += np.outer(atoms[k - 1].conj() * weight, atoms[k - 1])
+        image += coeffs[k - 1] * atoms[k - 1]
+    rows.reverse()
     res.tables["frames.csv"] = (
         ("subset_size", "kernel_defect", "probe_defect"),
         rows,

@@ -45,6 +45,7 @@ from .signals import Signal, fourier, l2_norm, modulations, same_group, shift_ma
 __all__ = [
     "PhaseTable",
     "phase_points",
+    "require_window",
     "phase_atoms",
     "pairing_rows",
     "synthesis",
@@ -84,7 +85,8 @@ def phase_points(group: Group) -> list:
     return make_lattice(group, 1, 1).points()
 
 
-def _require_window(g: Signal):
+def require_window(g: Signal):
+    """WindowError when g is identically zero; a NaN window passes."""
     if not np.any(g.values):
         raise WindowError("window is identically zero")
 
@@ -155,7 +157,7 @@ def stft(window: Signal, s: Signal) -> PhaseTable:
     the conjugate of the bilinear table (pi(x,w) window, conj s).
     """
     same_group(window, s)
-    _require_window(window)
+    require_window(window)
     table = pairing_rows(window, np.conj(s.values)[None, :])
     return PhaseTable(window.group, np.conj(table))
 
@@ -166,7 +168,7 @@ def pairing_table(window: Signal, s: Signal) -> PhaseTable:
     Entry [x, w] = sum_t weight * window(t-x) * s(t) * w(t).
     """
     same_group(window, s)
-    _require_window(window)
+    require_window(window)
     return PhaseTable(window.group, pairing_rows(window, s.values[None, :]))
 
 
@@ -175,7 +177,7 @@ def stft_invert(window: Signal, table: PhaseTable) -> Signal:
 
         f = ||g||_2^{-2} sum_nu phase_weight * table[nu] * pi(nu) g
     """
-    _require_window(window)
+    require_window(window)
     g = window.group
     if table.group != g:
         raise GroupMismatchError("table and window live on different groups")
@@ -185,7 +187,6 @@ def stft_invert(window: Signal, table: PhaseTable) -> Signal:
 
 def mod_norm(s: Signal, window: Signal, p) -> float:
     """Modulation norm of order p in [1, inf] against the given window."""
-    _require_window(window)
     if p != math.inf and not p >= 1:
         raise ValueError(f"exponent must be in [1, inf], got {p}")
     mags = np.abs(pairing_table(window, s).values)
@@ -207,7 +208,7 @@ def mod_norm_conv(s: Signal, window: Signal) -> float:
     expect equivalence (bounded ratio), not equality.
     """
     same_group(s, window)
-    _require_window(window)
+    require_window(window)
     g = s.group
     axes = tuple(range(1, g.nfactors + 1))
     # all modulations E_w s through one batched FFT
@@ -228,8 +229,8 @@ def window_equivalence_ratio(g1: Signal, g2: Signal, probes) -> tuple:
     usable windows produce ratios in a bounded positive range; equal
     windows give exactly (1, 1).
     """
-    _require_window(g1)
-    _require_window(g2)
+    require_window(g1)
+    require_window(g2)
     ratios = []
     skipped = 0
     for f in probes:

@@ -440,9 +440,14 @@ def test_c10_mixed_norm_domination(capsys):
     assert ok
 
 
+def checkout_env(**extra) -> dict:
+    """The environment of a tfkit subprocess: the checkout under test,
+    never an installed tfkit."""
+    return {**os.environ, "PYTHONPATH": str(Path(tfkit.__file__).resolve().parents[1]), **extra}
+
+
 def test_c11_cli_reports_are_byte_identical(capsys, tmp_path):
-    # the checkout under test, never an installed tfkit
-    env = {**os.environ, "PYTHONPATH": str(Path(tfkit.__file__).resolve().parents[1])}
+    env = checkout_env()
     trees = []
     codes = []
     for name in ("one", "two"):
@@ -466,3 +471,22 @@ def test_c11_cli_reports_are_byte_identical(capsys, tmp_path):
         f"{len(trees[0])} files byte-identical={trees[0] == trees[1]}",
     )
     assert ok
+
+
+def test_blas_thread_count_leaves_frames_csv_unchanged(tmp_path):
+    # report-large's frames section: 256 rows, enough for a threaded
+    # matrix product in the sweep to round some row differently
+    argv = ["frames", "--group", "64", "--window", "gauss:8", "--a", "4", "--b", "4"]
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "tfkit.cli", *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=600,
+            env=checkout_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        tables.append((out / "frames.csv").read_bytes())
+    assert tables[0] == tables[1]

@@ -183,6 +183,12 @@ def test_seed_changes_random_content(tmp_path):
         (["mpq"], {"mpq": {"p": []}}),
         (["norms"], {"norms": {"groups": []}}),
         (["kernel"], {"kernel": {"pairs": []}}),
+        (["frames", "--window", "dirac:"], None),
+        (["frames", "--window", "gauss:"], None),
+        (["norms"], {"norms": {"signals": ["random:"]}}),
+        # eight entries, as Z/8 asks, but not flat
+        (["frames"], {"frames": {"window": {"kind": "values", "re": [[1] * 4, [2] * 4]}}}),
+        (["frames"], {"frames": {"window": {"kind": "values", "re": [[1]] * 8, "im": [[0]] * 8}}}),
     ],
 )
 def test_malformed_flag_or_config_exits_two_with_one_line(tmp_path, capsys, argv, config):

@@ -80,28 +80,26 @@ def test_atoms_are_shifted_windows_time_major():
         assert np.allclose(row, naive_atom(system.window, point), atol=1e-12)
 
 
-def test_partial_sums_slice_one_read_only_atom_matrix(monkeypatch):
-    g = make_group((6,))
-    system = GaborSystem(gauss(g, 1.0), make_lattice(g, 3, 2))
-    builds = []
+def test_partial_sums_build_only_their_own_atoms(monkeypatch):
+    g = make_group((12,))
+    system = GaborSystem(gauss(g, 1.0), make_lattice(g, 3, 4))
+    nfreqs = len(system.lattice.nodes[1])
+    asked = []
 
-    def counting_atoms(*args):
-        builds.append(args)
-        return phase_atoms(*args)
+    def counting_atoms(window, times, freqs):
+        asked.append(len(times))
+        return phase_atoms(window, times, freqs)
 
     monkeypatch.setattr(frames, "phase_atoms", counting_atoms)
-    for count in (1, 3, 6):
-        partial_frame_sum(system, count)
-    assert len(builds) == 1
-    atoms = system.atoms
-    assert not atoms.flags.writeable
-    with pytest.raises(ValueError):
-        atoms[0, 0] = 0.0
-    # gabor_atoms builds a fresh, writable matrix with the same entries
-    fresh = gabor_atoms(system)
-    assert fresh is not atoms and fresh.flags.writeable
-    np.testing.assert_array_equal(fresh, atoms)
-    assert len(builds) == 2
+    for count in range(1, system.lattice.size + 1):
+        kernel = partial_frame_sum(system, count).kernel
+        # only the time nodes the first count points sit on
+        assert asked[-1] == math.ceil(count / nfreqs)
+        atoms = gabor_atoms(system)[:count]
+        assert np.array_equal(kernel, (atoms.conj().T @ atoms) * system.weight)
+    # and the system keeps none of them
+    assert not hasattr(system, "atoms")
+    assert not any(isinstance(v, np.ndarray) for v in vars(system).values())
 
 
 def test_designs_read_one_spectrum_per_system(monkeypatch):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tfkit import modspaces
+from tfkit import kernels
 from tfkit.errors import GroupMismatchError, WindowError
 from tfkit.groups import make_group
 from tfkit.kernels import (
@@ -114,12 +114,20 @@ def test_mpq_bounds_fold_window_energy():
 
 
 def test_mpq_bounds_reject_zero_window_before_the_pass(monkeypatch):
+    # the pass checks both windows before its first chunk, so mpq_bounds
+    # and the operator norms read a zero g1 or g2 alike
     g = make_group((6,))
-    passes = []
-    monkeypatch.setattr(modspaces, "operator_phase_sums", lambda *a, **k: passes.append(1))
-    with pytest.raises(WindowError):
-        mpq_bounds(identity_operator(g), Signal(g, np.zeros(6)), gauss(g, 1.0), [2], [2])
-    assert passes == []
+    op, zero, win = identity_operator(g), Signal(g, np.zeros(6)), gauss(g, 1.0)
+    chunks = []
+    monkeypatch.setattr(kernels, "pairing_rows", lambda *a, **k: chunks.append(1))
+    for g1, g2 in ((zero, win), (win, zero)):
+        with pytest.raises(WindowError):
+            mpq_bounds(op, g1, g2, [2], [2])
+        with pytest.raises(WindowError):
+            operator_m1_norm(op, g1, g2)
+        with pytest.raises(WindowError):
+            operator_minf_norm(op, g1, g2)
+    assert chunks == []
 
 
 @pytest.mark.parametrize("dom_orders, cod_orders", [((64,), (64,)), ((8, 8), (4, 16))])

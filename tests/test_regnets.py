@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tfkit import regnets
+from tfkit import kernels
 from tfkit.errors import FrameError, GroupMismatchError, WindowError
 from tfkit.frames import GaborSystem, frame_bounds
 from tfkit.groups import make_group, make_lattice
@@ -278,11 +278,13 @@ def test_induced_norms_reject_a_zero_window_before_the_pass(monkeypatch):
     # a NaN window is no zero window: its norms are NaN, for a graded row to fail
     norms = induced_norms(op, Signal(g, np.full(8, np.nan)))
     assert all(math.isnan(value) for value in norms)
-    passes = []
-    monkeypatch.setattr(regnets, "operator_phase_sums", lambda *a, **k: passes.append(1))
-    with pytest.raises(WindowError):
-        induced_norms(op, Signal(g, np.zeros(8)), normalized_gauss(g))
-    assert passes == []
+    zero, win = Signal(g, np.zeros(8)), normalized_gauss(g)
+    chunks = []
+    monkeypatch.setattr(kernels, "pairing_rows", lambda *a, **k: chunks.append(1))
+    for g1, g2 in ((zero, win), (win, zero), (zero, None)):
+        with pytest.raises(WindowError):
+            induced_norms(op, g1, g2)
+    assert chunks == []
 
 
 def test_induced_norms_scale_linearly():

@@ -6,7 +6,8 @@ import pytest
 
 from tfkit import kernels, modspaces, regnets, suites, transform
 from tfkit.errors import ConfigError
-from tfkit.groups import make_group
+from tfkit.frames import GaborSystem, frame_operator, partial_frame_sum
+from tfkit.groups import make_group, make_lattice
 from tfkit.kernels import KernelOperator, operator_phase_sums
 from tfkit.regnets import check_regularizing, pc_net, standard_probes
 from tfkit.signals import Signal, dirac, gauss, l2_norm, random_signal
@@ -269,6 +270,29 @@ def test_frames_suite_passes_defaults():
     assert rows[-1][1] <= 1e-10  # full subset reproduces the frame operator
     for key in ("lower_bound", "upper_bound", "s_minus_identity", "frame_rep_defect"):
         assert key in res.summary
+
+
+@pytest.mark.parametrize(
+    "orders, a, b", [((8,), 2, 2), ((2, 6), 1, 2), ((12,), 3, 2), ((1, 8), 1, 1)]
+)
+def test_frames_sweep_rows_are_partial_sums_minus_the_frame_operator(orders, a, b):
+    # the oracle: each prefix's dense partial sum against the dense full sum
+    res = run_default("frames", group=list(orders), a=a, b=b)
+    grp = make_group(orders)
+    system = GaborSystem(gauss(grp, 1.0), make_lattice(grp, a, b))
+    probe = standard_probes(grp, DEFAULTS["frames"]["probe_seed"])[-1]
+    full = frame_operator(system)
+    image = full.apply(probe)
+    kernel_scale, probe_scale = np.max(np.abs(full.kernel)), l2_norm(image)
+    _, rows = res.tables["frames.csv"]
+    assert [row[0] for row in rows] == list(range(1, system.lattice.size + 1))
+    for k, kernel_defect, probe_defect in rows:
+        partial = partial_frame_sum(system, k)
+        expected = np.max(np.abs(partial.kernel - full.kernel))
+        assert abs(kernel_defect - expected) <= 1e-14 * kernel_scale
+        expected = l2_norm(partial.apply(probe) - image)
+        assert abs(probe_defect - expected) <= 1e-14 * probe_scale
+    assert res.summary["final_partial_defect"] == rows[-1][1] == 0.0
 
 
 def test_frames_suite_grades_dual_against_dense_frame_operator(monkeypatch):
