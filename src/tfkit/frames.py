@@ -10,22 +10,26 @@ whose kernel is sum_lambda weight * conj(atom(t1)) atom(t2).  On a
 separable lattice with frequency steps b_j the weight-folded matrix is
 nonzero only where t1 - t2 lies in H = sum_j (n_j / b_j) Z (the Walnut
 representation), so it splits into one Hermitian |H| x |H| block per
-coset of H.  Each system decomposes those blocks once
-(GaborSystem.spectrum); the bounds, the canonical dual S^{-1} g and the
-tight window S^{-1/2} g are read off that one spectrum, never off the
-dense |G| x |G| matrix, which only partial_frame_sum builds
-(frame_operator sums every lattice point; the tests keep the dense
-eigen-solves as oracles).  atomic_expand reads the frame coefficients
-off transform.pairing_rows and gabor_synthesize sums them back through
-its transpose transform.synthesis, both at the node indices
-Lattice.nodes, which gabor_atoms and the spectrum read too; no system
-keeps an atom matrix (the tests keep the dense analysis and synthesis
-as oracles).  A full lattice with the ambient weight gives
+coset of H; with time steps a_j each block is block-circulant, so an FFT
+along its block index splits it further into Hermitian P x P matrices,
+P = prod_j p_j with p_j the denominator of n_j / (a_j b_j) in lowest
+terms (the Zak domain, Zibulski-Zeevi).  Each system decomposes those small
+matrices once (GaborSystem.spectrum); the bounds, the canonical dual
+S^{-1} g and the tight window S^{-1/2} g are read off that one spectrum,
+never off the dense |G| x |G| matrix, which only partial_frame_sum
+builds (frame_operator sums every lattice point; the tests keep the
+dense and Walnut-block eigen-solves as oracles).  atomic_expand reads
+the frame coefficients off transform.pairing_rows and gabor_synthesize
+sums them back through its transpose transform.synthesis, both at the
+node indices Lattice.nodes, which gabor_atoms and the spectrum read
+too; no system keeps an atom matrix (the tests keep the dense analysis
+and synthesis as oracles).  A full lattice with the ambient weight gives
 A = B = ||g||_2^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,32 +87,55 @@ class GaborSystem:
 
     @cached_property
     def spectrum(self) -> tuple:
-        """(evals, vecs, index): np.linalg.eigh of the weight-folded frame
-        matrix restricted to the cosets of H = sum_j (n_j / b_j) Z, where
-        it lives; computed on first use and kept, read-only, since the
+        """(evals, vecs, index): np.linalg.eigh of the small Hermitian
+        matrices the weight-folded frame matrix splits into in the Zak
+        domain; computed on first use and kept, read-only, since the
         bounds, the canonical dual and the tight window all read it.
+        FrameError (bounds NaN) when those matrices are not finite.
 
-        index[c] lists the elements of the c-th coset (shape (|G|/|H|, |H|))
-        and the c-th block is M[index[c]][:, index[c]] for the weight-folded
-        M = operator_matrix(frame_operator(self)).  Summing the characters
-        of the frequency nodes gives
+        Summing the characters of the frequency nodes gives the weight-folded
+        M = operator_matrix(frame_operator(self)) as
 
             M[t1, t2] = c * [t1 - t2 in H] * sum_x g(t1 - x) conj(g(t2 - x))
 
-        over the time nodes x (lattice.nodes), with c the lattice weight
-        times the number of frequency nodes (one per coset) times the Haar
-        weight.
+        over the time nodes x (lattice.nodes), with H = sum_j (n_j / b_j) Z
+        and c the lattice weight times the number of frequency nodes (one
+        per coset of H) times the Haar weight: one Hermitian block per coset
+        (the Walnut representation).  Per factor write m = n / b and
+        p = a / gcd(m, a), so that n / (a b) is q / p in lowest terms, and
+        write the coset element r + m s with s = p u + rho, 0 <= rho < p.
+        Shifting s by p shifts t1 and t2 by m p, a multiple of a, so each
+        block depends on u1 - u2 only: the FFT along the u axes of its
+        P = prod p_j columns at u = 0 splits it into prod (b_j / p_j)
+        Hermitian P x P matrices (Zibulski-Zeevi); p = 1 gives 1 x 1 ones.
+
+        index[c, u_1, ..., u_k, rho] is the element r_c + m (p u + rho) of
+        coset c, shape (|G| / |H|, b_1 / p_1, ..., b_k / p_k, P); evals has
+        the same shape and vecs one more axis of length P.  The matrix at
+        [c, f_1, ..., f_k] acts on frequency f of the FFT along the u axes
+        of a signal's values at index[c].
         """
         grp, lat = self.group, self.lattice
+        k = grp.nfactors
         cosets = [n // b for n, b in zip(grp.orders, lat.freq_step)]
-        reps = np.indices(cosets).reshape(grp.nfactors, -1, 1)
-        steps = np.indices(lat.freq_step).reshape(grp.nfactors, 1, -1)
-        coords = reps + np.reshape(cosets, (-1, 1, 1)) * steps
-        index = np.ravel_multi_index(tuple(coords), grp.orders)
+        periods = [a // math.gcd(m, a) for m, a in zip(cosets, lat.time_step)]
+        blocks = [b // p for b, p in zip(lat.freq_step, periods)]
+        # factor j's coordinate r + m (p u + rho) splits into axes (u, rho, r);
+        # order moves them to (r_1..r_k, u_1..u_k, rho_1..rho_k)
+        split = [d for dims in zip(blocks, periods, cosets) for d in dims]
+        order = [*range(2, 3 * k, 3), *range(0, 3 * k, 3), *range(1, 3 * k, 3)]
+        shape = (math.prod(cosets), *blocks, math.prod(periods))
+        index = np.arange(grp.order).reshape(split).transpose(order).reshape(shape)
         times, _ = lat.nodes
-        cols = shift_matrix(self.window, times)[:, index].transpose(1, 0, 2)
-        scale = float(lat.weight * len(index) * grp.weight)
-        evals, vecs = np.linalg.eigh((cols.transpose(0, 2, 1) @ cols.conj()) * scale)
+        rows = shift_matrix(self.window, times).reshape(-1, *split)
+        cols = rows.transpose(0, *(1 + j for j in order))
+        cols = cols.reshape(len(times), shape[0], -1, shape[-1])
+        strip = np.einsum("xcur,xcq->curq", cols, cols[:, :, 0].conj())
+        scale = float(lat.weight * shape[0] * grp.weight)
+        zak = np.fft.fftn(strip.reshape(shape + shape[-1:]), axes=range(1, k + 1)) * scale
+        if not np.isfinite(zak).all():
+            raise FrameError("frame matrix is not finite", bounds=(math.nan, math.nan))
+        evals, vecs = np.linalg.eigh(zak)
         for arr in (evals, vecs, index):
             arr.flags.writeable = False
         return evals, vecs, index
@@ -141,18 +168,22 @@ def frame_bounds(system: GaborSystem) -> tuple:
 
 
 def _frame_power(system: GaborSystem, exponent: float) -> Signal:
-    """S^exponent g, block by block off system.spectrum: V Lambda^exponent
-    V^H applied to the window's values on each coset; raises FrameError
-    (with bounds) for non-frames."""
+    """S^exponent g off system.spectrum: the FFT along the u axes of the
+    window's values at index, V Lambda^exponent V^H at each frequency,
+    and the inverse FFT back; raises FrameError (with bounds) for
+    non-frames."""
     a, b = frame_bounds(system)
     if not (b > 0 and a >= _NONFRAME_RATIO * b):
         raise FrameError(
             f"system is not a frame: bounds A={a:.3e}, B={b:.3e}", bounds=(a, b)
         )
     evals, vecs, index = system.spectrum
-    power = (vecs * evals[:, None, :] ** exponent) @ vecs.conj().transpose(0, 2, 1)
+    axes = range(1, system.group.nfactors + 1)
+    coeffs = np.fft.fftn(system.window.values[index], axes=axes)
+    coeffs = np.einsum("...ji,...j->...i", vecs.conj(), coeffs) * evals**exponent
+    coeffs = np.einsum("...ij,...j->...i", vecs, coeffs)
     out = np.empty(system.group.order, dtype=complex)
-    out[index] = (power @ system.window.values[index][..., None])[..., 0]
+    out[index] = np.fft.ifftn(coeffs, axes=axes)
     return Signal(system.group, out)
 
 

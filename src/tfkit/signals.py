@@ -164,13 +164,18 @@ def translate(f: Signal, x) -> Signal:
 def shift_matrix(g: Signal, times=slice(None)) -> np.ndarray:
     """Translates of g as rows: row x is T_x g, i.e. row_x(t) = g(t - x),
     for every x, or for the index subset times (a slice, list or index
-    array).  The index of t - x is raveled from the coordinate
-    differences of the asked rows only (wrapped mod n per factor), so
-    memory is O(rows x |G|) and no table is kept."""
+    array).  g is tiled twice along each factor, and row x is the
+    window of the tiling that starts at n - x per factor, copied off a
+    strided view, so memory is O(rows x |G| + 2^k |G|) and no index
+    table is built."""
     grp = g.group
-    coords = element_coords(grp)
-    diffs = coords[:, None, :] - coords[:, times, None]
-    return g.values[np.ravel_multi_index(tuple(diffs), grp.orders, mode="wrap")]
+    tiled = g.values.reshape(grp.orders)
+    for axis in range(grp.nfactors):
+        tiled = np.concatenate((tiled, tiled), axis=axis)
+    starts = tuple(n + 1 for n in grp.orders)
+    windows = np.ndarray(starts + grp.orders, tiled.dtype, tiled, strides=tiled.strides * 2)
+    rows = windows[tuple(np.reshape(grp.orders, (-1, 1)) - element_coords(grp)[:, times])]
+    return rows.reshape(-1, grp.order)
 
 
 def modulate(f: Signal, w) -> Signal:

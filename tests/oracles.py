@@ -6,7 +6,7 @@ from tfkit.errors import GroupMismatchError
 from tfkit.frames import GaborSystem, canonical_dual, gabor_atoms
 from tfkit.groups import character_table
 from tfkit.kernels import KernelOperator
-from tfkit.signals import Signal, l2_norm
+from tfkit.signals import Signal, l2_norm, shift_matrix
 from tfkit.transform import pairing_rows, phase_atoms, stft
 
 
@@ -35,6 +35,27 @@ def weak_reconstruction(op, window, s):
     images = (phase_atoms(window) @ op.kernel) * float(grp.weight)  # row nu = T(pi(nu) g)
     scale = grp.phase_weight / l2_norm(window) ** 2
     return Signal(op.codomain, (coeffs @ images) * scale)
+
+
+def walnut_spectrum(system):
+    """(evals, vecs, index): np.linalg.eigh of the weight-folded frame
+    matrix M = operator_matrix(frame_operator(system)) on each coset of
+    H = sum_j (n_j / b_j) Z, where it lives (the Walnut representation):
+    one Hermitian |H| x |H| block per coset.  index[c] lists the elements
+    of the c-th coset (shape (|G|/|H|, |H|)) and the c-th block is
+    M[index[c]][:, index[c]].  The library splits each block further, in
+    the Zak domain (frames.GaborSystem.spectrum)."""
+    grp, lat = system.group, system.lattice
+    cosets = [n // b for n, b in zip(grp.orders, lat.freq_step)]
+    reps = np.indices(cosets).reshape(grp.nfactors, -1, 1)
+    steps = np.indices(lat.freq_step).reshape(grp.nfactors, 1, -1)
+    coords = reps + np.reshape(cosets, (-1, 1, 1)) * steps
+    index = np.ravel_multi_index(tuple(coords), grp.orders)
+    times, _ = lat.nodes
+    cols = shift_matrix(system.window, times)[:, index].transpose(1, 0, 2)
+    scale = float(lat.weight * len(index) * grp.weight)
+    evals, vecs = np.linalg.eigh((cols.transpose(0, 2, 1) @ cols.conj()) * scale)
+    return evals, vecs, index
 
 
 def dual_atom_coefficients(f, system):

@@ -475,9 +475,10 @@ def test_c11_cli_reports_are_byte_identical(capsys, tmp_path):
 
 def test_blas_thread_count_leaves_frames_csv_unchanged(tmp_path):
     # report-large's frames section: 256 rows, enough for a threaded
-    # matrix product in the sweep to round some row differently
+    # matrix product in the sweep to round some row differently; the
+    # whole report, summary.json's bounds and dual norm included
     argv = ["frames", "--group", "64", "--window", "gauss:8", "--a", "4", "--b", "4"]
-    tables = []
+    trees = []
     for threads in ("1", "2"):
         out = tmp_path / threads
         proc = subprocess.run(
@@ -488,5 +489,6 @@ def test_blas_thread_count_leaves_frames_csv_unchanged(tmp_path):
             env=checkout_env(OPENBLAS_NUM_THREADS=threads),
         )
         assert proc.returncode == 0, proc.stderr
-        tables.append((out / "frames.csv").read_bytes())
-    assert tables[0] == tables[1]
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(trees[0]) == ["frames.csv", "summary.json"]
+    assert trees[0] == trees[1]

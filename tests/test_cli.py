@@ -304,7 +304,7 @@ def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):
     "suite, overrides, message",
     [
         ("frames", {"window": {"kind": "values", "re": [0] * 8}}, "window is identically zero"),
-        # frame_bounds finds this window's frame matrix not finite
+        # the spectrum finds this window's frame matrix not finite
         ("frames", {"window": {"kind": "values", "re": [1e308] * 8}}, "not finite"),
         ("mpq", {"window": {"kind": "values", "re": [1e200] + [0] * 7}}, "overflows"),
         (
@@ -327,6 +327,23 @@ def test_hostile_window_is_a_failing_row(tmp_path, capsys, suite, overrides, mes
     assert message in captured.out
     assert "Traceback" not in captured.out + captured.err
     assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1e200], ids=["nan", "1e200"])
+def test_non_finite_frame_matrix_is_one_failing_frames_row(tmp_path, capsys, bad):
+    # Z/12, a = b = 3: 3 x 3 Zak-domain matrices; a NaN value, or Gram
+    # products of 1e200 that overflow, must not reach eigh
+    cfg = tmp_path / "cfg.json"
+    window = {"kind": "values", "re": [1, bad] + [1] * 10}
+    section = {"group": [12], "a": 3, "b": 3, "window": window}
+    cfg.write_text(json.dumps({"frames": section}), encoding="utf-8")
+    out = tmp_path / "report"
+    assert main(["frames", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "failing rows:\n  frames: frame matrix is not finite" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    payload = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert payload["failures"] == ["frames: frame matrix is not finite"]
 
 
 def test_a_suite_without_tables_says_so(tmp_path, capsys):

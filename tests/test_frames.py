@@ -23,7 +23,12 @@ from tfkit.kernels import KernelOperator, identity_operator, operator_matrix, ra
 from tfkit.signals import Signal, dirac, gauss, inner, l2_norm, random_signal, tensor
 from tfkit.transform import phase_atoms, stft, stft_invert
 
-from oracles import dual_atom_coefficients, gabor_synthesis, synthesize_operator_expansion
+from oracles import (
+    dual_atom_coefficients,
+    gabor_synthesis,
+    synthesize_operator_expansion,
+    walnut_spectrum,
+)
 
 
 def naive_char(group, x, w):
@@ -103,28 +108,36 @@ def test_partial_sums_build_only_their_own_atoms(monkeypatch):
 
 
 def test_designs_read_one_spectrum_per_system(monkeypatch):
-    g = make_group((12,))
-    system = GaborSystem(gauss(g, 2.0), make_lattice(g, 2, 3))
     calls = {"eigh": 0, "eigvalsh": 0, "solve": 0}
+    shapes = []
 
     def counting(name):
         original = getattr(np.linalg, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            shapes.append(np.shape(args[0]))
             return original(*args, **kwargs)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name))
+    g = make_group((12,))
     f = random_signal(g, 4)
-    frame_bounds(system)
-    canonical_dual(system)
-    tight_window(system)
-    atomic_expand(f, system)
-    atomic_expand(f, system)
-    assert calls == {"eigh": 1, "eigvalsh": 0, "solve": 0}
+    # Z/12 with b = 3 has 3 x 3 Walnut blocks; n / (a b) is 2 at a = 2,
+    # so the Zak-domain matrices are 1 x 1, and 4/3 at a = 3, so 3 x 3
+    for a, size in ((2, 1), (3, 3)):
+        system = GaborSystem(gauss(g, 2.0), make_lattice(g, a, 3))
+        calls.update(dict.fromkeys(calls, 0))
+        shapes.clear()
+        frame_bounds(system)
+        canonical_dual(system)
+        tight_window(system)
+        atomic_expand(f, system)
+        atomic_expand(f, system)
+        assert calls == {"eigh": 1, "eigvalsh": 0, "solve": 0}
+        assert shapes[0][-2:] == (size, size)
 
 
 def test_spectrum_is_read_only():
@@ -196,7 +209,7 @@ def test_non_frame_raises_with_bounds(design):
     "design", [frame_bounds, canonical_dual, tight_window], ids=lambda f: f.__name__
 )
 def test_overflowing_frame_matrix_raises(design):
-    # the Gram products of 1e308 overflow: the block eigenvalues are NaN
+    # the Gram products of 1e308 overflow: the spectrum refuses to decompose
     g = make_group((8,))
     system = GaborSystem(Signal(g, np.full(8, 1e308)), make_lattice(g, 2, 2))
     with pytest.raises(FrameError) as info, np.errstate(all="ignore"):
@@ -213,13 +226,19 @@ def dense_frame_matrix(system):
 
 
 # (orders, time step, freq step, window, weighting); freq step 1 gives
-# 1 x 1 blocks, freq step n a single block holding the whole matrix
+# 1 x 1 Walnut blocks, freq step n a single block holding the whole
+# matrix.  The first five have p = 1 on every factor (the Zak-domain
+# matrices are 1 x 1); then p = 3, p = 2, p = (3, 1) and a Z/1 factor.
 BLOCK_CASES = [
     ((24,), 4, 3, "gauss:3.0", "ambient"),
     ((12, 8), (3, 2), (2, 2), "gauss:2.0", "ambient"),
     ((12,), 2, 3, "random:5", "index"),
     ((10,), 2, 1, "gauss:1.5", "ambient"),
     ((10,), 1, 10, "random:6", "ambient"),
+    ((12,), 3, 3, "gauss:2.0", "ambient"),
+    ((60,), 4, 6, "random:7", "index"),
+    ((12, 8), (3, 2), (3, 2), "gauss:1.5", "ambient"),
+    ((1, 8), (1, 2), (1, 2), "random:8", "ambient"),
 ]
 
 
@@ -230,7 +249,24 @@ def block_case_system(orders, a, b, window, weighting):
     return GaborSystem(win, make_lattice(g, a, b, weighting=weighting))
 
 
-@pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: f"{c[0]}-{c[3]}-{c[4]}")
+def case_id(case):
+    return f"{case[0]}-{case[3]}-{case[4]}"
+
+
+# and the benchmark's Gabor design: Z/512, a = b = 16, gauss(sqrt(512))
+GABOR_DESIGN_CASE = ((512,), 16, 16, f"gauss:{math.sqrt(512)!r}", "ambient")
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES + [GABOR_DESIGN_CASE], ids=case_id)
+def test_zak_spectrum_matches_walnut_blocks(case):
+    system = block_case_system(*case)
+    zak = np.sort(system.spectrum[0].ravel())
+    walnut = np.sort(walnut_spectrum(system)[0].ravel())
+    assert zak.shape == walnut.shape == (system.group.order,)
+    assert np.max(np.abs(zak - walnut)) <= 1e-12 * np.max(np.abs(walnut))
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=case_id)
 def test_block_bounds_match_dense_spectrum(case):
     system = block_case_system(*case)
     evals = np.linalg.eigvalsh(dense_frame_matrix(system))
@@ -239,7 +275,7 @@ def test_block_bounds_match_dense_spectrum(case):
     assert b == pytest.approx(evals[-1], rel=1e-12)
 
 
-@pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: f"{c[0]}-{c[3]}-{c[4]}")
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=case_id)
 def test_block_dual_matches_dense_solve(case):
     system = block_case_system(*case)
     expected = np.linalg.solve(dense_frame_matrix(system), system.window.values)
@@ -248,7 +284,7 @@ def test_block_dual_matches_dense_solve(case):
     assert np.allclose(dual.values, expected, rtol=0, atol=1e-10 * scale)
 
 
-@pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: f"{c[0]}-{c[3]}-{c[4]}")
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=case_id)
 def test_block_tight_window_matches_dense_inverse_root(case):
     system = block_case_system(*case)
     evals, vecs = np.linalg.eigh(dense_frame_matrix(system))
@@ -258,7 +294,7 @@ def test_block_tight_window_matches_dense_inverse_root(case):
     assert np.allclose(tight.values, expected, rtol=0, atol=1e-10 * scale)
 
 
-@pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: f"{c[0]}-{c[3]}-{c[4]}")
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=case_id)
 def test_bounds_give_dense_distance_to_identity(case):
     # run_frames' s_minus_identity: S is Hermitian with spectrum in [A, B]
     system = block_case_system(*case)
