@@ -21,8 +21,8 @@ from .groups import (
     Group,
     Lattice,
     PhasePoint,
+    character_rows,
     character_table,
-    character_value,
     make_group,
     make_lattice,
     phase_space,

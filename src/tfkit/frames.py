@@ -36,13 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FrameError, GroupMismatchError, LatticeError
-from .groups import (
-    Group,
-    Lattice,
-    PhasePoint,
-    character_value,
-    product_group,
-)
+from .groups import Group, Lattice, PhasePoint, character_rows, product_group
 from .kernels import KernelOperator, kernel_signal
 from .signals import Signal, shift_matrix
 from .transform import pairing_rows, phase_atoms, synthesis
@@ -291,18 +285,15 @@ def atomic_operator_expand(
     rebuilt = gabor_synthesize(system, kernel_coeffs)
     kernel_error = float(np.max(np.abs(rebuilt.values - op.kernel.ravel())))
     k1 = op.domain.nfactors
-    nu1 = []
-    nu2 = []
-    phases = np.empty(len(kernel_coeffs), dtype=complex)
-    for j, (x, w) in enumerate(lattice.points()):
-        x1, x2 = x[:k1], x[k1:]
-        w1, w2 = w[:k1], w[k1:]
-        nu1.append(PhasePoint(x1, w1))
-        nu2.append(PhasePoint(x2, w2))
-        phases[j] = character_value(op.domain, x1, w1)
+    points = lattice.points()
+    # w1(x1) at every lattice point: an index i of G1 x G2 is
+    # i1 * |G2| + i2, and the points run time-major
+    times, freqs = lattice.nodes
+    n2 = op.codomain.order
+    phases = character_rows(op.domain, freqs // n2)[:, times // n2].T.ravel()
     return OperatorExpansion(
-        domain_points=tuple(nu1),
-        codomain_points=tuple(nu2),
+        domain_points=tuple(PhasePoint(x[:k1], w[:k1]) for x, w in points),
+        codomain_points=tuple(PhasePoint(x[k1:], w[k1:]) for x, w in points),
         coefficients=kernel_coeffs * phases,
         kernel_coefficients=kernel_coeffs,
         system=system,

@@ -7,6 +7,9 @@ identified with the same coordinate grid through the pairing
 
     w(x) = exp(2 pi i sum_j x_j w_j / n_j)
 
+character_rows is the one place this is computed, as a product over the
+factors, for the dual elements asked; character_table caches all of it.
+
 Haar measure is a constant per-point weight.  A group always carries the
 pair (weight, dual_weight) tied by
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,7 +41,7 @@ __all__ = [
     "make_group",
     "product_group",
     "phase_space",
-    "character_value",
+    "character_rows",
     "character_table",
     "element_coords",
     "wrap_distance",
@@ -183,40 +186,39 @@ def phase_space(g: Group) -> Group:
     return Group(g.orders + g.orders, w, Fraction(1) / (Fraction(g.order) ** 2 * w))
 
 
-def character_value(group: Group, x, w) -> complex:
-    """The character of the dual element w evaluated at x.
+def element_coords(group: Group) -> np.ndarray:
+    """Coordinates of every element, shape (nfactors, |G|): column i is
+    group.coords(i).  Shift, negation and lattice-node indices and the
+    character rows are built from this grid for the rows asked; only
+    character_table keeps a |G| x |G| array."""
+    return np.indices(group.orders).reshape(group.nfactors, group.order)
 
-    The phase exponent is accumulated as an exact rational before the
-    single complex exponential, so characters of roots of unity come out
-    as accurately as double precision allows.
+
+def character_rows(group: Group, freqs=slice(None)) -> np.ndarray:
+    """Character rows of the dual elements at the enumeration indices
+    freqs (a slice or an index array), [row, x_index] = w(x).
+
+    Per factor the phase of w_j at x_j is exp((2 pi i)(w_j x_j) / n_j);
+    the factors are multiplied in enumeration order, starting from ones,
+    so each row has the bits of the same row of the whole table.  Only
+    the rows asked are built.
     """
-    x = group.reduce(x)
-    w = group.reduce(w)
-    frac = sum((Fraction(a * b, n) for a, b, n in zip(x, w, group.orders)), Fraction(0)) % 1
-    return complex(np.exp(2j * np.pi * float(frac)))
+    coords = element_coords(group)
+    dual_coords = coords[:, freqs]
+    rows = np.ones((dual_coords.shape[1], group.order), dtype=complex)
+    for w, x, n in zip(dual_coords, coords, group.orders):
+        factor = np.exp(2j * np.pi * np.outer(w, np.arange(n)) / n)
+        rows *= factor[:, x]
+    return rows
 
 
 @lru_cache(maxsize=64)
 def character_table(group: Group) -> np.ndarray:
-    """Matrix of all character values, [w_index, x_index] = w(x).
-
-    Built as a Kronecker product of the cyclic factor tables, which
-    matches the lexicographic enumeration on both axes.  Read-only.
-    """
-    table = np.ones((1, 1), dtype=complex)
-    for n in group.orders:
-        grid = np.outer(np.arange(n), np.arange(n))
-        factor = np.exp(2j * np.pi * grid / n)
-        table = np.kron(table, factor)
+    """All of character_rows, [w_index, x_index] = w(x): read-only and
+    cached, for the callers that need every row."""
+    table = character_rows(group)
     table.flags.writeable = False
     return table
-
-
-def element_coords(group: Group) -> np.ndarray:
-    """Coordinates of every element, shape (nfactors, |G|): column i is
-    group.coords(i).  Shift, negation and lattice-node indices are built
-    from this grid for the rows asked; nothing |G| x |G| is cached."""
-    return np.indices(group.orders).reshape(group.nfactors, group.order)
 
 
 def wrap_distance(group: Group) -> np.ndarray:
@@ -279,16 +281,20 @@ class Lattice:
     def index_in_phase_space(self) -> int:
         return self.group.order ** 2 // self.size
 
-    @property
+    @cached_property
     def nodes(self) -> tuple:
         """(times, freqs): enumeration indices of the time nodes and of the
         frequency nodes, the elements whose coordinates are multiples of
-        the steps, in enumeration order."""
+        the steps, in enumeration order; computed on first use and kept,
+        read-only."""
         coords = element_coords(self.group)
-        return tuple(
+        out = tuple(
             np.flatnonzero(np.all(coords % np.reshape(steps, (-1, 1)) == 0, axis=0))
             for steps in (self.time_step, self.freq_step)
         )
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
     def points(self) -> list:
         """All lattice points as PhasePoint tuples, time-major."""

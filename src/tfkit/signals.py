@@ -15,7 +15,10 @@ is the L2 form.  Conflating them silently breaks the reconstruction
 identities, so every call site here names the one it means.
 
 All value arrays are complex128, flat in the group's lexicographic
-enumeration order, and frozen (read-only) once constructed.
+enumeration order, and frozen (read-only) once constructed.  Shifts and
+modulations build the rows asked: modulate reads one character row off
+groups.character_rows, and only modulations, which needs every row,
+reads the cached groups.character_table.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import GroupMismatchError
 from .groups import (
     Group,
     PhasePoint,
+    character_rows,
     character_table,
     element_coords,
     product_group,
@@ -179,9 +183,9 @@ def shift_matrix(g: Signal, times=slice(None)) -> np.ndarray:
 
 
 def modulate(f: Signal, w) -> Signal:
-    """(E_w f)(t) = w(t) f(t)."""
+    """(E_w f)(t) = w(t) f(t), off the one character row of w."""
     g = f.group
-    return Signal(g, character_table(g)[g.index(w)] * f.values)
+    return Signal(g, character_rows(g, [g.index(w)])[0] * f.values)
 
 
 def modulations(f: Signal) -> np.ndarray:

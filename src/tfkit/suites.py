@@ -71,7 +71,6 @@ from .frames import (
     atomic_expand,
     canonical_dual,
     frame_bounds,
-    frame_operator,
     gabor_atoms,
     gabor_synthesize,
 )
@@ -715,10 +714,6 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
     detail = f"{_group_token(grp.orders)} a={cfg['a']} b={cfg['b']}"
     res.summary["frame_rep_defect"] = np.max(rep_defects)
     res.grade("dual_reconstruction", detail, np.max(rep_defects), tol * 100)
-    # the dense Gram route against the spectrum route that made the dual
-    full = frame_operator(system)
-    inverts = l2_norm(full.apply(dual) - window) / max(1.0, l2_norm(window))
-    res.grade("dual_inverts_frame", detail, inverts, tol * 100)
 
     # partial sum k minus the full sum is minus the tail past point k,
     # walked back by one elementwise rank-one add per point, with its image
@@ -734,6 +729,11 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
         tail += np.outer(atoms[k - 1].conj() * weight, atoms[k - 1])
         image += coeffs[k - 1] * atoms[k - 1]
     rows.reverse()
+    # after the last add the tail is the dense frame operator: its route
+    # against the spectrum route that made the dual
+    full = KernelOperator(grp, grp, tail)
+    inverts = l2_norm(full.apply(dual) - window) / max(1.0, l2_norm(window))
+    res.grade("dual_inverts_frame", detail, inverts, tol * 100)
     res.tables["frames.csv"] = (
         ("subset_size", "kernel_defect", "probe_defect"),
         rows,
@@ -875,6 +875,8 @@ def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
     energy = l2_norm(g1)
     if math.isinf(energy):
         raise WindowError("window energy overflows")
+    if energy == 0 and np.any(g1.values):
+        raise WindowError("window energy underflows")
     g1 = Signal(grp, g1.values / energy)
     dual = grp.dual()
     g2_dual = _normalized_gauss(dual)

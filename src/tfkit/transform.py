@@ -7,6 +7,8 @@ pairing_rows is the only forward analysis: the STFT, the operator phase
 sums and the Gabor coefficients are all read off it, stft(g, s) as
 conj(pairing_table(g, conj(s))).  synthesis is the only way back: the
 inversion formula (stft_invert) and the Gabor synthesis are read off it.
+phase_atoms builds the character rows of the frequencies it is asked
+for (groups.character_rows), never the whole cached table.
 
 A phase table is a function on G x dual(G), stored as an (|G|, |G|)
 array indexed [time, frequency] in enumeration order.  Two tables are
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, WindowError
-from .groups import Group, character_table, make_lattice
+from .groups import Group, character_rows, make_lattice
 from .signals import Signal, fourier, l2_norm, modulations, same_group, shift_matrix
 
 __all__ = [
@@ -105,9 +107,10 @@ def _char_sum_rows(rows: np.ndarray, group: Group) -> np.ndarray:
 
 def phase_atoms(window: Signal, times=slice(None), freqs=slice(None)) -> np.ndarray:
     """Atom matrix, one row pi(x, w) window per phase point, time-major;
-    times and freqs optionally restrict x and w to index subsets."""
+    times and freqs optionally restrict x and w to index subsets, and
+    only the shift and character rows of those subsets are built."""
     shifts = shift_matrix(window, times)
-    chars = character_table(window.group)[freqs]
+    chars = character_rows(window.group, freqs)
     return (shifts[:, None, :] * chars[None, :, :]).reshape(-1, window.group.order)
 
 

@@ -1,13 +1,59 @@
-"""Dense oracles shared by the test modules."""
+"""Dense oracles and fixtures shared by the test modules."""
+
+import cmath
+import math
 
 import numpy as np
 
 from tfkit.errors import GroupMismatchError
 from tfkit.frames import GaborSystem, canonical_dual, gabor_atoms
-from tfkit.groups import character_table
+from tfkit.groups import character_table, make_lattice
 from tfkit.kernels import KernelOperator
-from tfkit.signals import Signal, l2_norm, shift_matrix
+from tfkit.signals import Signal, dirac, gauss, l2_norm, shift_matrix
 from tfkit.transform import pairing_rows, phase_atoms, stft
+
+
+def naive_char(group, x, w):
+    """w(x) off the defining sum of phases, one point at a time."""
+    phase = 0.0
+    for xi, wi, n in zip(x, w, group.orders):
+        phase += (xi % n) * (wi % n) / n
+    return cmath.exp(2j * math.pi * phase)
+
+
+def kronecker_characters(group):
+    """The whole character table as a Kronecker product of the cyclic
+    factor tables, [w_index, x_index] = w(x); the bit oracle of
+    groups.character_rows, which multiplies the same factor phases in the
+    same order for the rows asked."""
+    table = np.ones((1, 1), dtype=complex)
+    for n in group.orders:
+        grid = np.outer(np.arange(n), np.arange(n))
+        factor = np.exp(2j * np.pi * grid / n)
+        table = np.kron(table, factor)
+    return table
+
+
+def random_operator(g1, g2, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    k = rng.standard_normal((g1.order, g2.order)) + 1j * rng.standard_normal(
+        (g1.order, g2.order)
+    )
+    return KernelOperator(g1, g2, k)
+
+
+def normalized_gauss(group, spread=1.0):
+    g = gauss(group, spread)
+    return Signal(group, g.values / l2_norm(g))
+
+
+def onb_system(grp):
+    """Critically sampled translates of the normalized impulse: an
+    orthonormal basis on any group, with exact unit frame bounds."""
+    lattice = make_lattice(grp, 1, grp.orders, weighting="index")
+    impulse = dirac(grp)
+    unit = Signal(grp, impulse.values / l2_norm(impulse))
+    return GaborSystem(unit, lattice)
 
 
 def operator_pairing_table(op, g1, g2):

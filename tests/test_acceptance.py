@@ -23,7 +23,6 @@ from tfkit.frames import (
 )
 from tfkit.groups import make_group, make_lattice
 from tfkit.kernels import (
-    KernelOperator,
     compose,
     fourier_operator,
     identity_operator,
@@ -58,6 +57,8 @@ from tfkit.signals import (
 )
 from tfkit.transform import m1_norm, mod_norm, stft, stft_invert
 
+from oracles import normalized_gauss, onb_system, random_operator
+
 GROUP_PAIRS = [((8,), (8,)), ((5,), (7,)), ((2, 3), (4,))]
 
 
@@ -65,25 +66,6 @@ def report(capsys, number, name, ok, detail):
     with capsys.disabled():
         status = "PASS" if ok else "FAIL"
         print(f"acceptance {number:02d} {name}: {status} ({detail})")
-
-
-def random_operator(g1, g2, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    k = rng.standard_normal((g1.order, g2.order)) + 1j * rng.standard_normal(
-        (g1.order, g2.order)
-    )
-    return KernelOperator(g1, g2, k)
-
-
-def normalized_gauss(group, spread=1.0):
-    g = gauss(group, spread)
-    return Signal(group, g.values / l2_norm(g))
-
-
-def onb_system(grp):
-    lattice = make_lattice(grp, 1, grp.orders, weighting="index")
-    unit = Signal(grp, dirac(grp).values / l2_norm(dirac(grp)))
-    return GaborSystem(unit, lattice)
 
 
 def test_c01_kernel_operator_bijection(capsys):

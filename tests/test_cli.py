@@ -312,6 +312,7 @@ def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):
             {"groups": [[8]], "windows": [{"kind": "values", "re": [0] * 8}]},
             "window is identically zero",
         ),
+        ("mpq", {"window": {"kind": "values", "re": [1e-320] + [0] * 7}}, "underflows"),
     ],
 )
 def test_hostile_window_is_a_failing_row(tmp_path, capsys, suite, overrides, message):

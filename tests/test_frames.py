@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -26,16 +25,12 @@ from tfkit.transform import phase_atoms, stft, stft_invert
 from oracles import (
     dual_atom_coefficients,
     gabor_synthesis,
+    naive_char,
+    onb_system,
+    random_operator,
     synthesize_operator_expansion,
     walnut_spectrum,
 )
-
-
-def naive_char(group, x, w):
-    phase = 0.0
-    for xi, wi, n in zip(x, w, group.orders):
-        phase += (xi % n) * (wi % n) / n
-    return cmath.exp(2j * math.pi * phase)
 
 
 def naive_atom(window, point):
@@ -47,15 +42,6 @@ def naive_atom(window, point):
             for t in g.elements()
         ]
     )
-
-
-def onb_system(grp):
-    """Critically sampled translates of the normalized impulse: an
-    orthonormal basis on any group, with exact unit frame bounds."""
-    lattice = make_lattice(grp, 1, grp.orders, weighting="index")
-    impulse = dirac(grp)
-    unit = Signal(grp, impulse.values / l2_norm(impulse))
-    return GaborSystem(unit, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +528,26 @@ def test_operator_expand_coefficients_carry_domain_phase():
         phase = naive_char(g, nu1.x, nu1.w)
         assert c == pytest.approx(k * phase, rel=1e-12, abs=1e-12)
     assert expansion.coefficient_l1 > 0
+
+
+@pytest.mark.parametrize(
+    "orders1, steps1, orders2, steps2",
+    [
+        ((2, 3), ((1, 1), (1, 3)), (4,), (2, 1)),
+        ((6,), (2, 3), (2, 2), (1, 2)),
+        ((6,), (1, 2), (4,), (2, 1)),
+    ],
+)
+def test_operator_expand_phases_at_strided_product_nodes(orders1, steps1, orders2, steps2):
+    # the phases are read at the product lattice's node indices i1 |G2| + i2
+    g1, g2 = make_group(orders1), make_group(orders2)
+    prototype = rank_one(gauss(g1, 1.0), gauss(g2, 1.0))
+    lattices = (make_lattice(g1, *steps1), make_lattice(g2, *steps2))
+    expansion = atomic_operator_expand(random_operator(g1, g2, 5), prototype, lattices)
+    for c, k, nu1 in zip(
+        expansion.coefficients, expansion.kernel_coefficients, expansion.domain_points
+    ):
+        assert c == pytest.approx(k * naive_char(g1, nu1.x, nu1.w), rel=1e-12, abs=1e-12)
 
 
 def test_operator_expand_identity_has_small_error():

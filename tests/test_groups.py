@@ -11,8 +11,8 @@ from tfkit.groups import (
     Group,
     Lattice,
     PhasePoint,
+    character_rows,
     character_table,
-    character_value,
     element_coords,
     make_group,
     make_lattice,
@@ -20,6 +20,8 @@ from tfkit.groups import (
     product_group,
     wrap_distance,
 )
+
+from oracles import kronecker_characters
 
 ORDERS = st.sampled_from([(2,), (3,), (8,), (2, 3), (4, 2), (2, 2, 2)])
 
@@ -86,24 +88,40 @@ def test_group_laws(data):
     assert g.neg(g.neg(a)) == g.reduce(a)
 
 
+def char(g, x, w):
+    """w(x), read off the character row of w."""
+    return character_rows(g, [g.index(w)])[0, g.index(x)]
+
+
 @given(st.data())
 def test_character_is_a_bicharacter(data):
     g = make_group(data.draw(ORDERS))
     x = coords_for(g, data)
     y = coords_for(g, data)
     w = coords_for(g, data)
-    lhs = character_value(g, g.add(x, y), w)
-    rhs = character_value(g, x, w) * character_value(g, y, w)
+    lhs = char(g, g.add(x, y), w)
+    rhs = char(g, x, w) * char(g, y, w)
     assert abs(lhs - rhs) < 1e-12
     # symmetric in the two slots
-    assert abs(character_value(g, x, w) - character_value(g, w, x)) < 1e-12
+    assert abs(char(g, x, w) - char(g, w, x)) < 1e-12
 
 
 def test_character_values_are_roots_of_unity():
     g = make_group((8,))
-    z = character_value(g, (1,), (1,))
+    z = char(g, (1,), (1,))
     assert abs(z - np.exp(2j * np.pi / 8)) < 1e-15
-    assert abs(character_value(g, (4,), (2,)) - 1.0) < 1e-15  # 8 | 4*2
+    assert abs(char(g, (4,), (2,)) - 1.0) < 1e-15  # 8 | 4*2
+
+
+@pytest.mark.parametrize("orders", [(12,), (2, 3), (1, 4), (4, 1, 2), (128,)])
+def test_character_rows_are_the_kronecker_table_bit_for_bit(orders):
+    g = make_group(orders)
+    want = kronecker_characters(g)
+    assert np.array_equal(character_rows(g), want)
+    assert np.array_equal(character_table(g), want)
+    assert np.array_equal(character_rows(g, slice(1, None, 3)), want[1::3])
+    picked = np.arange(g.order)[::-5]
+    assert np.array_equal(character_rows(g, picked), want[picked])
 
 
 def test_character_table_rows_are_orthogonal():
@@ -209,6 +227,16 @@ def test_lattice_nodes_are_the_multiples_of_the_steps(orders, a, b):
         assert nodes.tolist() == brute
     times, freqs = lat.nodes
     assert len(times) * len(freqs) == lat.size
+
+
+def test_lattice_nodes_are_computed_once_and_read_only():
+    lat = make_lattice(make_group((4, 6)), (2, 3), (1, 2))
+    first = lat.nodes
+    second = lat.nodes
+    assert all(a is b for a, b in zip(first, second))
+    for nodes in first:
+        with pytest.raises(ValueError):
+            nodes[0] = 1
 
 
 @pytest.mark.parametrize("orders,a,b", LATTICE_CASES)

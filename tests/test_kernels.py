@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from tfkit import kernels
 from tfkit.errors import GroupMismatchError
 from tfkit.groups import make_group, product_group
 from tfkit.kernels import (
-    KernelOperator,
     TensorExpansion,
     bilinear_form,
     compose,
@@ -40,24 +38,9 @@ from tfkit.signals import (
 )
 from tfkit.transform import mod_norm, m1_norm
 
-from oracles import operator_pairing_table, weak_reconstruction
+from oracles import naive_char, operator_pairing_table, random_operator, weak_reconstruction
 
 GROUP_PAIRS = [((8,), (8,)), ((5,), (7,)), ((2, 3), (4,))]
-
-
-def random_operator(g1, g2, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    k = rng.standard_normal((g1.order, g2.order)) + 1j * rng.standard_normal(
-        (g1.order, g2.order)
-    )
-    return KernelOperator(g1, g2, k)
-
-
-def naive_char(group, x, w):
-    phase = 0.0
-    for xi, wi, n in zip(x, w, group.orders):
-        phase += (xi % n) * (wi % n) / n
-    return cmath.exp(2j * math.pi * phase)
 
 
 def naive_apply(op, s):

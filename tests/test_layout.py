@@ -6,7 +6,8 @@ import ast
 import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tfkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tfkit"
 
 
 def _private(name: str) -> bool:
@@ -66,3 +67,23 @@ def test_no_numeric_module_knows_the_config_error():
             if "ConfigError" in names or getattr(node, "attr", None) == "ConfigError":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_table_the_tracer_reads_the_cache_of_keeps_its_cache():
+    # benchmarks/tracer.py calls cache_info() on each exported function
+    # named in its CACHED_TABLES; read the names without importing it
+    path = ROOT / "benchmarks" / "tracer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    cached = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "CACHED_TABLES" for t in node.targets)
+    )
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"tfkit.{path.stem}")
+        for name in set(cached) & set(getattr(module, "__all__", ())):
+            if not hasattr(getattr(module, name), "cache_info"):
+                missing.append(f"{path.stem}.{name}")
+    assert missing == []

@@ -24,14 +24,9 @@ from tfkit.modspaces import (
 from tfkit.signals import Signal, gauss, l2_norm, random_signal
 from tfkit.transform import mod_norm
 
-from oracles import operator_pairing_table
+from oracles import normalized_gauss, operator_pairing_table
 
 EXPONENTS = (1, 2, math.inf)
-
-
-def normalized_gauss(group, spread=1.0):
-    g = gauss(group, spread)
-    return Signal(group, g.values / l2_norm(g))
 
 
 def operator_zoo(g):

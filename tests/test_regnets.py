@@ -48,21 +48,9 @@ from tfkit.signals import (
 )
 from tfkit.transform import m1_norm
 
-from oracles import operator_pairing_table
+from oracles import normalized_gauss, onb_system, operator_pairing_table
 
 SPREADS = (2.0, 1.0, 0.5, 0.25)
-
-
-def normalized_gauss(group, spread=1.0):
-    g = gauss(group, spread)
-    return Signal(group, g.values / l2_norm(g))
-
-
-def onb_system(grp):
-    lattice = make_lattice(grp, 1, grp.orders, weighting="index")
-    impulse = dirac(grp)
-    unit = Signal(grp, impulse.values / l2_norm(impulse))
-    return GaborSystem(unit, lattice)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import cmath
 import math
 import tracemalloc
 
@@ -33,14 +32,9 @@ from tfkit.signals import (
     translate,
 )
 
+from oracles import naive_char
+
 ORDERS = st.sampled_from([(2,), (3,), (8,), (2, 3), (4, 2)])
-
-
-def naive_char(group, x, w):
-    phase = 0.0
-    for xi, wi, n in zip(x, w, group.orders):
-        phase += (xi % n) * (wi % n) / n
-    return cmath.exp(2j * math.pi * phase)
 
 
 def naive_fourier(f):

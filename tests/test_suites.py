@@ -8,7 +8,7 @@ from tfkit import kernels, modspaces, regnets, suites, transform
 from tfkit.errors import ConfigError
 from tfkit.frames import GaborSystem, frame_operator, partial_frame_sum
 from tfkit.groups import make_group, make_lattice
-from tfkit.kernels import KernelOperator, operator_phase_sums
+from tfkit.kernels import operator_phase_sums
 from tfkit.regnets import check_regularizing, pc_net, standard_probes
 from tfkit.signals import Signal, dirac, gauss, l2_norm, random_signal
 from tfkit.suites import (
@@ -309,12 +309,12 @@ def test_frames_suite_grades_dual_against_dense_frame_operator(monkeypatch):
 
 def test_frames_suite_fails_on_a_non_finite_frame_kernel(monkeypatch):
     # dual_inverts_frame is the suite's one check on the dense frame
-    # operator: a NaN kernel must fail it
-    def nan_frame_operator(system):
-        n = system.group.order
-        return KernelOperator(system.group, system.group, np.full((n, n), np.nan))
+    # operator, the sweep's sum of the atoms' rank-one terms: NaN atoms
+    # must fail it
+    def nan_atoms(system):
+        return np.full((system.lattice.size, system.group.order), np.nan, dtype=complex)
 
-    monkeypatch.setattr(suites, "frame_operator", nan_frame_operator)
+    monkeypatch.setattr(suites, "gabor_atoms", nan_atoms)
     res = run_default("frames")
     assert [row[0] for row in res.checks if row[-1] == "fail"] == ["dual_inverts_frame"]
     assert len(res.failures) == 1

@@ -1,5 +1,5 @@
-import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tfkit.errors import GroupMismatchError, WindowError
 from tfkit.frames import GaborSystem, gabor_atoms
-from tfkit.groups import PhasePoint, make_group, make_lattice
+from tfkit.groups import PhasePoint, character_table, make_group, make_lattice
 from tfkit.signals import (
     Signal,
     constant,
@@ -37,14 +37,9 @@ from tfkit.transform import (
     window_equivalence_ratio,
 )
 
+from oracles import naive_char
+
 ORDERS = st.sampled_from([(2,), (3,), (6,), (2, 3)])
-
-
-def naive_char(group, x, w):
-    phase = 0.0
-    for xi, wi, n in zip(x, w, group.orders):
-        phase += (xi % n) * (wi % n) / n
-    return cmath.exp(2j * math.pi * phase)
 
 
 def naive_stft(window, s):
@@ -297,6 +292,23 @@ def test_phase_atoms_subset_matches_full_rows_and_gabor_atoms():
     subset = phase_atoms(window, times, freqs)
     np.testing.assert_array_equal(subset, phase_atoms(window)[rows])
     np.testing.assert_array_equal(subset, gabor_atoms(GaborSystem(window, lattice)))
+
+
+def test_row_readers_leave_no_character_table_behind():
+    # Z/2048: the whole character table is 67 MB, and once cached it stays
+    g = make_group((2048,))
+    f = random_signal(g, 3)
+    window = gauss(g, 16.0)
+    before = character_table.cache_info()
+    tracemalloc.start()
+    try:
+        modulate(f, (5,))
+        phase_atoms(window, [0, 64], np.arange(0, 2048, 256))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert character_table.cache_info() == before
+    assert held < 1 << 20
 
 
 @pytest.mark.parametrize("orders", [(8,), (2, 3)])
