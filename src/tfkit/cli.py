@@ -7,9 +7,9 @@ tables plus summary.json into the output directory and prints one line
 per suite.  Exit status: 0 all checks passed, 1 at least one check
 failed (failing rows are listed; a check passes only when its value is
 at most its threshold, so a NaN fails, and a window or frame error
-inside a suite is a failing row), 2 a config value, flag or
-TFKIT_THREADS was malformed or the report directory could not be
-written (one `tfkit: ...` line on stderr).  The directory is made after
+inside a suite is a failing row), 2 a config file, value or flag was
+unreadable or malformed or the report directory could not be written
+(one `tfkit: ...` line on stderr).  The directory is made after
 the config has parsed and before the first suite runs.  The suite
 flags and their checks come from `suites.SCHEMA`.
 """

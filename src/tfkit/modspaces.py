@@ -33,7 +33,13 @@ from .errors import GroupMismatchError
 from .groups import Group
 from .kernels import KernelOperator, operator_phase_sums
 from .signals import Signal, l2_norm
-from .transform import PhaseTable, pairing_table, stft_invert, weighted_pnorm
+from .transform import (
+    PhaseTable,
+    pairing_table,
+    require_exponent,
+    stft_invert,
+    weighted_pnorm,
+)
 
 __all__ = [
     "conjugate_exponent",
@@ -45,22 +51,12 @@ __all__ = [
 
 def conjugate_exponent(p) -> float:
     """The exponent p' with 1/p + 1/p' = 1; maps 1 <-> inf and fixes 2."""
+    require_exponent(p)
     if p == math.inf:
         return 1.0
-    if not p >= 1:
-        raise ValueError(f"exponent must be in [1, inf], got {p}")
     if p == 1:
         return math.inf
     return p / (p - 1.0)
-
-
-def _check_exponents(ps, qs) -> None:
-    for p in ps:
-        if p != math.inf and not p >= 1:
-            raise ValueError(f"inner exponent must be in [1, inf], got {p}")
-    for q in qs:
-        if q != math.inf and not q >= 1:
-            raise ValueError(f"outer exponent must be in [1, inf], got {q}")
 
 
 def mpq_bounds(op: KernelOperator, g1: Signal, g2: Signal, ps, qs) -> np.ndarray:
@@ -71,7 +67,8 @@ def mpq_bounds(op: KernelOperator, g1: Signal, g2: Signal, ps, qs) -> np.ndarray
     is closed under conjugation.  One pass over the table serves the
     whole grid: the inner p-norms finish its per-p column sums.
     WindowError before the pass when g1 or g2 is identically zero."""
-    _check_exponents(ps, qs)
+    for p in (*ps, *qs):
+        require_exponent(p)
     sums = operator_phase_sums(op, g1, g2, ps)
     out = np.empty((len(ps), len(qs)))
     for i, (p, acc) in enumerate(zip(ps, sums.col_powers)):
@@ -90,7 +87,8 @@ def empirical_mpq_opnorms(
     (len(ps), len(qs)) like mpq_bounds.  Each probe's two bilinear tables
     are built once for the whole grid.  For each p, probes with vanishing
     denominator are skipped; if all vanish, ValueError."""
-    _check_exponents(ps, qs)
+    for p in (*ps, *qs):
+        require_exponent(p)
     p_conjs = [conjugate_exponent(p) for p in ps]
     best = np.full((len(ps), len(qs)), -math.inf)
     live = np.zeros(len(ps), dtype=bool)

@@ -10,11 +10,6 @@ no timestamps or environment details enter the reports -- so two runs
 with equal seeds produce byte-identical output on the same NumPy/BLAS
 build, at one BLAS thread or two (run_frames' sweep takes no matrix product).
 
-TFKIT_THREADS (an integer >= 1, default 1: serial) sets the worker
-count used to run the sub-suites of `all` concurrently; reports are
-written after all suites finish, in a fixed order, so the thread count
-never changes the bytes.
-
 Every config key is declared once, in SCHEMA, with its default and its
 parser; the command line derives its suite flags from the same table.
 
@@ -28,13 +23,10 @@ from __future__ import annotations
 
 import copy
 import csv
-import functools
 import json
 import math
-import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +44,13 @@ from .signals import (
     random_signal,
     tensor,
 )
-from .transform import m1_norm, mod_norm_conv, pairing_table, weighted_pnorm
+from .transform import (
+    m1_norm,
+    mod_norm_conv,
+    pairing_table,
+    require_exponent,
+    weighted_pnorm,
+)
 from .kernels import (
     KernelOperator,
     bilinear_form,
@@ -145,17 +143,16 @@ class SuiteResult:
 
 def load_config(path) -> dict:
     """Read and parse a JSON config; ConfigError carries line and column
-    on parse failure."""
+    on a syntax error, and the reason on any other failure to read it
+    (not UTF-8, an integer past Python's digit limit, deep nesting)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return data
@@ -267,7 +264,7 @@ def parse_signal_token(token) -> dict:
         try:
             spread = float(spec["spread"])
             gauss(make_group((1,)), spread)  # gauss's own check of the spread
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad gauss spread {spec['spread']!r}: {exc}") from exc
         return {"kind": "gauss", "spread": spread}
     if kind == "random":
@@ -283,7 +280,7 @@ def parse_signal_token(token) -> dict:
         try:
             re = np.asarray(spec["re"], dtype=float)
             im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad values literal: {exc}") from exc
         if re.ndim != 1 or im.ndim != 1:
             raise ConfigError("'re' and 'im' must be flat lists of numbers")
@@ -331,14 +328,15 @@ def _real_window(token) -> dict:
 
 
 def parse_exponent(token) -> float:
-    if isinstance(token, str) and token.lower() in ("inf", "infinity"):
-        return math.inf
+    """An exponent in [1, inf]: a number or a numeric string such as
+    '1.5' or 'inf' (float's spelling); a boolean is refused."""
     try:
+        if isinstance(token, bool):
+            raise ValueError("a boolean is not a number")
         value = float(token)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad exponent {token!r}") from exc
-    if isinstance(token, bool) or (value != math.inf and not value >= 1):
-        raise ConfigError(f"exponent must be in [1, inf], got {token!r}")
+        require_exponent(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad exponent {token!r}: {exc}") from exc
     return value
 
 
@@ -352,6 +350,17 @@ def _exponent_token(p) -> str:
 
 def _integer(minimum: int):
     return lambda value: config_int(value, minimum)
+
+
+def _stages(value) -> int:
+    """A stage count >= 1 whose pc net's last spread, 2 * 0.5**(stages - 1),
+    passes gauss's check; ldexp, unlike **, takes any int exponent."""
+    stages = config_int(value, 1)
+    try:
+        gauss(make_group((1,)), math.ldexp(2.0, 1 - stages))
+    except ValueError as exc:
+        raise ConfigError(f"too many stages for the pc net's spreads: {exc}") from exc
+    return stages
 
 
 def _tolerance(value) -> float:
@@ -446,7 +455,7 @@ SCHEMA = {
     "regnet": {
         "group": Key([8], parse_group_token),
         "construction": _choice("pc", _CONSTRUCTIONS, "which net construction to run"),
-        "stages": Key(4, _integer(1), help="number of stages"),
+        "stages": Key(4, _stages, help="number of stages"),
         "target": _choice(
             "identity", _TARGETS, "operator the sandwiched net should approximate"
         ),
@@ -997,32 +1006,17 @@ def run_suite(name: str, config: dict, seed: int, tol: float, out_dir=None) -> S
 
 
 def run_all(config: dict, seed: int, tol: float, out_dir=None) -> list:
-    """Run every suite (regnet in its three standard configurations),
-    after every section of the config has parsed.
-
-    TFKIT_THREADS >= 1 (default 1) sets the worker count; results come
-    back in the fixed suite order either way.  A given out_dir is made
-    after the parse and before the first suite runs, so a report
-    directory that cannot be made fails at once (ConfigError).
+    """Run every suite in SUITE_ORDER (regnet in its three standard
+    configurations), after every section of the config has parsed.  A
+    given out_dir is made after the parse and before the first suite
+    runs, so a report directory that cannot be made fails at once
+    (ConfigError).
     """
-    raw = os.environ.get("TFKIT_THREADS", "1").strip() or "1"
-    try:
-        threads = config_int(raw, 1)
-    except ConfigError as exc:
-        raise ConfigError(f"TFKIT_THREADS: {exc}") from exc
     sections = {name: _parse_section(config, name) for name in SUITE_ORDER}
     if out_dir is not None:
         _report_dir(out_dir)
-
-    jobs = []
-    for name in SUITE_ORDER:
-        runner = _run_regnet_all if name == "regnet" else _RUNNERS[name]
-        jobs.append(functools.partial(_graded, name, runner, sections[name], seed, tol))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(job) for job in jobs]
-            return [f.result() for f in futures]
-    return [job() for job in jobs]
+    runners = {**_RUNNERS, "regnet": _run_regnet_all}
+    return [_graded(name, runners[name], sections[name], seed, tol) for name in SUITE_ORDER]
 
 
 def _format_cell(value) -> str:

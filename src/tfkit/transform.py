@@ -48,6 +48,7 @@ __all__ = [
     "PhaseTable",
     "phase_points",
     "require_window",
+    "require_exponent",
     "phase_atoms",
     "pairing_rows",
     "synthesis",
@@ -91,6 +92,12 @@ def require_window(g: Signal):
     """WindowError when g is identically zero; a NaN window passes."""
     if not np.any(g.values):
         raise WindowError("window is identically zero")
+
+
+def require_exponent(p):
+    """ValueError unless the exponent p is in [1, inf]; a NaN fails."""
+    if not p >= 1:
+        raise ValueError(f"exponent must be in [1, inf], got {p}")
 
 
 def _char_sum_rows(rows: np.ndarray, group: Group) -> np.ndarray:
@@ -190,8 +197,7 @@ def stft_invert(window: Signal, table: PhaseTable) -> Signal:
 
 def mod_norm(s: Signal, window: Signal, p) -> float:
     """Modulation norm of order p in [1, inf] against the given window."""
-    if p != math.inf and not p >= 1:
-        raise ValueError(f"exponent must be in [1, inf], got {p}")
+    require_exponent(p)
     mags = np.abs(pairing_table(window, s).values)
     return float(weighted_pnorm(mags, window.group.phase_weight, p))
 

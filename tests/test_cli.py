@@ -189,6 +189,10 @@ def test_seed_changes_random_content(tmp_path):
         # eight entries, as Z/8 asks, but not flat
         (["frames"], {"frames": {"window": {"kind": "values", "re": [[1] * 4, [2] * 4]}}}),
         (["frames"], {"frames": {"window": {"kind": "values", "re": [[1]] * 8, "im": [[0]] * 8}}}),
+        # integers past the float range: float() raises OverflowError
+        (["mpq"], {"mpq": {"p": [10**400]}}),
+        (["frames"], {"frames": {"window": {"kind": "gauss", "spread": 10**400}}}),
+        (["frames"], {"frames": {"window": {"kind": "values", "re": [10**400] + [0] * 7}}}),
     ],
 )
 def test_malformed_flag_or_config_exits_two_with_one_line(tmp_path, capsys, argv, config):
@@ -261,8 +265,17 @@ def test_malformed_config_wins_over_out_and_makes_no_directory(tmp_path, capsys,
         ({"norms": {"groups": [[8], [2, 3]], "signals": ["dirac:1"]}}, "norms.signals"),
         ({"frames": {"window": {"kind": "values", "re": [1] * 5}}}, "frames.window"),
         ({"frames": {"a": 3}}, "frames.a"),
+        # the pc net's last spread, 2 * 0.5**539, squares to 0
+        ({"regnet": {"stages": 540}}, "regnet.stages"),
     ],
-    ids=["frames-dirac", "mpq-dirac", "norms-dirac", "frames-values", "frames-step"],
+    ids=[
+        "frames-dirac",
+        "mpq-dirac",
+        "norms-dirac",
+        "frames-values",
+        "frames-step",
+        "regnet-stages",
+    ],
 )
 def test_misfit_exits_two_before_any_suite_runs(tmp_path, capsys, runner_calls, overrides, key):
     # a literal that does not fit its group, or lattice steps that do not
@@ -277,6 +290,29 @@ def test_misfit_exits_two_before_any_suite_runs(tmp_path, capsys, runner_calls, 
         assert captured.err.startswith(f"tfkit: {key}: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+    assert runner_calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"\xff\xfe{}",
+        b'{"regnet": {"stages": 1' + b"0" * 4999 + b"}}",
+        b"[" * 100000 + b"]" * 100000,
+    ],
+    ids=["not-utf8", "int-past-digit-limit", "nested-past-recursion-limit"],
+)
+def test_unreadable_config_exits_two_with_one_line(tmp_path, capsys, runner_calls, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    out = tmp_path / "report"
+    assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"tfkit: cannot read config {cfg}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert runner_calls == []
     assert not out.exists()
 
@@ -355,17 +391,6 @@ def test_a_suite_without_tables_says_so(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "suite frames: no tables (1 failing checks)" in lines
     assert "suite kernel: kernel.csv (0 failing checks)" in lines
-
-
-@pytest.mark.parametrize("threads", ["0", "-5"])
-def test_thread_count_below_one_exits_two_with_one_line(
-    tmp_path, capsys, monkeypatch, threads
-):
-    monkeypatch.setenv("TFKIT_THREADS", threads)
-    assert main(["all", "--out", str(tmp_path / "r")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("tfkit: TFKIT_THREADS")
-    assert err.count("\n") == 1
 
 
 _FUZZ_KEYS = [(suite, key) for suite, keys in DEFAULTS.items() for key in keys]

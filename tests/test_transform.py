@@ -31,6 +31,7 @@ from tfkit.transform import (
     pairing_table,
     phase_atoms,
     phase_points,
+    require_exponent,
     stft,
     stft_invert,
     weighted_pnorm,
@@ -161,6 +162,14 @@ def test_mod_norm_exponent_validation():
     g = make_group((4,))
     with pytest.raises(ValueError):
         mod_norm(dirac(g), gauss(g, 1.0), 0.5)
+
+
+def test_require_exponent_takes_one_to_infinity_and_fails_nan():
+    for p in (1, 1.5, 2, 1e300, math.inf):
+        require_exponent(p)
+    for bad in (0.5, 0, -1, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^exponent must be in \[1, inf\], got "):
+            require_exponent(bad)
 
 
 def test_mod_norms_from_table():
