@@ -445,7 +445,11 @@ def test_each_operator_phase_table_is_built_once(monkeypatch):
     assert passes == list(net.stages)
 
 
-def test_window_error_in_run_all_is_the_suites_failing_row():
+# TFKIT_THREADS is ignored now that the suites run serially; setting it
+# must not change the failing row
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_window_error_in_run_all_is_the_suites_failing_row(monkeypatch, threads):
+    monkeypatch.setenv("TFKIT_THREADS", threads)
     config = merge_config({"frames": {"window": {"kind": "values", "re": [0] * 8}}})
     results = run_all(config, seed=0, tol=1e-8)
     assert [r.failures for r in results] == [
