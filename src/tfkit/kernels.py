@@ -19,7 +19,12 @@ Those norms, and those of regnets and modspaces, reduce the operator
 phase table B[nu1, nu2] = (pi(nu2) g2, T pi(nu1) g1), the kernel's own
 time-frequency table on G1 x G2 (the kernel theorem).  It has
 |G1|^2 |G2|^2 entries and is never held whole: operator_phase_sums
-streams it in chunks into a PhaseSums record of O(|G2|^2) floats.
+streams it in chunks of domain time nodes into a PhaseSums record of
+O(|G2|^2) floats.  A chunk is held only as |B|, one float array of about
+2^18 entries that the pass allocates once; transform.pairing_mags fills
+it through a complex block of 2^15 entries, so the complex B of a chunk
+never exists.  Every reduction runs in one fixed order over the whole
+chunk, so the sums do not depend on the block sizes.
 """
 
 from __future__ import annotations
@@ -33,7 +38,15 @@ import numpy as np
 from .errors import GroupMismatchError
 from .groups import Group, character_table, product_group
 from .signals import Signal, gauss
-from .transform import m1_norm, pairing_rows, require_window, stft, stft_invert
+from .transform import (
+    m1_norm,
+    pairing_mags,
+    pairing_rows,
+    require_exponent,
+    require_window,
+    stft,
+    stft_invert,
+)
 
 __all__ = [
     "KernelOperator",
@@ -180,10 +193,15 @@ def operator_matrix(op: KernelOperator) -> np.ndarray:
     return op.kernel.T * float(op.domain.weight)
 
 
-# Entries of B per chunk of domain time nodes (at least one node): 2^18
-# complex values, 4 MB.  It fixes the summation order, and so the report
-# bytes; it never depends on the thread count.
+# Entries of B per chunk of domain time nodes (at least one node), 2^18.
+# The chunk is one float array of |B|, 2 MB, which the pass allocates once
+# and transform.pairing_mags fills through its 512 KB complex block.  It
+# fixes the summation order, and so the report bytes; it never depends on
+# the thread count.
 _CHUNK_ENTRIES = 2**18
+# Entries of |B|**p per block of a chunk's column sums at finite p != 1;
+# the block size does not change the sums (_column_power_sums).
+_POWER_ENTRIES = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,37 +237,73 @@ def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> Ph
 
     so B comes out in the table's own layout, by the same arithmetic as
     the rows tests/oracles.py builds whole; only the order of the sums
-    differs.  WindowError before the pass when g1 or g2 is identically
-    zero (transform.require_window).
+    differs.  The second stage is transform.pairing_mags, which writes
+    |B| into the pass's one float chunk array through a 512 KB complex
+    block, multiplying through float views when g2 is real; it gives the
+    bits np.abs of the chunk's complex B would give.  The sums, maxima and
+    row sums read the chunk array whole; p = 1 sums its columns directly,
+    and a finite p != 1 adds the powers of one block of rows at a time to
+    a running column sum, in the same order.  ValueError unless every p
+    is in [1, inf], and WindowError when g1 or g2 is identically zero,
+    both before the pass.
     """
     if g1.group != op.domain or g2.group != op.codomain:
         raise GroupMismatchError("windows do not match the operator's groups")
     require_window(g1)
     require_window(g2)
     ps = tuple(ps)  # walked once per chunk
+    for p in ps:
+        require_exponent(p)
     n1, n2 = op.domain.order, op.codomain.order
     step = max(1, _CHUNK_ENTRIES // (n1 * n2 * n2))
+    chunk = np.empty((min(step, n1) * n1, n2 * n2))
     total, peak, row_peak = 0.0, 0.0, 0.0
     col_powers = [np.zeros(n2 * n2) for _ in ps]
     for lo in range(0, n1, step):
         half = pairing_rows(g1, op.kernel.T, slice(lo, lo + step))
-        # C order, or the products inherit the transposed layout and
-        # every reshape downstream copies the chunk
-        mags = np.abs(pairing_rows(g2, np.ascontiguousarray(half.T)))
+        mags = pairing_mags(g2, half.T, chunk[: half.shape[1]])
         total += np.sum(mags)
         peak = np.maximum(peak, np.max(mags))
         row_peak = np.maximum(row_peak, np.max(np.sum(mags, axis=1)))
         for acc, p in zip(col_powers, ps):
             if p == math.inf:
                 np.maximum(acc, np.max(mags, axis=0), out=acc)
+            elif p == 1:
+                acc += np.sum(mags, axis=0)
             else:
-                acc += np.sum(mags**p, axis=0)
+                acc += _column_power_sums(mags, p)
     return PhaseSums(
         m1=float(total * op.domain.phase_weight * op.codomain.phase_weight),
         peak=float(peak),
         row_peak=float(row_peak),
         col_powers=tuple(col_powers),
     )
+
+
+def _column_power_sums(mags: np.ndarray, p) -> np.ndarray:
+    """np.sum(mags**p, axis=0) with no array the size of mags.  Each block
+    of rows is copied into rows 1.. of a buffer and raised in place (**=
+    takes the fast paths of **, such as the square at p = 2); row 0 holds
+    the sum of the rows before the block.  numpy's axis-0 sum adds the
+    rows of a C-ordered array one after another, so the bits are those of
+    the whole sum.  A single column (|G2| = 1) numpy sums pairwise
+    instead, so there the whole chunk is one block."""
+    cols = mags.shape[1]
+    rows = len(mags) if cols == 1 else min(len(mags), max(1, _POWER_ENTRIES // cols))
+    powers = np.empty((rows + 1, cols))
+    run = None
+    for lo in range(0, len(mags), rows):
+        block = mags[lo : lo + rows]
+        part = powers[: 1 + len(block)]
+        tail = part[1:]
+        tail[...] = block
+        tail **= p
+        if run is None:
+            run = np.sum(tail, axis=0)
+        else:
+            part[0] = run
+            np.sum(part, axis=0, out=run)
+    return run
 
 
 def operator_m1_norm(op: KernelOperator, g1: Signal, g2: Signal) -> float:

@@ -2,13 +2,17 @@
 
 The phase-space core the other modules build on lives here: the atom
 matrix phase_atoms, the batched bilinear table pairing_rows, its
-transpose synthesis and the weighted p-norm weighted_pnorm.
-pairing_rows is the only forward analysis: the STFT, the operator phase
-sums and the Gabor coefficients are all read off it, stft(g, s) as
-conj(pairing_table(g, conj(s))).  synthesis is the only way back: the
-inversion formula (stft_invert) and the Gabor synthesis are read off it.
-phase_atoms builds the character rows of the frequencies it is asked
-for (groups.character_rows), never the whole cached table.
+magnitude reader pairing_mags, its transpose synthesis and the weighted
+p-norm weighted_pnorm.  pairing_rows is the only forward analysis: the
+STFT and the Gabor coefficients are read off it, stft(g, s) as
+conj(pairing_table(g, conj(s))).  pairing_mags writes |pairing_rows|
+into a float array the caller owns, through one bounded complex block;
+the operator phase sums read the second stage of their pass off it.
+Both share one product and character sum (_pairing_block).  synthesis
+is the only way back: the inversion formula (stft_invert) and the Gabor
+synthesis are read off it.  phase_atoms builds the character rows of
+the frequencies it is asked for (groups.character_rows), never the whole
+cached table.
 
 A phase table is a function on G x dual(G), stored as an (|G|, |G|)
 array indexed [time, frequency] in enumeration order.  Two tables are
@@ -51,6 +55,7 @@ __all__ = [
     "require_exponent",
     "phase_atoms",
     "pairing_rows",
+    "pairing_mags",
     "synthesis",
     "weighted_pnorm",
     "stft",
@@ -102,9 +107,9 @@ def require_exponent(p):
 
 def _char_sum_rows(rows: np.ndarray, group: Group) -> np.ndarray:
     """Apply sum_t u(t) w(t) along each row, overwriting rows where its
-    layout allows, so callers pass an array they own: the operator pass
-    runs this per chunk, and a fresh FFT output there costs about as
-    much again.  The out= of numpy.fft needs NumPy 2."""
+    layout allows, so callers pass an array they own: pairing_mags runs
+    this per block, and a fresh FFT output there costs about as much
+    again.  The out= of numpy.fft needs NumPy 2."""
     shaped = rows.reshape((-1,) + group.orders)
     axes = tuple(range(1, group.nfactors + 1))
     np.fft.ifftn(shaped, axes=axes, out=shaped)
@@ -121,16 +126,70 @@ def phase_atoms(window: Signal, times=slice(None), freqs=slice(None)) -> np.ndar
     return (shifts[:, None, :] * chars[None, :, :]).reshape(-1, window.group.order)
 
 
+def _pairing_block(rows: np.ndarray, shifts: np.ndarray, tables: np.ndarray, group: Group):
+    """Bilinear tables of rows against shift rows, written into the
+    complex tables shaped (len(rows), len(shifts), |G|): the product
+    tables[j, x] = rows[j] * shifts[x], then the character sum along the
+    last axis and the Haar weight, in place.  rows and shifts are complex,
+    or float views of (re, im) pairs with each shift value repeated once
+    per pair (pairing_mags).  The weight multiply is skipped at weight 1,
+    where it is exact."""
+    np.multiply(rows[:, None, :], shifts[None, :, :], out=tables.view(shifts.dtype))
+    _char_sum_rows(tables.reshape(-1, group.order), group)
+    if group.weight != 1:
+        tables *= float(group.weight)
+
+
 def pairing_rows(window: Signal, rows: np.ndarray, times=slice(None)) -> np.ndarray:
     """Bilinear tables of a stack of value rows, time-major like
     phase_points: out[j, (x, w)] = (pi(x,w) window, rows[j]); times
     optionally restricts x to an index subset, as in phase_atoms."""
-    grp, n = window.group, window.group.order
     shifts = shift_matrix(window, times)
-    prod = rows[:, None, :] * shifts[None, :, :]
-    tables = _char_sum_rows(prod.reshape(-1, n), grp).reshape(len(rows), len(shifts) * n)
-    tables *= float(grp.weight)
-    return tables
+    tables = np.empty((len(rows),) + shifts.shape, dtype=complex)
+    _pairing_block(rows, shifts, tables, window.group)
+    return tables.reshape(len(rows), -1)
+
+
+# Complex entries per block of pairing_mags, 2^15 (512 KB), or one row of
+# |G| when that is longer.  Each FFT row sees the same arithmetic in any
+# block, so the bits do not depend on it.
+_BLOCK_ENTRIES = 2**15
+
+
+def pairing_mags(window: Signal, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|pairing_rows(window, rows)| written into out, a C-contiguous
+    float array of len(rows) x |G|^2 entries that the caller owns;
+    returns out.
+
+    The shift rows are built once, and the tables go through one complex
+    block of at most _BLOCK_ENTRIES entries, one block of (row, shift)
+    pairs at a time, so no complex array the size of out is made.  When
+    the window is real and both it and the rows are finite, the product
+    runs on float views: each row as (re, im) pairs, times the shift rows
+    repeated once per pair.  That differs from the complex product only
+    in the sign of zeros, which the FFT carries along and abs drops, so
+    out holds the same bits either way.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("pairing_mags writes into a C-contiguous out")
+    grp, n = window.group, window.group.order
+    # C order, which the float view needs and every block reads row by row
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    shifts = shift_matrix(window)
+    finite = np.isfinite(window.values).all() and np.isfinite(rows).all()
+    if finite and not np.any(window.values.imag):
+        rows, shifts = rows.view(float), np.repeat(shifts.real, 2, axis=1)
+    pairs = max(1, _BLOCK_ENTRIES // n)
+    per_row, per_shift = max(1, pairs // n), min(n, pairs)
+    block = np.empty(per_row * per_shift * n, dtype=complex)
+    mags = out.reshape(len(rows), n, n)
+    for lo in range(0, len(rows), per_row):
+        for x in range(0, n, per_shift):
+            part = mags[lo : lo + per_row, x : x + per_shift]
+            tables = block[: part.size].reshape(part.shape)
+            _pairing_block(rows[lo : lo + per_row], shifts[x : x + per_shift], tables, grp)
+            np.abs(tables, out=part)
+    return out
 
 
 def synthesis(

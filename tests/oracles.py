@@ -8,7 +8,7 @@ import numpy as np
 from tfkit.errors import GroupMismatchError
 from tfkit.frames import GaborSystem, canonical_dual, gabor_atoms
 from tfkit.groups import character_table, make_lattice
-from tfkit.kernels import KernelOperator
+from tfkit.kernels import KernelOperator, PhaseSums
 from tfkit.signals import Signal, dirac, gauss, l2_norm, shift_matrix
 from tfkit.transform import pairing_rows, phase_atoms, stft
 
@@ -66,6 +66,39 @@ def operator_pairing_table(op, g1, g2):
     if g1.group != op.domain or g2.group != op.codomain:
         raise GroupMismatchError("windows do not match the operator's groups")
     return pairing_rows(g2, pairing_rows(g1, op.kernel.T).T)
+
+
+def chunked_phase_sums(op, g1, g2, ps=()):
+    """The streamed pass over B with a whole complex chunk: pairing_rows
+    in both stages, np.abs of the chunk, and |B|**p of the chunk per
+    finite p, in chunks of 2^18 entries.  The bit oracle of
+    kernels.operator_phase_sums, which fills one float chunk through a
+    bounded complex block (transform.pairing_mags) and must reduce it in
+    this order."""
+    if g1.group != op.domain or g2.group != op.codomain:
+        raise GroupMismatchError("windows do not match the operator's groups")
+    ps = tuple(ps)
+    n1, n2 = op.domain.order, op.codomain.order
+    step = max(1, 2**18 // (n1 * n2 * n2))
+    total, peak, row_peak = 0.0, 0.0, 0.0
+    col_powers = [np.zeros(n2 * n2) for _ in ps]
+    for lo in range(0, n1, step):
+        half = pairing_rows(g1, op.kernel.T, slice(lo, lo + step))
+        mags = np.abs(pairing_rows(g2, np.ascontiguousarray(half.T)))
+        total += np.sum(mags)
+        peak = np.maximum(peak, np.max(mags))
+        row_peak = np.maximum(row_peak, np.max(np.sum(mags, axis=1)))
+        for acc, p in zip(col_powers, ps):
+            if p == math.inf:
+                np.maximum(acc, np.max(mags, axis=0), out=acc)
+            else:
+                acc += np.sum(mags**p, axis=0)
+    return PhaseSums(
+        m1=float(total * op.domain.phase_weight * op.codomain.phase_weight),
+        peak=float(peak),
+        row_peak=float(row_peak),
+        col_powers=tuple(col_powers),
+    )
 
 
 def weak_reconstruction(op, window, s):

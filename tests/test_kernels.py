@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tfkit import kernels
+from tfkit import kernels, transform
 from tfkit.errors import GroupMismatchError
 from tfkit.groups import make_group, product_group
 from tfkit.kernels import (
+    KernelOperator,
     TensorExpansion,
     bilinear_form,
     compose,
@@ -38,7 +39,13 @@ from tfkit.signals import (
 )
 from tfkit.transform import mod_norm, m1_norm
 
-from oracles import naive_char, operator_pairing_table, random_operator, weak_reconstruction
+from oracles import (
+    chunked_phase_sums,
+    naive_char,
+    operator_pairing_table,
+    random_operator,
+    weak_reconstruction,
+)
 
 GROUP_PAIRS = [((8,), (8,)), ((5,), (7,)), ((2, 3), (4,))]
 
@@ -397,6 +404,89 @@ def test_phase_sums_with_a_ragged_last_chunk(monkeypatch):
     assert chunked.peak == whole.peak
     for got, want in zip(chunked.col_powers, whole.col_powers):
         np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+def assert_same_bits(got, want):
+    # every field equal, NaN where the oracle has NaN
+    for name in ("m1", "peak", "row_peak"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a == b or (math.isnan(a) and math.isnan(b)), name
+    assert len(got.col_powers) == len(want.col_powers)
+    for a, b in zip(got.col_powers, want.col_powers):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+BIT_EXPONENTS = (1, 2, 3, 1.5, math.inf)
+
+
+def _real_case(orders1, orders2, ps, seed, dual=False):
+    g1, g2 = make_group(orders1), make_group(orders2)
+    g2 = g2.dual() if dual else g2
+    return random_operator(g1, g2, seed), gauss(g1, 2.0), gauss(g2, 2.5), ps
+
+
+def _complex_g2_case():
+    g1, g2 = make_group((12,)), make_group((10,))
+    w2 = random_signal(g2, 7) + gauss(g2, 1.0)
+    return random_operator(g1, g2, 8), gauss(g1, 1.0), w2, BIT_EXPONENTS
+
+
+def _inf_kernel_case():
+    op, g1, g2, ps = _real_case((6,), (8,), BIT_EXPONENTS, 9)
+    kernel = op.kernel.copy()
+    kernel[2, 5] = math.inf
+    return KernelOperator(op.domain, op.codomain, kernel), g1, g2, ps
+
+
+def _nan_window_case():
+    op, g1, g2, ps = _real_case((6,), (8,), BIT_EXPONENTS, 10)
+    values = g2.values.copy()
+    values[3] = math.nan
+    return op, g1, Signal(g2.group, values), ps
+
+
+# name -> (operator, g1, g2, ps) of one bit-oracle case
+BIT_CASES = {
+    "real-32": lambda: _real_case((32,), (32,), (1, 2, math.inf), 3),
+    "real-32-no-p": lambda: _real_case((32,), (32,), (), 3),
+    "chunks-24-28": lambda: _real_case((24,), (28,), BIT_EXPONENTS, 4),
+    "factors-4x6-24": lambda: _real_case((4, 6), (24,), BIT_EXPONENTS, 5),
+    "dual-weight": lambda: _real_case((8, 8), (4, 16), (2, math.inf), 6, dual=True),
+    "complex-g2": _complex_g2_case,
+    "inf-kernel": _inf_kernel_case,
+    "nan-window": _nan_window_case,
+    "order-1-to-5": lambda: _real_case((1,), (5,), BIT_EXPONENTS, 11),
+    "order-5-to-1": lambda: _real_case((5,), (1,), BIT_EXPONENTS, 11),
+    "order-1-to-1": lambda: _real_case((1,), (1,), BIT_EXPONENTS, 11),
+}
+
+
+@pytest.mark.parametrize("name", list(BIT_CASES))
+def test_phase_sums_have_the_bits_of_the_complex_chunk_pass(name):
+    op, g1, g2, ps = BIT_CASES[name]()
+    with np.errstate(invalid="ignore"):
+        assert_same_bits(operator_phase_sums(op, g1, g2, ps), chunked_phase_sums(op, g1, g2, ps))
+
+
+@pytest.mark.parametrize("name", ["chunks-24-28", "complex-g2", "order-5-to-1"])
+def test_phase_sums_keep_their_bits_at_any_block_size(monkeypatch, name):
+    # blocks of 5 (row, shift) pairs split every row of shifts, and 3-entry
+    # power blocks cut every chunk's column sums; the chunks stay the same
+    op, g1, g2, ps = BIT_CASES[name]()
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 5 * g2.group.order)
+    monkeypatch.setattr(kernels, "_POWER_ENTRIES", 3)
+    assert_same_bits(operator_phase_sums(op, g1, g2, ps), chunked_phase_sums(op, g1, g2, ps))
+
+
+@pytest.mark.parametrize("p", [0.5, 0, math.nan, -1])
+def test_phase_sums_reject_an_exponent_below_one_before_the_pass(monkeypatch, p):
+    g = make_group((6,))
+    op, w = identity_operator(g), gauss(g, 1.0)
+    chunks = []
+    monkeypatch.setattr(kernels, "pairing_rows", lambda *a, **k: chunks.append(1))
+    with pytest.raises(ValueError):
+        operator_phase_sums(op, w, w, (2, p))
+    assert chunks == []
 
 
 def test_operator_m1_norm_equals_kernel_signal_route():

@@ -21,12 +21,27 @@ from tfkit.modspaces import (
     mpq_bounds,
     stft_probes,
 )
+from tfkit.regnets import induced_norms
 from tfkit.signals import Signal, gauss, l2_norm, random_signal
 from tfkit.transform import mod_norm
 
 from oracles import normalized_gauss, operator_pairing_table
 
 EXPONENTS = (1, 2, math.inf)
+# tracemalloc peak of one streamed pass at order 64: its float chunk of
+# |B| (2 MB), the complex block (512 KB) and the power block; the pass
+# with a complex chunk peaked at 8.2 MB
+PASS_PEAK_BYTES = 3.5 * 2**20
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def operator_zoo(g):
@@ -129,7 +144,7 @@ def test_mpq_bounds_reject_zero_window_before_the_pass(monkeypatch):
 def test_two_two_condition_is_moyals_closed_form(dom_orders, cod_orders):
     # Moyal's identity makes the (2, 2) table norm ||g1|| ||g2|| ||K||_HS,
     # with ||K||_HS^2 = sum |K|^2 w1 w2; the full table would take 256 MB
-    # here, while the streamed pass holds a few 4 MB chunks
+    # here, while the streamed pass holds one 2 MB float chunk of |B|
     dom, cod = make_group(dom_orders), make_group(cod_orders).dual()
     rng = np.random.default_rng(5)
     shape = (dom.order, cod.order)
@@ -137,14 +152,22 @@ def test_two_two_condition_is_moyals_closed_form(dom_orders, cod_orders):
     g1 = random_signal(dom, 1) + gauss(dom, 2.0)
     g2 = gauss(cod, 3.0)
     hs = math.sqrt(np.sum(np.abs(op.kernel) ** 2) * float(dom.weight) * float(cod.weight))
-    tracemalloc.start()
-    try:
-        cond = mpq_bounds(op, g1, g2, [2], [2])[0, 0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cond == pytest.approx(l2_norm(g2) * hs / l2_norm(g1), rel=1e-13)
-    assert peak < (dom.order * cod.order) ** 2 * 16 / 8
+    bounds, peak = traced_peak(lambda: mpq_bounds(op, g1, g2, [2], [2]))
+    assert bounds[0, 0] == pytest.approx(l2_norm(g2) * hs / l2_norm(g1), rel=1e-13)
+    assert peak < PASS_PEAK_BYTES
+
+
+def test_one_pass_holds_no_complex_chunk():
+    # at Z/64 a chunk is one time node, 2^18 entries of B: 4 MB as complex
+    # values, 2 MB as the float |B| the pass keeps
+    g = make_group((64,))
+    rng = np.random.default_rng(7)
+    op = KernelOperator(g, g, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    w = normalized_gauss(g, 3.0)
+    _, peak = traced_peak(lambda: induced_norms(op, w))
+    assert peak < PASS_PEAK_BYTES
+    _, peak = traced_peak(lambda: mpq_bounds(op, w, w, [1, 2, math.inf], [2]))
+    assert peak < PASS_PEAK_BYTES
 
 
 # ---------------------------------------------------------------------------

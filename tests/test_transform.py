@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tfkit import transform
 from tfkit.errors import GroupMismatchError, WindowError
 from tfkit.frames import GaborSystem, gabor_atoms
 from tfkit.groups import PhasePoint, character_table, make_group, make_lattice
@@ -27,6 +28,7 @@ from tfkit.transform import (
     m1_norm,
     mod_norm,
     mod_norm_conv,
+    pairing_mags,
     pairing_rows,
     pairing_table,
     phase_atoms,
@@ -330,6 +332,29 @@ def test_pairing_rows_match_pairing_table_row_by_row(orders):
     for j, row in enumerate(rows):
         expected = pairing_table(window, Signal(grp, row)).values.ravel()
         np.testing.assert_allclose(tables[j], expected, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("orders", [(8,), (2, 3), (1,)])
+@pytest.mark.parametrize("real", [True, False])
+def test_pairing_mags_are_the_magnitudes_of_pairing_rows(monkeypatch, orders, real):
+    # a real window takes the float-view product, a complex one the
+    # complex product; blocks of 3 (row, shift) pairs split the shift rows
+    grp = make_group(orders)
+    window = gauss(grp, 1.0) if real else _complex_window(grp, 13)
+    rows = np.stack([random_signal(grp, 20 + j).values for j in range(5)])
+    for bad in (None, math.inf, math.nan):
+        # a non-finite row takes the complex product, where inf * 0 is NaN
+        if bad is not None:
+            rows[2, -1] = bad
+        with np.errstate(invalid="ignore"):
+            want = np.abs(pairing_rows(window, rows))
+            for block in (2**15, 3 * grp.order):
+                monkeypatch.setattr(transform, "_BLOCK_ENTRIES", block)
+                out = np.full((5, grp.order**2), -1.0)
+                assert pairing_mags(window, rows, out) is out
+                assert np.array_equal(out, want, equal_nan=True)
+    with pytest.raises(ValueError):
+        pairing_mags(window, rows, np.empty((5, 2 * grp.order**2))[:, ::2])
 
 
 def test_weighted_pnorm_reduces_whole_array_or_one_axis():
