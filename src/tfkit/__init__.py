@@ -54,6 +54,7 @@ from .transform import (
     m1_norm,
     mod_norm,
     mod_norm_conv,
+    mod_norms,
     pairing_table,
     phase_points,
     stft,
@@ -86,8 +87,6 @@ from .frames import (
     atomic_operator_expand,
     canonical_dual,
     frame_bounds,
-    frame_operator,
-    gabor_atoms,
     gabor_synthesize,
     partial_frame_sum,
     tight_window,

@@ -17,14 +17,15 @@ terms (the Zak domain, Zibulski-Zeevi).  Each system decomposes those small
 matrices once (GaborSystem.spectrum); the bounds, the canonical dual
 S^{-1} g and the tight window S^{-1/2} g are read off that one spectrum,
 never off the dense |G| x |G| matrix, which only partial_frame_sum
-builds (frame_operator sums every lattice point; the tests keep the
-dense and Walnut-block eigen-solves as oracles).  atomic_expand reads
-the frame coefficients off transform.pairing_rows and gabor_synthesize
-sums them back through its transpose transform.synthesis, both at the
-node indices Lattice.nodes, which gabor_atoms and the spectrum read
-too; no system keeps an atom matrix (the tests keep the dense analysis
-and synthesis as oracles).  A full lattice with the ambient weight gives
-A = B = ||g||_2^2.
+builds (over every lattice point it is S; the tests keep the dense frame
+operator and the Walnut-block eigen-solves as oracles).  atomic_expand
+reads the frame coefficients off transform.pairing_rows and
+gabor_synthesize sums them back through its transpose
+transform.synthesis, both at the node indices Lattice.nodes, which the
+spectrum reads too; the atoms themselves are transform.phase_atoms at
+those nodes, and no system keeps an atom matrix (the tests keep the
+dense analysis and synthesis as oracles).  A full lattice with the
+ambient weight gives A = B = ||g||_2^2.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from .transform import pairing_rows, phase_atoms, synthesis
 
 __all__ = [
     "GaborSystem",
-    "gabor_atoms",
-    "frame_operator",
     "frame_bounds",
     "canonical_dual",
     "tight_window",
@@ -88,7 +87,7 @@ class GaborSystem:
         FrameError (bounds NaN) when those matrices are not finite.
 
         Summing the characters of the frequency nodes gives the weight-folded
-        M = operator_matrix(frame_operator(self)) as
+        M = operator_matrix(partial_frame_sum(self, lattice.size)) as
 
             M[t1, t2] = c * [t1 - t2 in H] * sum_x g(t1 - x) conj(g(t2 - x))
 
@@ -133,20 +132,6 @@ class GaborSystem:
         for arr in (evals, vecs, index):
             arr.flags.writeable = False
         return evals, vecs, index
-
-
-def gabor_atoms(system: GaborSystem) -> np.ndarray:
-    """Atom matrix, row per lattice point (time-major): pi(lambda) g."""
-    return phase_atoms(system.window, *system.lattice.nodes)
-
-
-def frame_operator(system: GaborSystem) -> KernelOperator:
-    """Kernel of S: K(t1, t2) = sum_lambda weight conj(atom(t1)) atom(t2),
-    the partial frame sum over every lattice point.
-
-    Hermitian positive semidefinite after weight folding.
-    """
-    return partial_frame_sum(system, system.lattice.size)
 
 
 def frame_bounds(system: GaborSystem) -> tuple:

@@ -35,7 +35,7 @@ from .kernels import KernelOperator, operator_phase_sums
 from .signals import Signal, l2_norm
 from .transform import (
     PhaseTable,
-    pairing_table,
+    mod_norms,
     require_exponent,
     stft_invert,
     weighted_pnorm,
@@ -95,12 +95,8 @@ def empirical_mpq_opnorms(
     for s in probes:
         if s.group != op.domain:
             raise GroupMismatchError("probe lives off the operator's domain")
-        mags1 = np.abs(pairing_table(g1, s).values)
-        mags2 = np.abs(pairing_table(g2, op.apply(s)).values)
-        dens = [float(weighted_pnorm(mags1, g1.group.phase_weight, p)) for p in p_conjs]
-        nums = np.array(
-            [float(weighted_pnorm(mags2, g2.group.phase_weight, q)) for q in qs]
-        )
+        dens = mod_norms(s, g1, p_conjs)
+        nums = np.array(mod_norms(op.apply(s), g2, qs))
         for i, den in enumerate(dens):
             if den <= 1e-300:
                 continue

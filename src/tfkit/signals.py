@@ -17,8 +17,7 @@ identities, so every call site here names the one it means.
 All value arrays are complex128, flat in the group's lexicographic
 enumeration order, and frozen (read-only) once constructed.  Shifts and
 modulations build the rows asked: modulate reads one character row off
-groups.character_rows, and only modulations, which needs every row,
-reads the cached groups.character_table.
+groups.character_rows.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .groups import (
     Group,
     PhasePoint,
     character_rows,
-    character_table,
     element_coords,
     product_group,
     wrap_distance,
@@ -49,7 +47,6 @@ __all__ = [
     "translate",
     "shift_matrix",
     "modulate",
-    "modulations",
     "tf_shift",
     "fourier",
     "inv_fourier",
@@ -186,12 +183,6 @@ def modulate(f: Signal, w) -> Signal:
     """(E_w f)(t) = w(t) f(t), off the one character row of w."""
     g = f.group
     return Signal(g, character_rows(g, [g.index(w)])[0] * f.values)
-
-
-def modulations(f: Signal) -> np.ndarray:
-    """All modulations as rows: row i is modulate(f, w).values for the
-    i-th element w of the enumeration."""
-    return character_table(f.group) * f.values[None, :]
 
 
 def tf_shift(f: Signal, point) -> Signal:

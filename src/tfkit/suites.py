@@ -47,9 +47,10 @@ from .signals import (
 from .transform import (
     m1_norm,
     mod_norm_conv,
-    pairing_table,
+    mod_norms,
+    phase_atoms,
     require_exponent,
-    weighted_pnorm,
+    require_window,
 )
 from .kernels import (
     KernelOperator,
@@ -69,7 +70,6 @@ from .frames import (
     atomic_expand,
     canonical_dual,
     frame_bounds,
-    gabor_atoms,
     gabor_synthesize,
 )
 from .regnets import (
@@ -543,12 +543,7 @@ def run_norms(cfg: dict, seed: int, tol: float) -> SuiteResult:
             for stok, sspec in cfg["signals"]:
                 sig = signal_from_spec(grp, sspec)
                 s0_conv = mod_norm_conv(sig, window)
-                # one bilinear table per row; mod_norm's arithmetic for each p
-                mags = np.abs(pairing_table(window, sig).values)
-                m1, m2, m4, minf = (
-                    float(weighted_pnorm(mags, grp.phase_weight, p))
-                    for p in (1, 2, 4, math.inf)
-                )
+                m1, m2, m4, minf = mod_norms(sig, window, (1, 2, 4, math.inf))
                 rows.append((gtok, wtok, stok, s0_conv, m1, m2, m4, minf))
                 threshold = tol * max(1.0, m1)
                 conv_defects.append(abs(s0_conv - m1_norm(sig, involute(window))))
@@ -727,7 +722,7 @@ def run_frames(cfg: dict, seed: int, tol: float) -> SuiteResult:
     # partial sum k minus the full sum is minus the tail past point k,
     # walked back by one elementwise rank-one add per point, with its image
     # of the probe; no matrix product, so no BLAS thread count moves a row
-    atoms = gabor_atoms(system)
+    atoms = phase_atoms(window, *lattice.nodes)
     weight = system.weight
     coeffs = np.sum(probes[-1].values * atoms.conj(), axis=1) * (weight * float(grp.weight))
     tail = np.zeros((grp.order, grp.order), dtype=complex)
@@ -881,10 +876,11 @@ def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
     res = SuiteResult("mpq")
     grp = make_group(cfg["group"])
     g1 = signal_from_spec(grp, cfg["window"])
+    require_window(g1)
     energy = l2_norm(g1)
     if math.isinf(energy):
         raise WindowError("window energy overflows")
-    if energy == 0 and np.any(g1.values):
+    if energy == 0:
         raise WindowError("window energy underflows")
     g1 = Signal(grp, g1.values / energy)
     dual = grp.dual()

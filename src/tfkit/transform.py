@@ -11,8 +11,9 @@ the operator phase sums read the second stage of their pass off it.
 Both share one product and character sum (_pairing_block).  synthesis
 is the only way back: the inversion formula (stft_invert) and the Gabor
 synthesis are read off it.  phase_atoms builds the character rows of
-the frequencies it is asked for (groups.character_rows), never the whole
-cached table.
+the frequencies it is asked for (groups.character_rows); only
+mod_norm_conv, which needs every modulation, reads the whole cached
+groups.character_table.
 
 A phase table is a function on G x dual(G), stored as an (|G|, |G|)
 array indexed [time, frequency] in enumeration order.  Two tables are
@@ -25,8 +26,9 @@ The modulation norms integrate the bilinear table:
 
   mod_norm(s, g, p) = ( sum_nu phase_weight * |(pi(nu) g, s)|^p )^(1/p)
 
-with the supremum at p = inf.  The sesquilinear table is the one the
-inversion formula wants:
+with the supremum at p = inf; mod_norms reads any number of orders off
+one table, and every modulation norm in the package goes through it.
+The sesquilinear table is the one the inversion formula wants:
 
   s = ||g||_2^{-2} sum_nu phase_weight * stft(g,s)[nu] * pi(nu) g
 
@@ -45,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, WindowError
-from .groups import Group, character_rows, make_lattice
-from .signals import Signal, fourier, l2_norm, modulations, same_group, shift_matrix
+from .groups import Group, character_rows, character_table, make_lattice
+from .signals import Signal, fourier, l2_norm, same_group, shift_matrix
 
 __all__ = [
     "PhaseTable",
@@ -61,6 +63,7 @@ __all__ = [
     "stft",
     "stft_invert",
     "pairing_table",
+    "mod_norms",
     "mod_norm",
     "m1_norm",
     "mod_norm_conv",
@@ -254,11 +257,19 @@ def stft_invert(window: Signal, table: PhaseTable) -> Signal:
     return Signal(g, synthesis(window, table.values) * (table.phase_weight / norm_sq))
 
 
+def mod_norms(s: Signal, window: Signal, ps) -> list:
+    """Modulation norms of s against the given window, one per order p in
+    ps, each in [1, inf] (ValueError before any table is built): one
+    bilinear table, reduced by weighted_pnorm once per p."""
+    for p in ps:
+        require_exponent(p)
+    mags = np.abs(pairing_table(window, s).values)
+    return [float(weighted_pnorm(mags, window.group.phase_weight, p)) for p in ps]
+
+
 def mod_norm(s: Signal, window: Signal, p) -> float:
     """Modulation norm of order p in [1, inf] against the given window."""
-    require_exponent(p)
-    mags = np.abs(pairing_table(window, s).values)
-    return float(weighted_pnorm(mags, window.group.phase_weight, p))
+    return mod_norms(s, window, [p])[0]
 
 
 def m1_norm(s: Signal, window: Signal) -> float:
@@ -280,7 +291,7 @@ def mod_norm_conv(s: Signal, window: Signal) -> float:
     g = s.group
     axes = tuple(range(1, g.nfactors + 1))
     # all modulations E_w s through one batched FFT
-    mods = modulations(s).reshape((-1,) + g.orders)
+    mods = (character_table(g) * s.values).reshape((-1,) + g.orders)
     spectra = np.fft.fftn(mods, axes=axes) * float(g.weight)
     prods = spectra * fourier(window).values.reshape(g.orders)
     convs = np.fft.ifftn(prods, axes=axes) * (float(g.dual_weight) * g.order)

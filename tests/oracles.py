@@ -6,10 +6,10 @@ import math
 import numpy as np
 
 from tfkit.errors import GroupMismatchError
-from tfkit.frames import GaborSystem, canonical_dual, gabor_atoms
+from tfkit.frames import GaborSystem, canonical_dual
 from tfkit.groups import character_table, make_lattice
 from tfkit.kernels import KernelOperator, PhaseSums
-from tfkit.signals import Signal, dirac, gauss, l2_norm, shift_matrix
+from tfkit.signals import Signal, dirac, gauss, l2_norm, shift_matrix, tf_shift
 from tfkit.transform import pairing_rows, phase_atoms, stft
 
 
@@ -114,6 +114,27 @@ def weak_reconstruction(op, window, s):
     images = (phase_atoms(window) @ op.kernel) * float(grp.weight)  # row nu = T(pi(nu) g)
     scale = grp.phase_weight / l2_norm(window) ** 2
     return Signal(op.codomain, (coeffs @ images) * scale)
+
+
+def gabor_atoms(system):
+    """Atom matrix, one row pi(lambda) g per lattice point in
+    lattice.points() order, each by tf_shift.  The library builds these
+    rows only as transform.phase_atoms at the lattice.nodes indices."""
+    points = system.lattice.points()
+    return np.array([tf_shift(system.window, point).values for point in points])
+
+
+def frame_operator(system):
+    """Kernel of S by its definition,
+
+        K(t1, t2) = sum_lambda weight * conj(atom(t1)) atom(t2)
+
+    over every lattice point, off the tf_shift atoms; Hermitian positive
+    semidefinite after weight folding.  The library builds this matrix
+    only as frames.partial_frame_sum over a prefix of the points."""
+    atoms = gabor_atoms(system)
+    kernel = (atoms.conj().T @ atoms) * system.weight
+    return KernelOperator(system.group, system.group, kernel)
 
 
 def walnut_spectrum(system):

@@ -319,9 +319,9 @@ def test_unreadable_config_exits_two_with_one_line(tmp_path, capsys, runner_call
 
 def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    # an all-zero window normalizes to NaN everywhere
-    zero = {"kind": "values", "re": [0] * 8}
-    cfg.write_text(json.dumps({"mpq": {"window": zero}}), encoding="utf-8")
+    # a NaN window value (the JSON literal NaN) normalizes to NaN everywhere
+    nan = {"kind": "values", "re": [math.nan] + [0] * 7}
+    cfg.write_text(json.dumps({"mpq": {"window": nan}}), encoding="utf-8")
     out = tmp_path / "report"
     assert main(["mpq", "--config", str(cfg), "--out", str(out)]) == 1
     out_text = capsys.readouterr().out
@@ -349,6 +349,7 @@ def test_nan_rows_fail_and_the_summary_stays_strict_json(tmp_path, capsys):
             "window is identically zero",
         ),
         ("mpq", {"window": {"kind": "values", "re": [1e-320] + [0] * 7}}, "underflows"),
+        ("mpq", {"window": {"kind": "values", "re": [0] * 8}}, "window is identically zero"),
     ],
 )
 def test_hostile_window_is_a_failing_row(tmp_path, capsys, suite, overrides, message):

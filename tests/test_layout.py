@@ -87,3 +87,23 @@ def test_every_table_the_tracer_reads_the_cache_of_keeps_its_cache():
             if not hasattr(getattr(module, name), "cache_info"):
                 missing.append(f"{path.stem}.{name}")
     assert missing == []
+
+
+def test_no_dense_oracle_is_a_library_export():
+    # tests/oracles.py keeps the dense second routes; a library export of
+    # one of their names would be a second copy of the concept
+    path = ROOT / "tests" / "oracles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    oracles = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert {"gabor_atoms", "frame_operator"} <= oracles
+    package = importlib.import_module("tfkit")
+    exported = {name for name in vars(package) if not name.startswith("_")}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"tfkit.{path.stem}")
+            exported |= set(getattr(module, "__all__", ()))
+    assert sorted(oracles & exported) == []

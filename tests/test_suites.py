@@ -6,7 +6,7 @@ import pytest
 
 from tfkit import kernels, modspaces, regnets, suites, transform
 from tfkit.errors import ConfigError
-from tfkit.frames import GaborSystem, frame_operator, partial_frame_sum
+from tfkit.frames import GaborSystem, partial_frame_sum
 from tfkit.groups import make_group, make_lattice
 from tfkit.kernels import operator_phase_sums
 from tfkit.regnets import check_regularizing, pc_net, standard_probes
@@ -27,6 +27,8 @@ from tfkit.suites import (
     suite_rng,
     write_results,
 )
+
+from oracles import frame_operator
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +313,10 @@ def test_frames_suite_fails_on_a_non_finite_frame_kernel(monkeypatch):
     # dual_inverts_frame is the suite's one check on the dense frame
     # operator, the sweep's sum of the atoms' rank-one terms: NaN atoms
     # must fail it
-    def nan_atoms(system):
-        return np.full((system.lattice.size, system.group.order), np.nan, dtype=complex)
+    def nan_atoms(window, times, freqs):
+        return np.full((len(times) * len(freqs), window.group.order), np.nan, dtype=complex)
 
-    monkeypatch.setattr(suites, "gabor_atoms", nan_atoms)
+    monkeypatch.setattr(suites, "phase_atoms", nan_atoms)
     res = run_default("frames")
     assert [row[0] for row in res.checks if row[-1] == "fail"] == ["dual_inverts_frame"]
     assert len(res.failures) == 1

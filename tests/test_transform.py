@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tfkit import transform
 from tfkit.errors import GroupMismatchError, WindowError
-from tfkit.frames import GaborSystem, gabor_atoms
+from tfkit.frames import GaborSystem
 from tfkit.groups import PhasePoint, character_table, make_group, make_lattice
 from tfkit.signals import (
     Signal,
@@ -28,6 +28,7 @@ from tfkit.transform import (
     m1_norm,
     mod_norm,
     mod_norm_conv,
+    mod_norms,
     pairing_mags,
     pairing_rows,
     pairing_table,
@@ -40,7 +41,7 @@ from tfkit.transform import (
     window_equivalence_ratio,
 )
 
-from oracles import naive_char
+from oracles import gabor_atoms, naive_char
 
 ORDERS = st.sampled_from([(2,), (3,), (6,), (2, 3)])
 
@@ -363,3 +364,28 @@ def test_weighted_pnorm_reduces_whole_array_or_one_axis():
     assert weighted_pnorm(mags, 0.5, math.inf) == mags.max()
     np.testing.assert_allclose(weighted_pnorm(mags, 2.0, 1, axis=0), 2.0 * mags.sum(axis=0))
     np.testing.assert_array_equal(weighted_pnorm(mags, 2.0, math.inf, axis=1), mags.max(axis=1))
+
+
+@pytest.mark.parametrize("orders", [(8,), (2, 3), (12,)])
+def test_mod_norms_read_every_order_off_one_table(monkeypatch, orders):
+    grp = make_group(orders)
+    window, s = _complex_window(grp, 14), random_signal(grp, 15)
+    ps = (1, 1.5, 2, 4, math.inf)
+    tables = []
+
+    def counting(*args):
+        tables.append(args)
+        return pairing_rows(*args)
+
+    monkeypatch.setattr(transform, "pairing_rows", counting)
+    norms = mod_norms(s, window, ps)
+    assert len(tables) == 1
+    mags = np.abs(pairing_table(window, s).values)
+    for p, norm in zip(ps, norms):
+        assert norm == mod_norm(s, window, p) == float(weighted_pnorm(mags, grp.phase_weight, p))
+    # every order is checked before the table is built
+    for bad in (0.5, math.nan):
+        tables.clear()
+        with pytest.raises(ValueError):
+            mod_norms(s, window, (1, bad))
+        assert tables == []
