@@ -199,9 +199,6 @@ def operator_matrix(op: KernelOperator) -> np.ndarray:
 # fixes the summation order, and so the report bytes; it never depends on
 # the thread count.
 _CHUNK_ENTRIES = 2**18
-# Entries of |B|**p per block of a chunk's column sums at finite p != 1;
-# the block size does not change the sums (_column_power_sums).
-_POWER_ENTRIES = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,10 +239,11 @@ def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> Ph
     block, multiplying through float views when g2 is real; it gives the
     bits np.abs of the chunk's complex B would give.  The sums, maxima and
     row sums read the chunk array whole; p = 1 sums its columns directly,
-    and a finite p != 1 adds the powers of one block of rows at a time to
-    a running column sum, in the same order.  ValueError unless every p
-    is in [1, inf], and WindowError when g1 or g2 is identically zero,
-    both before the pass.
+    and a finite p != 1 adds np.sum(|B|**p, axis=0), the expression of
+    the oracle.  The last such p raises the chunk in place, since nothing
+    reads it afterwards; each earlier one holds a |B|**p chunk while it
+    is summed.  ValueError unless every p is in [1, inf], and WindowError
+    when g1 or g2 is identically zero, both before the pass.
     """
     if g1.group != op.domain or g2.group != op.codomain:
         raise GroupMismatchError("windows do not match the operator's groups")
@@ -259,6 +257,7 @@ def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> Ph
     chunk = np.empty((min(step, n1) * n1, n2 * n2))
     total, peak, row_peak = 0.0, 0.0, 0.0
     col_powers = [np.zeros(n2 * n2) for _ in ps]
+    powered = [(acc, p) for acc, p in zip(col_powers, ps) if 1 < p < math.inf]
     for lo in range(0, n1, step):
         half = pairing_rows(g1, op.kernel.T, slice(lo, lo + step))
         mags = pairing_mags(g2, half.T, chunk[: half.shape[1]])
@@ -270,40 +269,20 @@ def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> Ph
                 np.maximum(acc, np.max(mags, axis=0), out=acc)
             elif p == 1:
                 acc += np.sum(mags, axis=0)
-            else:
-                acc += _column_power_sums(mags, p)
+        for acc, p in powered[:-1]:
+            acc += np.sum(mags**p, axis=0)
+        if powered:
+            # nothing reads the chunk after the last power and the refill
+            # overwrites it, so it is raised in place, with no temporary
+            acc, p = powered[-1]
+            mags **= p
+            acc += np.sum(mags, axis=0)
     return PhaseSums(
         m1=float(total * op.domain.phase_weight * op.codomain.phase_weight),
         peak=float(peak),
         row_peak=float(row_peak),
         col_powers=tuple(col_powers),
     )
-
-
-def _column_power_sums(mags: np.ndarray, p) -> np.ndarray:
-    """np.sum(mags**p, axis=0) with no array the size of mags.  Each block
-    of rows is copied into rows 1.. of a buffer and raised in place (**=
-    takes the fast paths of **, such as the square at p = 2); row 0 holds
-    the sum of the rows before the block.  numpy's axis-0 sum adds the
-    rows of a C-ordered array one after another, so the bits are those of
-    the whole sum.  A single column (|G2| = 1) numpy sums pairwise
-    instead, so there the whole chunk is one block."""
-    cols = mags.shape[1]
-    rows = len(mags) if cols == 1 else min(len(mags), max(1, _POWER_ENTRIES // cols))
-    powers = np.empty((rows + 1, cols))
-    run = None
-    for lo in range(0, len(mags), rows):
-        block = mags[lo : lo + rows]
-        part = powers[: 1 + len(block)]
-        tail = part[1:]
-        tail[...] = block
-        tail **= p
-        if run is None:
-            run = np.sum(tail, axis=0)
-        else:
-            part[0] = run
-            np.sum(part, axis=0, out=run)
-    return run
 
 
 def operator_m1_norm(op: KernelOperator, g1: Signal, g2: Signal) -> float:
@@ -358,10 +337,10 @@ def tensor_expand(
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     u, sing, vh = np.linalg.svd(op.kernel)
-    if sing.size and sing[0] > 0:
+    # a group has order >= 1, so sing[0] exists; at sing[0] == 0 (the zero
+    # kernel) nothing passes, even at tol = inf, where the cutoff is NaN
+    with np.errstate(invalid="ignore"):
         keep = sing > tol * sing[0]
-    else:
-        keep = np.zeros(sing.shape, dtype=bool)
     left = []
     right = []
     kept = []
@@ -372,7 +351,7 @@ def tensor_expand(
     rec = np.zeros_like(op.kernel)
     for f1, f2 in zip(left, right):
         rec = rec + np.outer(f1.values, f2.values)
-    max_error = float(np.max(np.abs(op.kernel - rec))) if op.kernel.size else 0.0
+    max_error = float(np.max(np.abs(op.kernel - rec)))
     if g1 is None:
         g1 = gauss(op.domain, 1.0)
     if g2 is None:

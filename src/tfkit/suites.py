@@ -482,10 +482,10 @@ SCHEMA = {
     },
 }
 
-# The options every run takes besides a config: the seed of every
-# pseudorandom stream and the tolerance of the checks.
+# The options every run takes besides a config: the seed of the suites'
+# random operators and the tolerance of the checks.
 OPTIONS = {
-    "seed": Key(0, _integer(0), help="base seed for every pseudorandom stream"),
+    "seed": Key(0, _integer(0), help="seed of the kernel, mpq and regnet random operators"),
     "tol": Key(1e-8, _tolerance, help="tolerance used by the suite assertions"),
 }
 

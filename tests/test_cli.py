@@ -90,6 +90,16 @@ def test_mpq_exponent_flags(tmp_path):
     assert all(line.split(",")[1:3] == ["1", "inf"] for line in lines[1:])
 
 
+def test_mpq_fractional_exponent_flags(tmp_path):
+    # two finite p != 1 in one pass; tokens go through the .17g format
+    out = tmp_path / "report"
+    assert main(["mpq", "--p", "1.5", "3", "--q", "2.5", "inf", "--out", str(out)]) == 0
+    lines = (out / "mpq.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 16  # four operators, two p, two q
+    tokens = [tuple(line.split(",")[1:3]) for line in lines[1:]]
+    assert set(tokens) == {("1.5", "2.5"), ("1.5", "inf"), ("3", "2.5"), ("3", "inf")}
+
+
 def test_bad_config_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{\n  "norms": oops\n}\n', encoding="utf-8")
@@ -143,6 +153,18 @@ def test_seed_changes_random_content(tmp_path):
     assert main(["kernel", "--seed", "1", "--out", str(a)]) == 0
     assert main(["kernel", "--seed", "2", "--out", str(b)]) == 0
     assert (a / "kernel.csv").read_bytes() != (b / "kernel.csv").read_bytes()
+
+
+def test_seed_reaches_random_operators_and_not_probes(tmp_path):
+    # frames' windows and probes come from the config, mpq's random
+    # operators from the seed
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    for seed, out in (("0", a), ("5", b)):
+        for suite in ("frames", "mpq"):
+            assert main([suite, "--seed", seed, "--out", str(out)]) == 0
+    assert (a / "frames.csv").read_bytes() == (b / "frames.csv").read_bytes()
+    assert (a / "mpq.csv").read_bytes() != (b / "mpq.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -240,6 +262,15 @@ def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, runner_calls, 
         assert captured.out == ""
     assert runner_calls == []
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_report_that_fails_after_its_directory_exits_two(tmp_path, capsys):
+    out = tmp_path / "report"
+    (out / "summary.json").mkdir(parents=True)
+    assert main(["norms", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"tfkit: cannot write report to {out}: Is a directory\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("suite", ["all", "norms"])

@@ -458,6 +458,8 @@ BIT_CASES = {
     "order-1-to-5": lambda: _real_case((1,), (5,), BIT_EXPONENTS, 11),
     "order-5-to-1": lambda: _real_case((5,), (1,), BIT_EXPONENTS, 11),
     "order-1-to-1": lambda: _real_case((1,), (1,), BIT_EXPONENTS, 11),
+    # finite p after inf and after 1; the second 2 raises the chunk in place
+    "reordered-exponents": lambda: _real_case((24,), (28,), (math.inf, 3, 1, 2, 2), 12),
 }
 
 
@@ -470,11 +472,10 @@ def test_phase_sums_have_the_bits_of_the_complex_chunk_pass(name):
 
 @pytest.mark.parametrize("name", ["chunks-24-28", "complex-g2", "order-5-to-1"])
 def test_phase_sums_keep_their_bits_at_any_block_size(monkeypatch, name):
-    # blocks of 5 (row, shift) pairs split every row of shifts, and 3-entry
-    # power blocks cut every chunk's column sums; the chunks stay the same
+    # blocks of 5 (row, shift) pairs split every row of shifts; the chunks
+    # stay the same
     op, g1, g2, ps = BIT_CASES[name]()
     monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 5 * g2.group.order)
-    monkeypatch.setattr(kernels, "_POWER_ENTRIES", 3)
     assert_same_bits(operator_phase_sums(op, g1, g2, ps), chunked_phase_sums(op, g1, g2, ps))
 
 
@@ -598,6 +599,16 @@ def test_tensor_expand_projective_bound_dominates():
     exp = tensor_expand(op, 0.0, w, w)
     direct = operator_m1_norm(op, w, w)
     assert exp.projective_m1 >= direct - 1e-10 * direct
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-8, math.inf])
+def test_tensor_expand_of_the_zero_kernel_is_empty(tol):
+    g1, g2 = make_group((3,)), make_group((2, 2))
+    exp = tensor_expand(KernelOperator(g1, g2, np.zeros((3, 4))), tol)
+    assert exp.rank == 0
+    assert exp.singular_values == ()
+    assert exp.max_error == 0.0
+    assert exp.projective_m1 == 0.0
 
 
 def test_tensor_expand_rejects_negative_tol():

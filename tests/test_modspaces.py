@@ -29,8 +29,8 @@ from oracles import normalized_gauss, operator_pairing_table
 
 EXPONENTS = (1, 2, math.inf)
 # tracemalloc peak of one streamed pass at order 64: its float chunk of
-# |B| (2 MB), the complex block (512 KB) and the power block; the pass
-# with a complex chunk peaked at 8.2 MB
+# |B| (2 MB), raised in place for the last finite p != 1, and the complex
+# block (512 KB); the pass with a complex chunk peaked at 8.2 MB
 PASS_PEAK_BYTES = 3.5 * 2**20
 
 
@@ -168,6 +168,17 @@ def test_one_pass_holds_no_complex_chunk():
     assert peak < PASS_PEAK_BYTES
     _, peak = traced_peak(lambda: mpq_bounds(op, w, w, [1, 2, math.inf], [2]))
     assert peak < PASS_PEAK_BYTES
+
+
+def test_extra_finite_exponents_hold_one_power_chunk():
+    # each finite p != 1 but the last is summed from a |B|**p temporary of
+    # one chunk (2 MB at Z/64), freed before the next
+    g = make_group((64,))
+    rng = np.random.default_rng(7)
+    op = KernelOperator(g, g, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    w = normalized_gauss(g, 3.0)
+    _, peak = traced_peak(lambda: mpq_bounds(op, w, w, [1, 1.5, 2, 3, math.inf], [2]))
+    assert peak < PASS_PEAK_BYTES + 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -342,11 +342,24 @@ def test_regnet_suite_passes_defaults():
     assert res.summary["certificate"] is True
 
 
-@pytest.mark.parametrize("construction,target", [("loc", "fourier"), ("gabor", "identity")])
+@pytest.mark.parametrize(
+    "construction,target", [("loc", "fourier"), ("gabor", "identity"), ("pc", "random")]
+)
 def test_regnet_suite_other_constructions(construction, target):
     res = run_default("regnet", construction=construction, target=target)
     assert res.failures == []
     assert res.summary["final_m1_err"] <= 1e-10
+
+
+def test_regnet_random_target_follows_the_seed():
+    config = merge_config({})
+    config["regnet"].update(target="random")
+
+    def table(seed):
+        return run_suite("regnet", config, seed=seed, tol=1e-8).tables["convergence.csv"]
+
+    assert table(0) == table(0)
+    assert table(0) != table(1)
 
 
 def test_regnet_suite_validates_config():
