@@ -44,6 +44,7 @@ __all__ = [
     "character_rows",
     "character_table",
     "element_coords",
+    "negation_index",
     "wrap_distance",
     "make_lattice",
 ]
@@ -192,6 +193,12 @@ def element_coords(group: Group) -> np.ndarray:
     character rows are built from this grid for the rows asked; only
     character_table keeps a |G| x |G| array."""
     return np.indices(group.orders).reshape(group.nfactors, group.order)
+
+
+def negation_index(group: Group) -> np.ndarray:
+    """Enumeration index of -t for every element t, in enumeration order:
+    the negated coordinates, raveled with wrap-around."""
+    return np.ravel_multi_index(tuple(-element_coords(group)), group.orders, mode="wrap")
 
 
 def character_rows(group: Group, freqs=slice(None)) -> np.ndarray:

@@ -24,7 +24,9 @@ O(|G2|^2) floats.  A chunk is held only as |B|, one float array of about
 2^18 entries that the pass allocates once; transform.pairing_mags fills
 it through a complex block of 2^15 entries, so the complex B of a chunk
 never exists.  Every reduction runs in one fixed order over the whole
-chunk, so the sums do not depend on the block sizes.
+chunk, so the sums do not depend on the block sizes.  When the kernel
+and both windows are real and finite, |B| is symmetric under
+(w1, w2) -> (-w1, -w2), and the pass computes only half of the rows.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GroupMismatchError
-from .groups import Group, character_table, product_group
+from .groups import Group, character_table, negation_index, product_group
 from .signals import Signal, gauss
 from .transform import (
     m1_norm,
@@ -214,13 +216,52 @@ class PhaseSums:
         col_powers  per requested p, column sums over nu1 of |B|^p, or
                     the column maxima at p = inf (length |G2|^2 each)
 
-    Every maximum is np.maximum, so a NaN entry of B stays NaN.
+    Every maximum is np.maximum, so a NaN entry of B stays NaN.  When the
+    kernel and both windows are real and finite, the fields come from
+    half the rows (see operator_phase_sums) and may differ from the sums
+    over every row in their last digits.
     """
 
     m1: float
     peak: float
     row_peak: float
     col_powers: tuple
+
+
+def _row_plan(op: KernelOperator, g1: Signal, g2: Signal) -> tuple:
+    """(freqs, n_self, cols): the domain frequencies w1 whose rows the pass
+    computes, how many of them stand for themselves alone, and the column
+    permutation of the mirrored rows.
+
+    When the kernel and both windows are real and finite, conjugation
+    commutes with T and maps pi(x, w) g to pi(x, -w) g, so
+    |B(x1, -w1; x2, w2)| = |B(x1, w1; x2, -w2)|: the row of -w1 is the
+    row of w1 with its columns permuted by cols, (x2, w2) -> (x2, -w2).
+    freqs then lists the n_self self-conjugate frequencies (w = -w)
+    first, then one w of each pair {w, -w}.  Otherwise it is
+    (None, |G1|, None): every row, each counted once.
+    """
+    arrays = (op.kernel, g1.values, g2.values)
+    if any(np.any(a.imag) or not np.isfinite(a).all() for a in arrays):
+        return None, op.domain.order, None
+    neg1 = negation_index(op.domain)
+    index = np.arange(op.domain.order)
+    fixed = np.flatnonzero(neg1 == index)
+    freqs = np.concatenate([fixed, np.flatnonzero(index < neg1)])
+    n2 = op.codomain.order
+    cols = (np.arange(n2)[:, None] * n2 + negation_index(op.codomain)).ravel()
+    return freqs, len(fixed), cols
+
+
+def _fold_columns(combine, reduce, acc, part, once, cols):
+    """Fold the column reductions of the chunk rows part into acc: the
+    first `once` rows count once; each later row stands for itself and
+    for its mirror, whose columns are the row's permuted by cols."""
+    combine(acc, reduce(part[:once], axis=0), out=acc)
+    if once < len(part):
+        paired = reduce(part[once:], axis=0)
+        combine(acc, paired, out=acc)
+        combine(acc, paired[cols], out=acc)
 
 
 def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> PhaseSums:
@@ -242,8 +283,19 @@ def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> Ph
     and a finite p != 1 adds np.sum(|B|**p, axis=0), the expression of
     the oracle.  The last such p raises the chunk in place, since nothing
     reads it afterwards; each earlier one holds a |B|**p chunk while it
-    is summed.  ValueError unless every p is in [1, inf], and WindowError
-    when g1 or g2 is identically zero, both before the pass.
+    is summed.
+
+    When the kernel, g1 and g2 are all real and finite, the second stage
+    runs only on the rows (x1, w1) with w1 self-conjugate or the first of
+    its pair {w1, -w1}, about half of them, ordered by w1 (_row_plan).
+    A paired row stands for its mirror too: m1 counts it twice, its
+    maximum and sum are its mirror's, and its column sums are added once
+    as they are and once permuted by (x2, w2) -> (x2, -w2).  No mirrored
+    row is built.  Any other input, a complex value, an inf or a NaN,
+    takes every row in the table's own layout.
+
+    ValueError unless every p is in [1, inf], and WindowError when g1 or
+    g2 is identically zero, both before the pass.
     """
     if g1.group != op.domain or g2.group != op.codomain:
         raise GroupMismatchError("windows do not match the operator's groups")
@@ -254,29 +306,37 @@ def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> Ph
         require_exponent(p)
     n1, n2 = op.domain.order, op.codomain.order
     step = max(1, _CHUNK_ENTRIES // (n1 * n2 * n2))
-    chunk = np.empty((min(step, n1) * n1, n2 * n2))
+    freqs, n_self, cols = _row_plan(op, g1, g2)
+    chunk = np.empty((min(step, n1) * (n1 if freqs is None else len(freqs)), n2 * n2))
     total, peak, row_peak = 0.0, 0.0, 0.0
     col_powers = [np.zeros(n2 * n2) for _ in ps]
     powered = [(acc, p) for acc, p in zip(col_powers, ps) if 1 < p < math.inf]
     for lo in range(0, n1, step):
         half = pairing_rows(g1, op.kernel.T, slice(lo, lo + step))
-        mags = pairing_mags(g2, half.T, chunk[: half.shape[1]])
-        total += np.sum(mags)
+        nx = half.shape[1] // n1
+        if freqs is None:
+            rows = half.T
+        else:
+            # rows (w1, x1) for w1 in freqs, C order, as pairing_mags reads them
+            rows = np.take(half.reshape(n2, nx, n1).T, freqs, axis=0).reshape(-1, n2)
+        mags = pairing_mags(g2, rows, chunk[: len(rows)])
+        once = n_self * nx  # every row off the mirror route
+        total += np.sum(mags[:once]) + 2 * np.sum(mags[once:])
         peak = np.maximum(peak, np.max(mags))
         row_peak = np.maximum(row_peak, np.max(np.sum(mags, axis=1)))
         for acc, p in zip(col_powers, ps):
             if p == math.inf:
-                np.maximum(acc, np.max(mags, axis=0), out=acc)
+                _fold_columns(np.maximum, np.max, acc, mags, once, cols)
             elif p == 1:
-                acc += np.sum(mags, axis=0)
+                _fold_columns(np.add, np.sum, acc, mags, once, cols)
         for acc, p in powered[:-1]:
-            acc += np.sum(mags**p, axis=0)
+            _fold_columns(np.add, np.sum, acc, mags**p, once, cols)
         if powered:
             # nothing reads the chunk after the last power and the refill
             # overwrites it, so it is raised in place, with no temporary
             acc, p = powered[-1]
             mags **= p
-            acc += np.sum(mags, axis=0)
+            _fold_columns(np.add, np.sum, acc, mags, once, cols)
     return PhaseSums(
         m1=float(total * op.domain.phase_weight * op.codomain.phase_weight),
         peak=float(peak),

@@ -254,7 +254,10 @@ def induced_norms(op: KernelOperator, g1: Signal, g2: Signal = None) -> tuple:
     p = 1 column power sums) and m1_to_minf the largest entry.  b is the
     record's m1, the same code operator_m1_norm(op, conj g1, g2) runs;
     when g1 is real it also equals operator_m1_norm(op, g1, g2), bit for
-    bit.  WindowError before the pass when g1 or g2 is identically zero.
+    bit.  When the kernel, g1 and g2 are real and finite, the pass runs
+    its second stage on half the rows of B and mirrors the rest, so the
+    four values may move in their last digits against a pass over every
+    row.  WindowError before the pass when g1 or g2 is identically zero.
     """
     g2 = g1 if g2 is None else g2
     wp1, wp2 = op.domain.phase_weight, op.codomain.phase_weight

@@ -33,6 +33,7 @@ from .groups import (
     PhasePoint,
     character_rows,
     element_coords,
+    negation_index,
     product_group,
     wrap_distance,
 )
@@ -236,11 +237,9 @@ def pointwise(f: Signal, g: Signal) -> Signal:
 
 
 def involute(f: Signal) -> Signal:
-    """f(-t), gathered through the index of -t raveled from the negated
-    coordinates; applying it twice gives the original signal back."""
-    grp = f.group
-    index = np.ravel_multi_index(tuple(-element_coords(grp)), grp.orders, mode="wrap")
-    return Signal(grp, f.values[index])
+    """f(-t), gathered through groups.negation_index; applying it twice
+    gives the original signal back."""
+    return Signal(f.group, f.values[negation_index(f.group)])
 
 
 def pair_bilinear(f: Signal, s: Signal) -> complex:

@@ -10,7 +10,7 @@ from tfkit.frames import GaborSystem, canonical_dual
 from tfkit.groups import character_table, make_lattice
 from tfkit.kernels import KernelOperator, PhaseSums
 from tfkit.signals import Signal, dirac, gauss, l2_norm, shift_matrix, tf_shift
-from tfkit.transform import pairing_rows, phase_atoms, stft
+from tfkit.transform import pairing_rows, pairing_table, phase_atoms, stft
 
 
 def naive_char(group, x, w):
@@ -99,6 +99,39 @@ def chunked_phase_sums(op, g1, g2, ps=()):
         row_peak=float(row_peak),
         col_powers=tuple(col_powers),
     )
+
+
+def identity_mpq_bounds(g1, g2, ps, qs):
+    """mpq_bounds(identity_operator(G), g1, g2, ps, qs) in closed form.
+
+    For the identity, B(x1, w1; x2, w2) = P[x2 - x1, w1 + w2] with
+    P = pairing_table(g2, g1): substitute t -> t + x1 in the pairing.
+    So every column of B holds each entry of P once, and the (p, q)
+    condition is ||P||_{p, wp} * (wp |G|^2)^(1/q) / ||g1||_2^2, with the
+    plain maximum at p = inf and no factor at q = inf.  One |G| x |G|
+    table replaces the |G|^4 entries of B."""
+    grp = g1.group
+    mags = np.abs(pairing_table(g2, g1).values)
+    wp = grp.phase_weight
+    out = np.empty((len(ps), len(qs)))
+    for i, p in enumerate(ps):
+        inner = np.max(mags) if p == math.inf else (wp * np.sum(mags**p)) ** (1 / p)
+        for j, q in enumerate(qs):
+            out[i, j] = inner if q == math.inf else inner * (wp * grp.order**2) ** (1 / q)
+    return out / l2_norm(g1) ** 2
+
+
+def identity_induced_norms(g):
+    """regnets.induced_norms(identity_operator(G), g) in closed form: its
+    pass reads B against (conj g, g), whose P = pairing_table(g, conj g)
+    is every row and every column of B once.  m1 and minf are both
+    wp * sum |P| / ||g||_2^2, m1_to_minf is max |P| / ||g||_2^2, and b,
+    the phase-space L1 size of B, is wp^2 |G|^2 sum |P|."""
+    grp = g.group
+    mags = np.abs(pairing_table(g, Signal(grp, g.values.conj())).values)
+    wp, energy = grp.phase_weight, l2_norm(g) ** 2
+    m1 = wp * np.sum(mags) / energy
+    return m1, m1, np.max(mags) / energy, wp**2 * grp.order**2 * np.sum(mags)
 
 
 def weak_reconstruction(op, window, s):

@@ -16,6 +16,7 @@ from tfkit.groups import (
     element_coords,
     make_group,
     make_lattice,
+    negation_index,
     phase_space,
     product_group,
     wrap_distance,
@@ -140,6 +141,16 @@ def test_element_coords_and_wrap_distance(orders):
     for i, x in enumerate(g.elements()):
         assert tuple(coords[:, i]) == x
         assert tuple(dist[:, i]) == tuple(min(c, n - c) for c, n in zip(x, orders))
+
+
+@pytest.mark.parametrize("orders", [(12,), (2, 3), (1, 4), (4, 1, 2)])
+def test_negation_index_points_at_the_inverse(orders):
+    g = make_group(orders)
+    neg = negation_index(g)
+    assert neg.shape == (g.order,)
+    for i, x in enumerate(g.elements()):
+        assert neg[i] == g.index(g.neg(x))
+    assert np.array_equal(neg[neg], np.arange(g.order))
 
 
 def test_tables_are_read_only():

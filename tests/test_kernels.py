@@ -37,7 +37,7 @@ from tfkit.signals import (
     random_signal,
     tensor,
 )
-from tfkit.transform import mod_norm, m1_norm
+from tfkit.transform import m1_norm, mod_norm, pairing_mags
 
 from oracles import (
     chunked_phase_sums,
@@ -477,6 +477,85 @@ def test_phase_sums_keep_their_bits_at_any_block_size(monkeypatch, name):
     op, g1, g2, ps = BIT_CASES[name]()
     monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 5 * g2.group.order)
     assert_same_bits(operator_phase_sums(op, g1, g2, ps), chunked_phase_sums(op, g1, g2, ps))
+
+
+def _mirror_case(orders1, orders2, ps, seed, dual=False):
+    # a real kernel with real windows: the half-row route of the pass
+    g1, g2 = make_group(orders1), make_group(orders2)
+    g2 = g2.dual() if dual else g2
+    rng = np.random.Generator(np.random.PCG64(seed))
+    op = KernelOperator(g1, g2, rng.standard_normal((g1.order, g2.order)))
+    return op, gauss(g1, 2.0), gauss(g2, 2.5), ps
+
+
+# name -> (operator, g1, g2, ps) of one real case; Z/n has the self-
+# conjugate frequencies 0 and n/2 at even n and 0 alone at odd n
+MIRROR_CASES = {
+    "even-32": lambda: _mirror_case((32,), (32,), (1, 2, math.inf), 3),
+    "odd-15-9": lambda: _mirror_case((15,), (9,), BIT_EXPONENTS, 13),
+    "chunks-24-28": lambda: _mirror_case((24,), (28,), BIT_EXPONENTS, 4),
+    "factors-4x6-24": lambda: _mirror_case((4, 6), (24,), BIT_EXPONENTS, 5),
+    "dual-weight": lambda: _mirror_case((8, 8), (4, 16), (2, math.inf), 6, dual=True),
+    "order-1-to-5": lambda: _mirror_case((1,), (5,), BIT_EXPONENTS, 11),
+    "order-5-to-1": lambda: _mirror_case((5,), (1,), BIT_EXPONENTS, 11),
+    "order-1-to-1": lambda: _mirror_case((1,), (1,), BIT_EXPONENTS, 11),
+    "reordered-exponents": lambda: _mirror_case((24,), (28,), (math.inf, 3, 1, 2, 2), 12),
+}
+
+
+def assert_close_sums(got, want, rel):
+    for name in ("m1", "peak", "row_peak"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=rel), name
+    assert len(got.col_powers) == len(want.col_powers)
+    for a, b in zip(got.col_powers, want.col_powers):
+        np.testing.assert_allclose(a, b, rtol=rel)
+
+
+@pytest.mark.parametrize("name", list(MIRROR_CASES))
+def test_real_phase_sums_mirror_half_the_rows(name):
+    # a mirrored row is not bitwise the row the full pass computes, so
+    # the sums agree to rounding, not to the bit
+    op, g1, g2, ps = MIRROR_CASES[name]()
+    assert_close_sums(operator_phase_sums(op, g1, g2, ps), chunked_phase_sums(op, g1, g2, ps), 1e-14)
+
+
+def test_real_phase_sums_with_a_cut_chunk(monkeypatch):
+    # chunks of five time nodes walk Z/12 as 5 + 5 + 2
+    op, g1, g2, ps = _mirror_case((12,), (10,), BIT_EXPONENTS, 14)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 5 * 12 * 100)
+    assert_close_sums(operator_phase_sums(op, g1, g2, ps), chunked_phase_sums(op, g1, g2, ps), 1e-14)
+
+
+def _count_mag_rows(monkeypatch):
+    counted = []
+
+    def counting(window, rows, out):
+        counted.append(len(rows))
+        return pairing_mags(window, rows, out)
+
+    monkeypatch.setattr(kernels, "pairing_mags", counting)
+    return counted
+
+
+@pytest.mark.parametrize(
+    "kind, rows",
+    [("real", 32 * 17), ("complex", 32 * 32), ("inf", 32 * 32), ("complex-window", 32 * 32)],
+)
+def test_only_real_finite_passes_skip_the_mirrored_rows(monkeypatch, kind, rows):
+    # Z/32 has the self-conjugate frequencies 0 and 16 and 15 pairs
+    # {w, -w}; any complex or non-finite input takes every row
+    op, g1, g2, ps = _mirror_case((32,), (32,), (1,), 3)
+    kernel = op.kernel.copy()
+    if kind == "complex":
+        kernel[0, 1] += 1j
+    elif kind == "inf":
+        kernel[2, 5] = math.inf
+    elif kind == "complex-window":
+        g1 = g1 + Signal(g1.group, 1j * dirac(g1.group).values)
+    counted = _count_mag_rows(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        operator_phase_sums(KernelOperator(op.domain, op.codomain, kernel), g1, g2, ps)
+    assert sum(counted) == rows
 
 
 @pytest.mark.parametrize("p", [0.5, 0, math.nan, -1])

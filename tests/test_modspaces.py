@@ -25,7 +25,12 @@ from tfkit.regnets import induced_norms
 from tfkit.signals import Signal, gauss, l2_norm, random_signal
 from tfkit.transform import mod_norm
 
-from oracles import normalized_gauss, operator_pairing_table
+from oracles import (
+    identity_induced_norms,
+    identity_mpq_bounds,
+    normalized_gauss,
+    operator_pairing_table,
+)
 
 EXPONENTS = (1, 2, math.inf)
 # tracemalloc peak of one streamed pass at order 64: its float chunk of
@@ -144,30 +149,38 @@ def test_mpq_bounds_reject_zero_window_before_the_pass(monkeypatch):
 def test_two_two_condition_is_moyals_closed_form(dom_orders, cod_orders):
     # Moyal's identity makes the (2, 2) table norm ||g1|| ||g2|| ||K||_HS,
     # with ||K||_HS^2 = sum |K|^2 w1 w2; the full table would take 256 MB
-    # here, while the streamed pass holds one 2 MB float chunk of |B|
+    # here, while the streamed pass holds one 2 MB float chunk of |B|.  The
+    # real kernel with real windows takes the pass's half-row route.
     dom, cod = make_group(dom_orders), make_group(cod_orders).dual()
     rng = np.random.default_rng(5)
     shape = (dom.order, cod.order)
-    op = KernelOperator(dom, cod, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    g1 = random_signal(dom, 1) + gauss(dom, 2.0)
+    real = rng.standard_normal(shape)
     g2 = gauss(cod, 3.0)
-    hs = math.sqrt(np.sum(np.abs(op.kernel) ** 2) * float(dom.weight) * float(cod.weight))
-    bounds, peak = traced_peak(lambda: mpq_bounds(op, g1, g2, [2], [2]))
-    assert bounds[0, 0] == pytest.approx(l2_norm(g2) * hs / l2_norm(g1), rel=1e-13)
-    assert peak < PASS_PEAK_BYTES
+    for kernel, g1 in (
+        (real + 1j * rng.standard_normal(shape), random_signal(dom, 1) + gauss(dom, 2.0)),
+        (real, gauss(dom, 2.0)),
+    ):
+        op = KernelOperator(dom, cod, kernel)
+        hs = math.sqrt(np.sum(np.abs(op.kernel) ** 2) * float(dom.weight) * float(cod.weight))
+        bounds, peak = traced_peak(lambda: mpq_bounds(op, g1, g2, [2], [2]))
+        assert bounds[0, 0] == pytest.approx(l2_norm(g2) * hs / l2_norm(g1), rel=1e-13)
+        assert peak < PASS_PEAK_BYTES
 
 
 def test_one_pass_holds_no_complex_chunk():
     # at Z/64 a chunk is one time node, 2^18 entries of B: 4 MB as complex
-    # values, 2 MB as the float |B| the pass keeps
+    # values, 2 MB as the float |B| the pass keeps; the real kernel keeps
+    # 33 of the 64 rows of each time node
     g = make_group((64,))
     rng = np.random.default_rng(7)
-    op = KernelOperator(g, g, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    real = rng.standard_normal((64, 64))
     w = normalized_gauss(g, 3.0)
-    _, peak = traced_peak(lambda: induced_norms(op, w))
-    assert peak < PASS_PEAK_BYTES
-    _, peak = traced_peak(lambda: mpq_bounds(op, w, w, [1, 2, math.inf], [2]))
-    assert peak < PASS_PEAK_BYTES
+    for kernel in (real + 1j * rng.standard_normal((64, 64)), real):
+        op = KernelOperator(g, g, kernel)
+        _, peak = traced_peak(lambda: induced_norms(op, w))
+        assert peak < PASS_PEAK_BYTES
+        _, peak = traced_peak(lambda: mpq_bounds(op, w, w, [1, 2, math.inf], [2]))
+        assert peak < PASS_PEAK_BYTES
 
 
 def test_extra_finite_exponents_hold_one_power_chunk():
@@ -179,6 +192,23 @@ def test_extra_finite_exponents_hold_one_power_chunk():
     w = normalized_gauss(g, 3.0)
     _, peak = traced_peak(lambda: mpq_bounds(op, w, w, [1, 1.5, 2, 3, math.inf], [2]))
     assert peak < PASS_PEAK_BYTES + 2 * 2**20
+
+
+@pytest.mark.parametrize("orders", [(64,), (8, 8)])
+def test_identity_conditions_have_their_closed_form(orders):
+    # |B| of the identity is one |G| x |G| table read along shifted
+    # diagonals (oracles.identity_mpq_bounds), so the nine conditions and
+    # the induced norms are known at orders the dense table cannot reach;
+    # the identity kernel is real, so the pass takes its half-row route
+    g = make_group(orders)
+    op = identity_operator(g)
+    g1, g2 = gauss(g, 3.0), gauss(g, 2.0)  # unnormalized, unequal
+    bounds = mpq_bounds(op, g1, g2, EXPONENTS, EXPONENTS)
+    np.testing.assert_allclose(bounds, identity_mpq_bounds(g1, g2, EXPONENTS, EXPONENTS), rtol=1e-13)
+    got = induced_norms(op, g2)
+    want = identity_induced_norms(g2)
+    for a, b in zip(got, want):
+        assert a == pytest.approx(b, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
