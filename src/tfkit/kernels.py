@@ -277,13 +277,12 @@ def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> Ph
     the rows tests/oracles.py builds whole; only the order of the sums
     differs.  The second stage is transform.pairing_mags, which writes
     |B| into the pass's one float chunk array through a 512 KB complex
-    block, multiplying through float views when g2 is real; it gives the
-    bits np.abs of the chunk's complex B would give.  The sums, maxima and
-    row sums read the chunk array whole; p = 1 sums its columns directly,
-    and a finite p != 1 adds np.sum(|B|**p, axis=0), the expression of
-    the oracle.  The last such p raises the chunk in place, since nothing
-    reads it afterwards; each earlier one holds a |B|**p chunk while it
-    is summed.
+    block; it gives the bits np.abs of the chunk's complex B would give.
+    The sums, maxima and row sums read the chunk array whole; p = 1 sums
+    its columns directly, and a finite p != 1 adds
+    np.sum(|B|**p, axis=0), the expression of the oracle.  The last such
+    p raises the chunk in place, since nothing reads it afterwards; each
+    earlier one holds a |B|**p chunk while it is summed.
 
     When the kernel, g1 and g2 are all real and finite, the second stage
     runs only on the rows (x1, w1) with w1 self-conjugate or the first of

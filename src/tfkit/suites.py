@@ -592,6 +592,7 @@ def run_kernel(cfg: dict, seed: int, tol: float) -> SuiteResult:
 
     if "compose" in checks:
         chain = [make_group(orders) for orders in cfg["chain"]]
+        w1, w2, w3 = (_normalized_gauss(grp) for grp in chain[:3])
         dense_defects = []
         assoc_defects = []
         ratios = []
@@ -605,9 +606,6 @@ def run_kernel(cfg: dict, seed: int, tol: float) -> SuiteResult:
             left = compose(ab, ops[2])
             right = compose(ops[0], compose(ops[1], ops[2]))
             assoc_defects.append(np.max(np.abs(left.kernel - right.kernel)))
-            w1 = _normalized_gauss(chain[0])
-            w2 = _normalized_gauss(chain[1])
-            w3 = _normalized_gauss(chain[2])
             num = operator_m1_norm(ab, w1, w3)
             den = operator_m1_norm(ops[0], w1, w2) * operator_m1_norm(ops[1], w2, w3)
             ratios.append(num / den)

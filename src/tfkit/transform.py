@@ -133,11 +133,9 @@ def _pairing_block(rows: np.ndarray, shifts: np.ndarray, tables: np.ndarray, gro
     """Bilinear tables of rows against shift rows, written into the
     complex tables shaped (len(rows), len(shifts), |G|): the product
     tables[j, x] = rows[j] * shifts[x], then the character sum along the
-    last axis and the Haar weight, in place.  rows and shifts are complex,
-    or float views of (re, im) pairs with each shift value repeated once
-    per pair (pairing_mags).  The weight multiply is skipped at weight 1,
-    where it is exact."""
-    np.multiply(rows[:, None, :], shifts[None, :, :], out=tables.view(shifts.dtype))
+    last axis and the Haar weight, in place.  rows and shifts are complex.
+    The weight multiply is skipped at weight 1, where it is exact."""
+    np.multiply(rows[:, None, :], shifts[None, :, :], out=tables)
     _char_sum_rows(tables.reshape(-1, group.order), group)
     if group.weight != 1:
         tables *= float(group.weight)
@@ -166,22 +164,16 @@ def pairing_mags(window: Signal, rows: np.ndarray, out: np.ndarray) -> np.ndarra
 
     The shift rows are built once, and the tables go through one complex
     block of at most _BLOCK_ENTRIES entries, one block of (row, shift)
-    pairs at a time, so no complex array the size of out is made.  When
-    the window is real and both it and the rows are finite, the product
-    runs on float views: each row as (re, im) pairs, times the shift rows
-    repeated once per pair.  That differs from the complex product only
-    in the sign of zeros, which the FFT carries along and abs drops, so
-    out holds the same bits either way.
+    pairs at a time, so no complex array the size of out is made.  Each
+    block is the product, character sum and weight of pairing_rows, so
+    out holds the bits of np.abs(pairing_rows(window, rows)).
     """
     if not out.flags.c_contiguous:
         raise ValueError("pairing_mags writes into a C-contiguous out")
     grp, n = window.group, window.group.order
-    # C order, which the float view needs and every block reads row by row
+    # C order, since every block reads the rows one at a time
     rows = np.ascontiguousarray(rows, dtype=complex)
     shifts = shift_matrix(window)
-    finite = np.isfinite(window.values).all() and np.isfinite(rows).all()
-    if finite and not np.any(window.values.imag):
-        rows, shifts = rows.view(float), np.repeat(shifts.real, 2, axis=1)
     pairs = max(1, _BLOCK_ENTRIES // n)
     per_row, per_shift = max(1, pairs // n), min(n, pairs)
     block = np.empty(per_row * per_shift * n, dtype=complex)

@@ -9,7 +9,7 @@ from tfkit.errors import GroupMismatchError
 from tfkit.frames import GaborSystem, canonical_dual
 from tfkit.groups import character_table, make_lattice
 from tfkit.kernels import KernelOperator, PhaseSums
-from tfkit.signals import Signal, dirac, gauss, l2_norm, shift_matrix, tf_shift
+from tfkit.signals import Signal, dirac, fourier, gauss, l2_norm, shift_matrix, tf_shift
 from tfkit.transform import pairing_rows, pairing_table, phase_atoms, stft
 
 
@@ -101,37 +101,76 @@ def chunked_phase_sums(op, g1, g2, ps=()):
     )
 
 
+def _one_table_mpq_bounds(mags, g1, codomain, ps, qs):
+    """The (p, q) conditions of an operator whose |B| holds every entry
+    of the |G2|^2 table mags once in each column and once in each row:
+    ||mags||_{p, wp1} * (wp2 |G2|^2)^(1/q) / ||g1||_2^2, with the plain
+    maximum at p = inf and no factor at q = inf."""
+    wp1, wp2 = g1.group.phase_weight, codomain.phase_weight
+    out = np.empty((len(ps), len(qs)))
+    for i, p in enumerate(ps):
+        inner = np.max(mags) if p == math.inf else (wp1 * np.sum(mags**p)) ** (1 / p)
+        for j, q in enumerate(qs):
+            out[i, j] = inner if q == math.inf else inner * (wp2 * codomain.order**2) ** (1 / q)
+    return out / l2_norm(g1) ** 2
+
+
+def _one_table_induced_norms(mags, g1, codomain):
+    """induced_norms of such an operator, mags read against conj g1:
+    m1 = wp2 sum |P| / ||g1||_2^2, minf = wp1 sum |P| / ||g1||_2^2,
+    m1_to_minf = max |P| / ||g1||_2^2, and b, the phase-space L1 size of
+    B, wp1 wp2 |G1| |G2| sum |P|."""
+    domain = g1.group
+    wp1, wp2, energy = domain.phase_weight, codomain.phase_weight, l2_norm(g1) ** 2
+    total = np.sum(mags)
+    return (
+        wp2 * total / energy,
+        wp1 * total / energy,
+        np.max(mags) / energy,
+        wp1 * wp2 * domain.order * codomain.order * total,
+    )
+
+
 def identity_mpq_bounds(g1, g2, ps, qs):
     """mpq_bounds(identity_operator(G), g1, g2, ps, qs) in closed form.
 
     For the identity, B(x1, w1; x2, w2) = P[x2 - x1, w1 + w2] with
     P = pairing_table(g2, g1): substitute t -> t + x1 in the pairing.
-    So every column of B holds each entry of P once, and the (p, q)
-    condition is ||P||_{p, wp} * (wp |G|^2)^(1/q) / ||g1||_2^2, with the
-    plain maximum at p = inf and no factor at q = inf.  One |G| x |G|
+    So every column of B holds each entry of P once.  One |G| x |G|
     table replaces the |G|^4 entries of B."""
-    grp = g1.group
     mags = np.abs(pairing_table(g2, g1).values)
-    wp = grp.phase_weight
-    out = np.empty((len(ps), len(qs)))
-    for i, p in enumerate(ps):
-        inner = np.max(mags) if p == math.inf else (wp * np.sum(mags**p)) ** (1 / p)
-        for j, q in enumerate(qs):
-            out[i, j] = inner if q == math.inf else inner * (wp * grp.order**2) ** (1 / q)
-    return out / l2_norm(g1) ** 2
+    return _one_table_mpq_bounds(mags, g1, g2.group, ps, qs)
 
 
 def identity_induced_norms(g):
     """regnets.induced_norms(identity_operator(G), g) in closed form: its
     pass reads B against (conj g, g), whose P = pairing_table(g, conj g)
-    is every row and every column of B once.  m1 and minf are both
-    wp * sum |P| / ||g||_2^2, m1_to_minf is max |P| / ||g||_2^2, and b,
-    the phase-space L1 size of B, is wp^2 |G|^2 sum |P|."""
-    grp = g.group
-    mags = np.abs(pairing_table(g, Signal(grp, g.values.conj())).values)
-    wp, energy = grp.phase_weight, l2_norm(g) ** 2
-    m1 = wp * np.sum(mags) / energy
-    return m1, m1, np.max(mags) / energy, wp**2 * grp.order**2 * np.sum(mags)
+    is every row and every column of B once."""
+    mags = np.abs(pairing_table(g, Signal(g.group, g.values.conj())).values)
+    return _one_table_induced_norms(mags, g, g.group)
+
+
+def fourier_mpq_bounds(g1, g2, ps, qs):
+    """mpq_bounds(fourier_operator(G), g1, g2, ps, qs) in closed form, g2
+    on dual(G).
+
+    The Fourier transform takes pi(x1, w1) g1 to a multiple of
+    pi(w1, -x1) fourier(g1) by a unimodular phase, so
+    |B(x1, w1; x2, w2)| = |P[x2 - w1, w2 - x1]| with
+    P = pairing_table(g2, fourier(g1)) on dual(G): substitute
+    t -> t + w1 in the pairing.  Every row and every column of B holds
+    each entry of P once."""
+    mags = np.abs(pairing_table(g2, fourier(g1)).values)
+    return _one_table_mpq_bounds(mags, g1, g2.group, ps, qs)
+
+
+def fourier_induced_norms(g1, g2):
+    """regnets.induced_norms(fourier_operator(G), g1, g2) in closed form:
+    its pass reads B against (conj g1, g2), so
+    P = pairing_table(g2, fourier(conj g1))."""
+    conj_hat = fourier(Signal(g1.group, g1.values.conj()))
+    mags = np.abs(pairing_table(g2, conj_hat).values)
+    return _one_table_induced_norms(mags, g1, g2.group)
 
 
 def weak_reconstruction(op, window, s):

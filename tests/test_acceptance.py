@@ -3,6 +3,7 @@ printing a single PASS/FAIL line with the measured defect and the
 tolerance it was held to.  Run `pytest tests/test_acceptance.py` to see
 the lines (they bypass output capture)."""
 
+import json
 import math
 import os
 import subprocess
@@ -455,12 +456,10 @@ def test_c11_cli_reports_are_byte_identical(capsys, tmp_path):
     assert ok
 
 
-def test_blas_thread_count_leaves_frames_csv_unchanged(tmp_path):
-    # report-large's frames section: 256 rows, enough for a threaded
-    # matrix product in the sweep to round some row differently; the
-    # whole report, summary.json's bounds and dual norm included
-    argv = ["frames", "--group", "64", "--window", "gauss:8", "--a", "4", "--b", "4"]
-    trees = []
+def reports_under_blas_threads(tmp_path, argv):
+    """The report trees and stdout of `python -m tfkit.cli *argv` under
+    one and under two BLAS threads, each run asserted to exit 0."""
+    runs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
         proc = subprocess.run(
@@ -471,6 +470,41 @@ def test_blas_thread_count_leaves_frames_csv_unchanged(tmp_path):
             env=checkout_env(OPENBLAS_NUM_THREADS=threads),
         )
         assert proc.returncode == 0, proc.stderr
-        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert sorted(trees[0]) == ["frames.csv", "summary.json"]
-    assert trees[0] == trees[1]
+        tree = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((tree, proc.stdout.replace(str(out), "OUT")))
+    return runs
+
+
+def test_blas_thread_count_leaves_frames_csv_unchanged(tmp_path):
+    # report-large's frames section: 256 rows, enough for a threaded
+    # matrix product in the sweep to round some row differently; the
+    # whole report, summary.json's bounds and dual norm included
+    argv = ["frames", "--group", "64", "--window", "gauss:8", "--a", "4", "--b", "4"]
+    (tree, _), (other, _) = reports_under_blas_threads(tmp_path, argv)
+    assert sorted(tree) == ["frames.csv", "summary.json"]
+    assert tree == other
+
+
+def test_blas_thread_count_leaves_every_report_unchanged(tmp_path):
+    # the suites that take BLAS products besides the frames sweep: the
+    # regnet compose and sandwich products and localization_net on Z/32,
+    # and the kernel checks at report-large's sizes; the other sections
+    # are small, so each run takes under a second
+    config = {
+        "norms": {"groups": [[8]]},
+        "kernel": {
+            "pairs": [[[24], [24]], [[4, 6], [24]]],
+            "chain": [[24], [12], [28], [24]],
+            "count": 1,
+        },
+        "frames": {"group": [8]},
+        "regnet": {"group": [32]},
+        "mpq": {"group": [8], "gap_orders": [8]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    runs = reports_under_blas_threads(tmp_path, ["all", "--config", str(path), "--seed", "0"])
+    (tree, stdout), (other, other_stdout) = runs
+    assert len(tree) == 8
+    assert tree == other
+    assert stdout == other_stdout

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfkit import kernels, transform
@@ -37,7 +37,7 @@ from tfkit.signals import (
     random_signal,
     tensor,
 )
-from tfkit.transform import m1_norm, mod_norm, pairing_mags
+from tfkit.transform import m1_norm, mod_norm, pairing_mags, pairing_rows
 
 from oracles import (
     chunked_phase_sums,
@@ -477,6 +477,55 @@ def test_phase_sums_keep_their_bits_at_any_block_size(monkeypatch, name):
     op, g1, g2, ps = BIT_CASES[name]()
     monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 5 * g2.group.order)
     assert_same_bits(operator_phase_sums(op, g1, g2, ps), chunked_phase_sums(op, g1, g2, ps))
+
+
+@st.composite
+def _fuzz_groups(draw):
+    # 1-3 cyclic factors of orders 1-12, primes included, |G| <= 24 so
+    # that a pass holds at most 24^4 entries; optionally the dual, whose
+    # Haar weight is 1/|G|
+    orders = [draw(st.integers(1, 12))]
+    while len(orders) < 3 and 24 // math.prod(orders) > 1 and draw(st.booleans()):
+        orders.append(draw(st.integers(1, min(12, 24 // math.prod(orders)))))
+    grp = make_group(orders)
+    return grp.dual() if draw(st.booleans()) else grp
+
+
+@st.composite
+def _fuzz_windows(draw, grp):
+    # real, complex or one-hot, never identically zero
+    kind = draw(st.sampled_from(["real", "complex", "one-hot"]))
+    if kind == "one-hot":
+        return dirac(grp, grp.coords(draw(st.integers(0, grp.order - 1))))
+    values = random_signal(grp, draw(st.integers(0, 2**16))).values
+    values = values.real + 1.0 if kind == "real" else values + 1.0
+    return Signal(grp, values)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_core_keeps_both_routes_bitwise(data):
+    # the streamed routes against their whole-array oracles, bit for bit:
+    # pairing_mags against np.abs(pairing_rows) at the default block and
+    # at blocks of 3 (row, shift) pairs, with an optional inf or NaN in
+    # the rows; the pass of a complex kernel against chunked_phase_sums
+    g1, g2 = data.draw(_fuzz_groups()), data.draw(_fuzz_groups())
+    w1, w2 = data.draw(_fuzz_windows(g1)), data.draw(_fuzz_windows(g2))
+    seed = data.draw(st.integers(0, 2**16))
+    rows = np.stack([random_signal(g2, seed + j).values for j in range(3)])
+    bad = data.draw(st.sampled_from([None, math.inf, -math.inf, math.nan]))
+    if bad is not None:
+        rows[data.draw(st.integers(0, 2)), data.draw(st.integers(0, g2.order - 1))] = bad
+    with np.errstate(invalid="ignore"):
+        want = np.abs(pairing_rows(w2, rows))
+        for block in (transform._BLOCK_ENTRIES, 3 * g2.order):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(transform, "_BLOCK_ENTRIES", block)
+                out = pairing_mags(w2, rows, np.empty((len(rows), g2.order**2)))
+            assert np.array_equal(out, want, equal_nan=True)
+    op = random_operator(g1, g2, seed)
+    ps = data.draw(st.lists(st.sampled_from([1, 1.5, 2, 3, math.inf]), max_size=4))
+    assert_same_bits(operator_phase_sums(op, w1, w2, ps), chunked_phase_sums(op, w1, w2, ps))
 
 
 def _mirror_case(orders1, orders2, ps, seed, dual=False):

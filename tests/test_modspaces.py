@@ -26,6 +26,8 @@ from tfkit.signals import Signal, gauss, l2_norm, random_signal
 from tfkit.transform import mod_norm
 
 from oracles import (
+    fourier_induced_norms,
+    fourier_mpq_bounds,
     identity_induced_norms,
     identity_mpq_bounds,
     normalized_gauss,
@@ -207,6 +209,24 @@ def test_identity_conditions_have_their_closed_form(orders):
     np.testing.assert_allclose(bounds, identity_mpq_bounds(g1, g2, EXPONENTS, EXPONENTS), rtol=1e-13)
     got = induced_norms(op, g2)
     want = identity_induced_norms(g2)
+    for a, b in zip(got, want):
+        assert a == pytest.approx(b, rel=1e-13)
+
+
+@pytest.mark.parametrize("orders", [(64,), (8, 8)])
+def test_fourier_operator_conditions_have_their_closed_form(orders):
+    # |B| of the Fourier operator is one table on dual(G) read along
+    # shifted diagonals (oracles.fourier_mpq_bounds); its kernel and g1
+    # are complex, so the pass takes every row
+    g = make_group(orders)
+    op = fourier_operator(g)
+    chirp = np.exp(2j * np.pi * np.random.default_rng(4).random(g.order))
+    g1 = Signal(g, gauss(g, 3.0).values * chirp)
+    g2 = gauss(g.dual(), 2.0)
+    bounds = mpq_bounds(op, g1, g2, EXPONENTS, EXPONENTS)
+    np.testing.assert_allclose(bounds, fourier_mpq_bounds(g1, g2, EXPONENTS, EXPONENTS), rtol=1e-13)
+    got = induced_norms(op, g1, g2)
+    want = fourier_induced_norms(g1, g2)
     for a, b in zip(got, want):
         assert a == pytest.approx(b, rel=1e-13)
 

@@ -338,13 +338,13 @@ def test_pairing_rows_match_pairing_table_row_by_row(orders):
 @pytest.mark.parametrize("orders", [(8,), (2, 3), (1,)])
 @pytest.mark.parametrize("real", [True, False])
 def test_pairing_mags_are_the_magnitudes_of_pairing_rows(monkeypatch, orders, real):
-    # a real window takes the float-view product, a complex one the
-    # complex product; blocks of 3 (row, shift) pairs split the shift rows
+    # real and complex windows, finite and non-finite rows; blocks of 3
+    # (row, shift) pairs split the shift rows
     grp = make_group(orders)
     window = gauss(grp, 1.0) if real else _complex_window(grp, 13)
     rows = np.stack([random_signal(grp, 20 + j).values for j in range(5)])
     for bad in (None, math.inf, math.nan):
-        # a non-finite row takes the complex product, where inf * 0 is NaN
+        # an inf entry times a zero gives NaN in the complex product
         if bad is not None:
             rows[2, -1] = bad
         with np.errstate(invalid="ignore"):
