@@ -16,8 +16,9 @@ P = prod_j p_j with p_j the denominator of n_j / (a_j b_j) in lowest
 terms (the Zak domain, Zibulski-Zeevi).  Each system decomposes those small
 matrices once (GaborSystem.spectrum); the bounds, the canonical dual
 S^{-1} g and the tight window S^{-1/2} g are read off that one spectrum,
-never off the dense |G| x |G| matrix, which only partial_frame_sum
-builds (over every lattice point it is S; the tests keep the dense frame
+never off the dense |G| x |G| matrix, which only partial_frame_sum and
+the tail of the frames suite's sweep of partial sums (suites.run_frames)
+build (over every lattice point it is S; the tests keep the dense frame
 operator and the Walnut-block eigen-solves as oracles).  atomic_expand
 reads the frame coefficients off transform.pairing_rows and
 gabor_synthesize sums them back through its transpose

@@ -25,6 +25,8 @@ rounding.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -61,7 +63,7 @@ def _as_coords(coords) -> tuple:
     if isinstance(coords, PhasePoint):
         raise TypeError("expected group coordinates, got a phase point")
     try:
-        out = tuple(int(c) for c in coords)
+        out = tuple(operator.index(c) for c in coords)
     except TypeError:
         raise TypeError(f"coordinates must be an integer sequence, got {coords!r}") from None
     return out
@@ -136,25 +138,19 @@ class Group:
         return tuple((-x) % n for x, n in zip(self.reduce(a), self.orders))
 
     def index(self, coords) -> int:
-        """Position of an element in the lexicographic enumeration."""
-        coords = self.reduce(coords)
-        idx = 0
-        for c, n in zip(coords, self.orders):
-            idx = idx * n + c
-        return idx
+        """Position of an element in the lexicographic enumeration, NumPy's
+        C order of the factor grid."""
+        return int(np.ravel_multi_index(self.reduce(coords), self.orders))
 
-    def coords(self, index: int) -> tuple:
+    def coords(self, index) -> tuple:
+        index = operator.index(index)
         if not 0 <= index < self.order:
             raise ValueError(f"index {index} out of range for group of order {self.order}")
-        out = []
-        for n in reversed(self.orders):
-            out.append(index % n)
-            index //= n
-        return tuple(reversed(out))
+        return tuple(int(c) for c in np.unravel_index(index, self.orders))
 
     def elements(self) -> list:
         """All elements in enumeration order."""
-        return [self.coords(i) for i in range(self.order)]
+        return [tuple(c) for c in element_coords(self).T.tolist()]
 
     def __repr__(self):
         parts = " x ".join(f"Z/{n}" for n in self.orders)
@@ -236,10 +232,15 @@ def wrap_distance(group: Group) -> np.ndarray:
 
 
 def _broadcast_step(group: Group, step) -> tuple:
-    if isinstance(step, (int, np.integer)):
-        step = (int(step),) * group.nfactors
-    else:
-        step = tuple(int(s) for s in step)
+    """One integer step per factor, a single integer standing for all;
+    LatticeError on a fractional step rather than truncating it."""
+    try:
+        if isinstance(step, Iterable):
+            step = tuple(operator.index(s) for s in step)
+        else:
+            step = (operator.index(step),) * group.nfactors
+    except TypeError:
+        raise LatticeError(f"lattice steps must be integers, got {step!r}") from None
     if len(step) != group.nfactors:
         raise LatticeError(
             f"need one step per factor ({group.nfactors}), got {len(step)}"
@@ -305,8 +306,8 @@ class Lattice:
 
     def points(self) -> list:
         """All lattice points as PhasePoint tuples, time-major."""
-        coords = element_coords(self.group).T.tolist()
-        times, freqs = ([tuple(coords[i]) for i in side] for side in self.nodes)
+        els = self.group.elements()
+        times, freqs = ([els[i] for i in side] for side in self.nodes)
         return [PhasePoint(x, w) for x in times for w in freqs]
 
     def contains(self, point: PhasePoint) -> bool:

@@ -22,11 +22,12 @@ time-frequency table on G1 x G2 (the kernel theorem).  It has
 streams it in chunks of domain time nodes into a PhaseSums record of
 O(|G2|^2) floats.  A chunk is held only as |B|, one float array of about
 2^18 entries that the pass allocates once; transform.pairing_mags fills
-it through a complex block of 2^15 entries, so the complex B of a chunk
-never exists.  Every reduction runs in one fixed order over the whole
-chunk, so the sums do not depend on the block sizes.  When the kernel
-and both windows are real and finite, |B| is symmetric under
-(w1, w2) -> (-w1, -w2), and the pass computes only half of the rows.
+it through a complex block of whole rows, 2^15 entries or one row's
+|G2|^2 when that is longer, so the complex B of a chunk never exists.
+Every reduction runs in one fixed order over the whole chunk, so the
+sums do not depend on the block sizes.  When the kernel and both
+windows are real and finite, |B| is symmetric under (w1, w2) ->
+(-w1, -w2), and the pass computes only half of the rows.
 """
 
 from __future__ import annotations
@@ -391,10 +392,14 @@ def tensor_expand(
     max_error reports the sup-norm reconstruction defect.  projective_m1
     is sum_j m1(left_j) * m1(right_j) against the given windows (default:
     unit-spread periodized Gaussians), a finite upper bound certificate
-    for the kernel's own m1 norm.
+    for the kernel's own m1 norm.  ValueError on a negative or NaN tol
+    and, before the SVD, on a kernel with an inf or NaN entry, which has
+    no singular value decomposition.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
+    if not np.isfinite(op.kernel).all():
+        raise ValueError("tensor_expand needs a finite kernel")
     u, sing, vh = np.linalg.svd(op.kernel)
     # a group has order >= 1, so sing[0] exists; at sing[0] == 0 (the zero
     # kernel) nothing passes, even at tol = inf, where the cutoff is NaN

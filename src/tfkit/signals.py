@@ -157,10 +157,8 @@ def random_signal(group: Group, seed) -> Signal:
 
 
 def translate(f: Signal, x) -> Signal:
-    """(T_x f)(t) = f(t - x)."""
-    x = f.group.reduce(x)
-    rolled = np.roll(f.grid(), shift=x, axis=tuple(range(f.group.nfactors)))
-    return Signal(f.group, rolled.ravel())
+    """(T_x f)(t) = f(t - x), the row of x in shift_matrix."""
+    return Signal(f.group, shift_matrix(f, [f.group.index(x)])[0])
 
 
 def shift_matrix(g: Signal, times=slice(None)) -> np.ndarray:

@@ -232,7 +232,7 @@ def parse_signal_token(token) -> dict:
     In the spec `at` is a list of ints (absent for the impulse at 0),
     `spread` a float, `seed` an int, `re` and `im` equal-length flat
     float arrays.  ConfigError on a malformed field; the fit to a group
-    is _check_fit's."""
+    is _parse_section's."""
     spec = token
     if isinstance(token, str):
         kind, colon, arg = token.partition(":")
@@ -290,24 +290,10 @@ def parse_signal_token(token) -> dict:
     raise ConfigError(f"unknown signal kind {kind!r}")
 
 
-def _check_fit(key: str, spec: dict, orders: tuple) -> None:
-    """ConfigError naming `key` unless a parsed signal spec fits the
-    group of `orders`: a dirac position must be an element of it, a
-    values literal must have one entry per element."""
-    group = make_group(orders)
-    if "at" in spec:
-        try:
-            group.reduce(spec["at"])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad dirac position {spec['at']!r}: {exc}") from exc
-    if "re" in spec and spec["re"].size != group.order:
-        raise ConfigError(
-            f"{key}: values literal has {spec['re'].size} entries, group order is {group.order}"
-        )
-
-
 def signal_from_spec(group: Group, spec: dict) -> Signal:
-    """The signal a parsed spec names on a group it fits."""
+    """The signal a parsed spec names on a group; ValueError when it does
+    not fit (a dirac position of the wrong length, a values literal
+    without one entry per element)."""
     kind = spec["kind"]
     if kind == "dirac":
         return dirac(group, spec.get("at"))
@@ -956,13 +942,23 @@ def _parse_section(config: dict, name: str) -> dict:
     and the frames lattice steps divide the frames group.  This is where
     a config is judged; no runner raises ConfigError."""
     section = parse_keys(SCHEMA[name], config[name], prefix=f"{name}.")
+    literals = []
     if name == "norms":
-        for orders in section["groups"]:
-            for key in ("windows", "signals"):
-                for _, spec in section[key]:
-                    _check_fit(f"norms.{key}", spec, orders)
+        literals = [
+            (f"norms.{key}", orders, spec)
+            for orders in section["groups"]
+            for key in ("windows", "signals")
+            for _, spec in section[key]
+        ]
     elif name in ("frames", "mpq"):
-        _check_fit(f"{name}.window", section["window"], section["group"])
+        literals = [(f"{name}.window", section["group"], section["window"])]
+    for key, orders, spec in literals:
+        try:
+            # a tiny gauss spread overflows to a 0 entry, as in the runner
+            with np.errstate(over="ignore"):
+                signal_from_spec(make_group(orders), spec)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     if name == "frames":
         grp = make_group(section["group"])
         for key, steps in (("a", (section["a"], 1)), ("b", (1, section["b"]))):

@@ -151,8 +151,8 @@ def pairing_rows(window: Signal, rows: np.ndarray, times=slice(None)) -> np.ndar
     return tables.reshape(len(rows), -1)
 
 
-# Complex entries per block of pairing_mags, 2^15 (512 KB), or one row of
-# |G| when that is longer.  Each FFT row sees the same arithmetic in any
+# Complex entries per block of pairing_mags, 2^15 (512 KB), or one row's
+# |G|^2 when that is longer.  Each FFT row sees the same arithmetic in any
 # block, so the bits do not depend on it.
 _BLOCK_ENTRIES = 2**15
 
@@ -163,8 +163,8 @@ def pairing_mags(window: Signal, rows: np.ndarray, out: np.ndarray) -> np.ndarra
     returns out.
 
     The shift rows are built once, and the tables go through one complex
-    block of at most _BLOCK_ENTRIES entries, one block of (row, shift)
-    pairs at a time, so no complex array the size of out is made.  Each
+    block of whole rows, at most _BLOCK_ENTRIES entries or one row's |G|^2
+    when that is longer, so no complex array the size of out is made.  Each
     block is the product, character sum and weight of pairing_rows, so
     out holds the bits of np.abs(pairing_rows(window, rows)).
     """
@@ -174,16 +174,14 @@ def pairing_mags(window: Signal, rows: np.ndarray, out: np.ndarray) -> np.ndarra
     # C order, since every block reads the rows one at a time
     rows = np.ascontiguousarray(rows, dtype=complex)
     shifts = shift_matrix(window)
-    pairs = max(1, _BLOCK_ENTRIES // n)
-    per_row, per_shift = max(1, pairs // n), min(n, pairs)
-    block = np.empty(per_row * per_shift * n, dtype=complex)
+    per_row = max(1, _BLOCK_ENTRIES // n**2)
+    block = np.empty((per_row, n, n), dtype=complex)
     mags = out.reshape(len(rows), n, n)
     for lo in range(0, len(rows), per_row):
-        for x in range(0, n, per_shift):
-            part = mags[lo : lo + per_row, x : x + per_shift]
-            tables = block[: part.size].reshape(part.shape)
-            _pairing_block(rows[lo : lo + per_row], shifts[x : x + per_shift], tables, grp)
-            np.abs(tables, out=part)
+        part = mags[lo : lo + per_row]
+        tables = block[: len(part)]
+        _pairing_block(rows[lo : lo + per_row], shifts, tables, grp)
+        np.abs(tables, out=part)
     return out
 
 

@@ -298,6 +298,8 @@ def test_malformed_config_wins_over_out_and_makes_no_directory(tmp_path, capsys,
         ({"frames": {"a": 3}}, "frames.a"),
         # the pc net's last spread, 2 * 0.5**539, squares to 0
         ({"regnet": {"stages": 540}}, "regnet.stages"),
+        ({"norms": {"windows": [{"kind": "values", "re": [1] * 8}]}}, "norms.windows"),
+        ({"mpq": {"window": {"kind": "values", "re": [1] * 5}}}, "mpq.window"),
     ],
     ids=[
         "frames-dirac",
@@ -306,6 +308,8 @@ def test_malformed_config_wins_over_out_and_makes_no_directory(tmp_path, capsys,
         "frames-values",
         "frames-step",
         "regnet-stages",
+        "norms-values",
+        "mpq-values",
     ],
 )
 def test_misfit_exits_two_before_any_suite_runs(tmp_path, capsys, runner_calls, overrides, key):

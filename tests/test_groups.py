@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -71,12 +72,53 @@ def test_reduce_negatives_and_arity():
         g.reduce(PhasePoint((1,), (2,)))
 
 
-def test_index_coords_roundtrip():
-    g = make_group((2, 3, 2))
-    for i in range(g.order):
-        assert g.index(g.coords(i)) == i
+@pytest.mark.parametrize(
+    "orders",
+    [(2, 3, 2), (12,), (2, 3), (1, 4), (4, 1, 2)],
+    ids=["2x3x2", "12", "2x3", "1x4", "4x1x2"],
+)
+def test_index_coords_roundtrip(orders):
+    g = make_group(orders)
+    els = g.elements()
+    assert len(els) == g.order
+    for i, x in enumerate(els):
+        assert type(x) is tuple and all(type(c) is int for c in x)
+        assert g.coords(i) == x and g.index(x) == i
+        assert type(g.index(x)) is int and all(type(c) is int for c in g.coords(i))
     # lexicographic: last coordinate varies fastest
-    assert g.elements()[:4] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    assert els == list(itertools.product(*map(range, orders)))
+    with pytest.raises(ValueError, match="out of range"):
+        g.coords(g.order)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: g.index((2.7,)),
+        lambda g: g.reduce((np.float64(3.0),)),
+        lambda g: g.coords(2.5),
+        lambda g: g.coords(np.float64(2.0)),
+    ],
+    ids=["index", "reduce", "coords", "coords-integral-float"],
+)
+def test_fractional_coordinates_are_refused_not_truncated(call):
+    with pytest.raises(TypeError):
+        call(make_group((8,)))
+
+
+@pytest.mark.parametrize(
+    "time_step",
+    [(2.5,), 2.5, 2.0, (np.float64(2.0),), "2"],
+    ids=["tuple-2.5", "2.5", "2.0", "tuple-float64", "string"],
+)
+def test_fractional_lattice_steps_are_refused_not_truncated(time_step):
+    g = make_group((8,))
+    with pytest.raises(LatticeError, match="must be integers"):
+        make_lattice(g, time_step, 1)
+    with pytest.raises(LatticeError, match="must be integers"):
+        make_lattice(g, 1, time_step)
+    # integers of any integer type still broadcast or pass per factor
+    assert make_lattice(g, np.int64(2), [np.int32(4)]).time_step == (2,)
 
 
 @given(st.data())

@@ -472,8 +472,8 @@ def test_phase_sums_have_the_bits_of_the_complex_chunk_pass(name):
 
 @pytest.mark.parametrize("name", ["chunks-24-28", "complex-g2", "order-5-to-1"])
 def test_phase_sums_keep_their_bits_at_any_block_size(monkeypatch, name):
-    # blocks of 5 (row, shift) pairs split every row of shifts; the chunks
-    # stay the same
+    # blocks of 5 |G2| entries hold one row each (five at |G2| = 1); the
+    # chunks stay the same
     op, g1, g2, ps = BIT_CASES[name]()
     monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 5 * g2.group.order)
     assert_same_bits(operator_phase_sums(op, g1, g2, ps), chunked_phase_sums(op, g1, g2, ps))
@@ -507,8 +507,9 @@ def _fuzz_windows(draw, grp):
 def test_fuzzed_core_keeps_both_routes_bitwise(data):
     # the streamed routes against their whole-array oracles, bit for bit:
     # pairing_mags against np.abs(pairing_rows) at the default block and
-    # at blocks of 3 (row, shift) pairs, with an optional inf or NaN in
-    # the rows; the pass of a complex kernel against chunked_phase_sums
+    # at blocks of 3 |G2| entries, one row each, with an optional inf or
+    # NaN in the rows; the pass of a complex kernel against
+    # chunked_phase_sums
     g1, g2 = data.draw(_fuzz_groups()), data.draw(_fuzz_groups())
     w1, w2 = data.draw(_fuzz_windows(g1)), data.draw(_fuzz_windows(g2))
     seed = data.draw(st.integers(0, 2**16))
@@ -744,6 +745,16 @@ def test_tensor_expand_rejects_negative_tol():
     for tol in (-1.0, math.nan):  # a NaN tolerance is no tolerance either
         with pytest.raises(ValueError):
             tensor_expand(identity_operator(g), tol)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_tensor_expand_rejects_a_non_finite_kernel(bad):
+    # checked before the SVD: such a kernel has no decomposition
+    g = make_group((4,))
+    kernel = np.array(random_operator(g, g, 5).kernel)
+    kernel[1, 2] = bad
+    with pytest.raises(ValueError, match="finite kernel"):
+        tensor_expand(KernelOperator(g, g, kernel), 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -119,19 +119,22 @@ def test_random_signal_is_reproducible():
     assert not np.array_equal(random_signal(g, 7).values, random_signal(g, 8).values)
 
 
-def test_translate_modulate_match_definitions():
-    g = make_group((2, 3))
+@pytest.mark.parametrize(
+    "orders", [(2, 3), (12,), (1, 4), (4, 1, 2)], ids=["2x3", "12", "1x4", "4x1x2"]
+)
+def test_translate_modulate_match_definitions(orders):
+    g = make_group(orders)
     s = random_signal(g, 3)
-    shifted = translate(s, (1, 2))
     els = g.elements()
-    for it, t in enumerate(els):
-        src = g.index(g.add(t, g.neg((1, 2))))
-        assert shifted.values[it] == pytest.approx(s.values[src], abs=0)
-    modded = modulate(s, (1, 1))
-    for it, t in enumerate(els):
-        assert modded.values[it] == pytest.approx(
-            naive_char(g, t, (1, 1)) * s.values[it], rel=1e-14
-        )
+    for x in els:
+        shifted = translate(s, x)
+        for it, t in enumerate(els):
+            assert shifted.values[it] == s.values[g.index(g.add(t, g.neg(x)))]
+        modded = modulate(s, x)
+        for it, t in enumerate(els):
+            assert modded.values[it] == pytest.approx(
+                naive_char(g, t, x) * s.values[it], rel=1e-14
+            )
 
 
 def test_modulations_are_the_modulated_signals():

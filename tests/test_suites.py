@@ -167,6 +167,15 @@ def test_signal_from_spec():
         assert str(info.value).startswith("norms.windows: ")
 
 
+def test_a_tiny_gauss_spread_fits_without_an_overflow_warning():
+    # the fit check builds the window; exp(-pi d^2 / spread^2) overflows
+    # the quotient to -inf, a 0 entry, and RuntimeWarnings are errors here
+    config = merge_config(
+        {"norms": {"groups": [[8]], "windows": ["gauss:1e-160"], "signals": ["dirac"]}}
+    )
+    assert run_suite("norms", config, seed=0, tol=1e-8).failures == []
+
+
 def test_config_int():
     assert config_int(3) == 3
     assert config_int("7", 0) == 7

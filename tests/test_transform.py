@@ -335,11 +335,13 @@ def test_pairing_rows_match_pairing_table_row_by_row(orders):
         np.testing.assert_allclose(tables[j], expected, rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("orders", [(8,), (2, 3), (1,)])
+@pytest.mark.parametrize("orders", [(8,), (2, 3), (1,), (182,)])
 @pytest.mark.parametrize("real", [True, False])
 def test_pairing_mags_are_the_magnitudes_of_pairing_rows(monkeypatch, orders, real):
-    # real and complex windows, finite and non-finite rows; blocks of 3
-    # (row, shift) pairs split the shift rows
+    # real and complex windows, finite and non-finite rows; a block of
+    # 3 |G| entries holds one row (three at |G| = 1), one of 2 |G|^2 holds
+    # two and leaves the fifth row alone, and at |G| = 182 one row's |G|^2
+    # is more than 2^15
     grp = make_group(orders)
     window = gauss(grp, 1.0) if real else _complex_window(grp, 13)
     rows = np.stack([random_signal(grp, 20 + j).values for j in range(5)])
@@ -349,7 +351,7 @@ def test_pairing_mags_are_the_magnitudes_of_pairing_rows(monkeypatch, orders, re
             rows[2, -1] = bad
         with np.errstate(invalid="ignore"):
             want = np.abs(pairing_rows(window, rows))
-            for block in (2**15, 3 * grp.order):
+            for block in (2**15, 3 * grp.order, 2 * grp.order**2):
                 monkeypatch.setattr(transform, "_BLOCK_ENTRIES", block)
                 out = np.full((5, grp.order**2), -1.0)
                 assert pairing_mags(window, rows, out) is out
