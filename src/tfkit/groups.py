@@ -69,11 +69,22 @@ def _as_coords(coords) -> tuple:
     return out
 
 
+def _as_order(n) -> int:
+    """A cyclic factor's order as an int: any integer type, never a bool,
+    and TypeError on a float or string rather than truncating it."""
+    if isinstance(n, bool):
+        raise TypeError(f"a group order must be an integer, got {n!r}")
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise TypeError(f"a group order must be an integer, got {n!r}") from None
+
+
 @dataclass(frozen=True)
 class Group:
     """A finite abelian group with a fixed Haar normalization.
 
-    orders      : cyclic factor sizes (n1, ..., nk), each >= 1
+    orders      : cyclic factor sizes (n1, ..., nk), integers, each >= 1
     weight      : Haar weight per point of the group
     dual_weight : Haar weight per point of the dual group
     """
@@ -83,7 +94,7 @@ class Group:
     dual_weight: Fraction
 
     def __post_init__(self):
-        orders = tuple(int(n) for n in self.orders)
+        orders = tuple(map(_as_order, self.orders))
         if not orders:
             raise ValueError("a group needs at least one cyclic factor")
         if any(n < 1 for n in orders):
@@ -158,14 +169,11 @@ class Group:
 
 
 def make_group(orders: Sequence[int]) -> Group:
-    """Group with the default normalization: counting measure on G."""
-    orders = tuple(int(n) for n in orders)
-    if not orders:
-        raise ValueError("a group needs at least one cyclic factor")
-    if any(n < 1 for n in orders):
-        raise ValueError(f"factor sizes must be positive, got {orders}")
-    n = math.prod(orders)
-    return Group(orders, Fraction(1), Fraction(1, n))
+    """Group with the default normalization: counting measure on G.
+    Group checks the orders: the max leaves a zero or negative product to
+    it, and a float product gives a float weight that it never reaches."""
+    orders = tuple(orders)
+    return Group(orders, Fraction(1), Fraction(1) / max(1, math.prod(orders)))
 
 
 def product_group(a: Group, b: Group) -> Group:
@@ -281,9 +289,8 @@ class Lattice:
 
     @property
     def size(self) -> int:
-        n_time = math.prod(n // s for n, s in zip(self.group.orders, self.time_step))
-        n_freq = math.prod(n // s for n, s in zip(self.group.orders, self.freq_step))
-        return n_time * n_freq
+        times, freqs = self.nodes
+        return len(times) * len(freqs)
 
     @property
     def index_in_phase_space(self) -> int:
@@ -311,11 +318,9 @@ class Lattice:
         return [PhasePoint(x, w) for x in times for w in freqs]
 
     def contains(self, point: PhasePoint) -> bool:
-        x = self.group.reduce(point.x)
-        w = self.group.reduce(point.w)
-        return all(c % s == 0 for c, s in zip(x, self.time_step)) and all(
-            c % s == 0 for c, s in zip(w, self.freq_step)
-        )
+        times, freqs = self.nodes
+        x, w = self.group.index(point.x), self.group.index(point.w)
+        return x in times and w in freqs
 
 
 def make_lattice(group: Group, time_step, freq_step, weighting: str = "ambient") -> Lattice:

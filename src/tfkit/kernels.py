@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -378,23 +378,18 @@ class TensorExpansion:
         return len(self.left)
 
 
-def tensor_expand(
-    op: KernelOperator,
-    tol: float,
-    g1: Optional[Signal] = None,
-    g2: Optional[Signal] = None,
-) -> TensorExpansion:
+def tensor_expand(op: KernelOperator, tol: float) -> TensorExpansion:
     """Split a kernel into rank-one tensors by singular value decomposition.
 
     Keeps singular triples with sigma_j > tol * sigma_max (absolute
     cutoff on the scale of the kernel).  The weight is folded so that
     the kernel equals sum_j outer(left_j, right_j) with no extra factor;
     max_error reports the sup-norm reconstruction defect.  projective_m1
-    is sum_j m1(left_j) * m1(right_j) against the given windows (default:
-    unit-spread periodized Gaussians), a finite upper bound certificate
-    for the kernel's own m1 norm.  ValueError on a negative or NaN tol
-    and, before the SVD, on a kernel with an inf or NaN entry, which has
-    no singular value decomposition.
+    is sum_j m1(left_j) * m1(right_j) against gauss(., 1.0) on each side
+    (any nonzero window gives an equivalent norm), a finite upper bound
+    certificate for the kernel's own m1 norm.  ValueError on a negative
+    or NaN tol and, before the SVD, on a kernel with an inf or NaN entry,
+    which has no singular value decomposition.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
@@ -416,10 +411,7 @@ def tensor_expand(
     for f1, f2 in zip(left, right):
         rec = rec + np.outer(f1.values, f2.values)
     max_error = float(np.max(np.abs(op.kernel - rec)))
-    if g1 is None:
-        g1 = gauss(op.domain, 1.0)
-    if g2 is None:
-        g2 = gauss(op.codomain, 1.0)
+    g1, g2 = gauss(op.domain, 1.0), gauss(op.codomain, 1.0)
     projective = sum(m1_norm(f1, g1) * m1_norm(f2, g2) for f1, f2 in zip(left, right))
     return TensorExpansion(
         left=tuple(left),

@@ -157,16 +157,13 @@ def spike_window(group: Group, spread: float) -> Signal:
 def pc_net(group: Group, spreads) -> RegNet:
     """Product-convolution net: stage s -> (s . plateau) * spike.
 
-    spreads must be positive and strictly decreasing; as they shrink the
-    plateau rises to the constant 1 and the spike sharpens to the unit
-    impulse, so the last stage is the identity up to floating-point
-    underflow of the Gaussian tails.
+    spreads must be nonempty (RegNet checks), positive (plateau_window
+    checks) and strictly decreasing; as they shrink the plateau rises to
+    the constant 1 and the spike sharpens to the unit impulse, so the last
+    stage is the identity up to floating-point underflow of the Gaussian
+    tails.
     """
     spreads = [float(s) for s in spreads]
-    if not spreads:
-        raise ValueError("need at least one spread")
-    if any(not s > 0 for s in spreads):
-        raise ValueError(f"spreads must be positive, got {spreads}")
     if any(b >= a for a, b in zip(spreads, spreads[1:])):
         raise ValueError(f"spreads must be strictly decreasing, got {spreads}")
     stages = []
@@ -229,12 +226,11 @@ def gabor_partial_net(system: GaborSystem, counts) -> RegNet:
     return RegNet(system.group, tuple(stages), tuple(labels))
 
 
-def standard_probes(group: Group, seed: int, extra: int = 2) -> list:
-    """Deterministic probe set: impulse, Gaussian, seeded noise."""
-    probes = [dirac(group), gauss(group, 1.0)]
-    for j in range(extra):
-        probes.append(random_signal(group, seed + j))
-    return probes
+def standard_probes(group: Group, seed: int) -> list:
+    """Deterministic probe set of four: the impulse, the unit-spread
+    Gaussian, and seeded noise from seeds seed and seed + 1."""
+    noise = [random_signal(group, seed + j) for j in (0, 1)]
+    return [dirac(group), gauss(group, 1.0), *noise]
 
 
 def induced_norms(op: KernelOperator, g1: Signal, g2: Signal = None) -> tuple:
@@ -367,25 +363,21 @@ def compose_approx(
     first: KernelOperator,
     second: KernelOperator,
     nets,
-    probes1=None,
-    probes2=None,
     tol: float = 1e-10,
-    seed: int = 0,
 ) -> ComposeApproxReport:
     """Approximate 'first then second' by composing the sandwiched stages.
 
     nets is a triple on (domain of first, middle group, codomain of
-    second).  Weak errors pair probe signals on the outer groups against
-    the defect from the exact composition.
+    second).  Weak errors pair the standard probes of the outer groups,
+    at seed 0 on the domain of first and seed 100 on the codomain of
+    second, against the defect from the exact composition.
     """
     net1, net2, net3 = nets
     target = compose(first, second)
     first_stages = sandwich(first, net1, net2)
     second_stages = sandwich(second, net2, net3)
-    if probes1 is None:
-        probes1 = standard_probes(first.domain, seed)
-    if probes2 is None:
-        probes2 = standard_probes(second.codomain, seed + 100)
+    probes1 = standard_probes(first.domain, 0)
+    probes2 = standard_probes(second.codomain, 100)
     stages = []
     weak = []
     kerr = []

@@ -500,9 +500,20 @@ def suite_rng(seed: int, suite: str) -> np.random.Generator:
     )
 
 
+def _unit_energy(g: Signal) -> Signal:
+    """g / ||g||_2.  WindowError when g is identically zero or its
+    energy overflows to inf or underflows to 0; a NaN window passes."""
+    require_window(g)
+    energy = l2_norm(g)
+    if math.isinf(energy):
+        raise WindowError("window energy overflows")
+    if energy == 0:
+        raise WindowError("window energy underflows")
+    return Signal(g.group, g.values / energy)
+
+
 def _normalized_gauss(group: Group) -> Signal:
-    g = gauss(group, 1.0)
-    return Signal(group, g.values / l2_norm(g))
+    return _unit_energy(gauss(group, 1.0))
 
 
 def _random_kernel(rng: np.random.Generator, dom: Group, cod: Group) -> KernelOperator:
@@ -619,19 +630,18 @@ def run_kernel(cfg: dict, seed: int, tol: float) -> SuiteResult:
 
     if "bnorm" in checks:
         grp = make_group((6,))
-        w1 = _normalized_gauss(grp)
-        w2 = _normalized_gauss(grp)
+        w = _normalized_gauss(grp)
         two_path_defects = []
         for _ in range(count):
             op = _random_kernel(rng, grp, grp)
-            direct = operator_m1_norm(op, w1, w2)
-            lifted = m1_norm(kernel_signal(op), tensor(w1, w2))
+            direct = operator_m1_norm(op, w, w)
+            lifted = m1_norm(kernel_signal(op), tensor(w, w))
             two_path_defects.append(abs(direct - lifted) / max(1.0, direct))
         res.grade("bnorm_two_paths", f"6->6 x{count}", np.max(two_path_defects), tol)
         f1 = random_signal(grp, rng)
         f2 = random_signal(grp, rng)
-        product = m1_norm(f1, w1) * m1_norm(f2, w2)
-        direct = operator_m1_norm(rank_one(f1, f2), w1, w2)
+        product = m1_norm(f1, w) * m1_norm(f2, w)
+        direct = operator_m1_norm(rank_one(f1, f2), w, w)
         res.grade(
             "bnorm_rank_one",
             "6->6",
@@ -641,6 +651,7 @@ def run_kernel(cfg: dict, seed: int, tol: float) -> SuiteResult:
 
     if "expand" in checks:
         grp = make_group((6,))
+        window = gauss(grp, 1.0)  # tensor_expand's projective_m1 window
         for kind in ("random", "rank_one"):
             if kind == "random":
                 op = _random_kernel(rng, grp, grp)
@@ -650,7 +661,7 @@ def run_kernel(cfg: dict, seed: int, tol: float) -> SuiteResult:
             res.grade(
                 "expand_recon", f"6->6 {kind} rank={exp.rank}", exp.max_error, tol * 100
             )
-            bound_gap = operator_m1_norm(op, gauss(grp, 1.0), gauss(grp, 1.0))
+            bound_gap = operator_m1_norm(op, window, window)
             res.grade(
                 "expand_projective",
                 f"6->6 {kind}",
@@ -748,9 +759,7 @@ def _onb_system(grp: Group) -> GaborSystem:
     """Critically sampled impulse system, index-weighted: orthonormal in
     l2(grp), so the frame bounds are exactly (1, 1) on any group."""
     lattice = make_lattice(grp, 1, grp.orders, weighting="index")
-    impulse = dirac(grp)
-    unit = Signal(grp, impulse.values / l2_norm(impulse))
-    return GaborSystem(unit, lattice)
+    return GaborSystem(_unit_energy(dirac(grp)), lattice)
 
 
 def _build_net(grp: Group, construction: str, stages: int) -> RegNet:
@@ -769,9 +778,7 @@ def _build_net(grp: Group, construction: str, stages: int) -> RegNet:
     )
 
 
-def run_regnet(
-    cfg: dict, seed: int, tol: float, filename: str = "convergence.csv"
-) -> SuiteResult:
+def run_regnet(cfg: dict, seed: int, tol: float) -> SuiteResult:
     res = SuiteResult("regnet")
     grp = make_group(cfg["group"])
     stages = cfg["stages"]
@@ -812,7 +819,7 @@ def run_regnet(
         # conj win_dom is the one operator_m1_norm would build: b is b_norm
         m1_op, minf_op, _, b = induced_norms(approx, win_dom, win_cod)
         rows.append((label, m1_err, weak_err, b, m1_op, minf_op))
-    res.tables[filename] = (
+    res.tables["convergence.csv"] = (
         ("stage", "m1_err", "weak_err", "b_norm", "m1_opnorm", "minf_opnorm"),
         rows,
     )
@@ -844,8 +851,8 @@ def _run_regnet_all(cfg: dict, seed: int, tol: float) -> SuiteResult:
     res = SuiteResult("regnet")
     for construction, target, filename in _REGNET_ALL:
         sub_cfg = dict(cfg, construction=construction, target=target)
-        sub = run_regnet(sub_cfg, seed, tol, filename=filename)
-        res.tables.update(sub.tables)
+        sub = run_regnet(sub_cfg, seed, tol)
+        res.tables[filename] = sub.tables["convergence.csv"]
         res.failures.extend(sub.failures)
         res.checks.extend(sub.checks)
         res.summary[construction] = sub.summary
@@ -859,14 +866,7 @@ def _run_regnet_all(cfg: dict, seed: int, tol: float) -> SuiteResult:
 def run_mpq(cfg: dict, seed: int, tol: float) -> SuiteResult:
     res = SuiteResult("mpq")
     grp = make_group(cfg["group"])
-    g1 = signal_from_spec(grp, cfg["window"])
-    require_window(g1)
-    energy = l2_norm(g1)
-    if math.isinf(energy):
-        raise WindowError("window energy overflows")
-    if energy == 0:
-        raise WindowError("window energy underflows")
-    g1 = Signal(grp, g1.values / energy)
+    g1 = _unit_energy(signal_from_spec(grp, cfg["window"]))
     dual = grp.dual()
     g2_dual = _normalized_gauss(dual)
     rng = suite_rng(seed, "mpq")

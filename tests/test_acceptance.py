@@ -6,6 +6,7 @@ the lines (they bypass output capture)."""
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,7 @@ from tfkit.signals import (
 from tfkit.transform import m1_norm, mod_norm, stft, stft_invert
 
 from oracles import normalized_gauss, onb_system, random_operator
+from report_diff import read_tree, tree_moves
 
 GROUP_PAIRS = [((8,), (8,)), ((5,), (7,)), ((2, 3), (4,))]
 
@@ -508,3 +510,57 @@ def test_blas_thread_count_leaves_every_report_unchanged(tmp_path):
     assert len(tree) == 8
     assert tree == other
     assert stdout == other_stdout
+
+
+# The reference reports: `tfkit all --seed 0` and the report-large config
+# of benchmarks/workloads.json at --seed 3, each tree with its stdout, and
+# the build that wrote them.  Bytes are promised on one build only.
+REPORTS = Path(__file__).parent / "reports"
+WORKLOADS = Path(__file__).parents[1] / "benchmarks" / "workloads.json"
+
+
+def build_platform() -> dict:
+    """The Python, NumPy and BLAS build the report bytes depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+    }
+
+
+def reference_argv(name: str, work: Path) -> list:
+    """The `tfkit` arguments of the reference report name, writing the
+    report-large config into work when it needs it."""
+    if name == "default":
+        return ["all", "--seed", "0"]
+    config = json.loads(WORKLOADS.read_text(encoding="utf-8"))["workloads"][name]["config"]
+    path = work / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return ["all", "--seed", "3", "--config", str(path)]
+
+
+def report_tree(work: Path, argv) -> dict:
+    """The report tree of `python -m tfkit.cli *argv` written under work,
+    with its stdout as the file `stdout` (the report directory spelled
+    OUT); the run must exit 0."""
+    out = work / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tfkit.cli", *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {**read_tree(out), "stdout": proc.stdout.replace(str(out), "OUT").encode()}
+
+
+@pytest.mark.parametrize("name", ["default", "report-large"])
+def test_reports_match_the_reference(tmp_path, name):
+    recorded = json.loads((REPORTS / "platform.json").read_text(encoding="utf-8"))
+    if recorded != build_platform():
+        pytest.skip(f"the reference bytes are from {recorded}, this build is {build_platform()}")
+    got = report_tree(tmp_path, reference_argv(name, tmp_path))
+    moves = tree_moves(read_tree(REPORTS / name), got)
+    assert not moves, f"{len(moves)} cells moved from tests/reports/{name}:\n" + "\n".join(moves)

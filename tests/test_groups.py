@@ -121,6 +121,23 @@ def test_fractional_lattice_steps_are_refused_not_truncated(time_step):
     assert make_lattice(g, np.int64(2), [np.int32(4)]).time_step == (2,)
 
 
+@pytest.mark.parametrize(
+    "orders",
+    [(8.5,), ("8",), (True,), (8.0,), (np.float64(8.0),)],
+    ids=["8.5", "string", "bool", "8.0", "float64"],
+)
+def test_fractional_orders_are_refused_not_truncated(orders):
+    with pytest.raises(TypeError):
+        make_group(orders)
+    with pytest.raises(TypeError, match="must be an integer"):
+        Group((2.9,), 1, Fraction(1, 2))
+    # integers of any integer type still build
+    g = make_group((np.int64(8), np.int32(3)))
+    assert g.orders == (8, 3)
+    assert all(type(n) is int for n in g.orders)
+    assert g.dual_weight == Fraction(1, 24)
+
+
 @given(st.data())
 def test_group_laws(data):
     g = make_group(data.draw(ORDERS))

@@ -241,7 +241,6 @@ def test_standard_probes_are_deterministic():
     assert len(a) == 4
     for f, h in zip(a, b):
         assert np.array_equal(f.values, h.values)
-    assert len(standard_probes(g, 5, extra=0)) == 2
 
 
 # ---------------------------------------------------------------------------
