@@ -171,9 +171,15 @@ class Group:
 def make_group(orders: Sequence[int]) -> Group:
     """Group with the default normalization: counting measure on G.
     Group checks the orders: the max leaves a zero or negative product to
-    it, and a float product gives a float weight that it never reaches."""
+    it, a float product gives a float weight that it never reaches, and
+    orders with no product (a string) get a placeholder weight, so that
+    Group's own message names the order."""
     orders = tuple(orders)
-    return Group(orders, Fraction(1), Fraction(1) / max(1, math.prod(orders)))
+    try:
+        dual = Fraction(1) / max(1, math.prod(orders))
+    except TypeError:
+        dual = Fraction(1)
+    return Group(orders, Fraction(1), dual)
 
 
 def product_group(a: Group, b: Group) -> Group:

@@ -46,6 +46,7 @@ __all__ = [
     "random_signal",
     "periodized_sqdist",
     "translate",
+    "shift_windows",
     "shift_matrix",
     "modulate",
     "tf_shift",
@@ -161,21 +162,30 @@ def translate(f: Signal, x) -> Signal:
     return Signal(f.group, shift_matrix(f, [f.group.index(x)])[0])
 
 
-def shift_matrix(g: Signal, times=slice(None)) -> np.ndarray:
-    """Translates of g as rows: row x is T_x g, i.e. row_x(t) = g(t - x),
-    for every x, or for the index subset times (a slice, list or index
-    array).  g is tiled twice along each factor, and row x is the
-    window of the tiling that starts at n - x per factor, copied off a
-    strided view, so memory is O(rows x |G| + 2^k |G|) and no index
-    table is built."""
+def shift_windows(g: Signal) -> np.ndarray:
+    """Every translate of g as one read-only strided view: g is tiled
+    twice along each factor, and entry [s, t] (k start axes of length
+    n_j + 1, then the factor axes) is the tiling at s + t, so the window
+    that starts at s = n - x per factor is T_x g.  The tiling, 2^k |G|
+    values, is the only copy made."""
     grp = g.group
     tiled = g.values.reshape(grp.orders)
     for axis in range(grp.nfactors):
         tiled = np.concatenate((tiled, tiled), axis=axis)
     starts = tuple(n + 1 for n in grp.orders)
     windows = np.ndarray(starts + grp.orders, tiled.dtype, tiled, strides=tiled.strides * 2)
-    rows = windows[tuple(np.reshape(grp.orders, (-1, 1)) - element_coords(grp)[:, times])]
-    return rows.reshape(-1, grp.order)
+    windows.flags.writeable = False
+    return windows
+
+
+def shift_matrix(g: Signal, times=slice(None)) -> np.ndarray:
+    """Translates of g as rows: row x is T_x g, i.e. row_x(t) = g(t - x),
+    for every x, or for the index subset times (a slice, list or index
+    array), copied off shift_windows, so memory is
+    O(rows x |G| + 2^k |G|) and no index table is built."""
+    grp = g.group
+    starts = tuple(np.reshape(grp.orders, (-1, 1)) - element_coords(grp)[:, times])
+    return shift_windows(g)[starts].reshape(-1, grp.order)
 
 
 def modulate(f: Signal, w) -> Signal:

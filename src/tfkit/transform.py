@@ -3,14 +3,17 @@
 The phase-space core the other modules build on lives here: the atom
 matrix phase_atoms, the batched bilinear table pairing_rows, its
 magnitude reader pairing_mags, its transpose synthesis and the weighted
-p-norm weighted_pnorm.  pairing_rows is the only forward analysis: the
-STFT and the Gabor coefficients are read off it, stft(g, s) as
-conj(pairing_table(g, conj(s))).  pairing_mags writes |pairing_rows|
-into a float array the caller owns, through one bounded complex block;
-the operator phase sums read the second stage of their pass off it.
-Both share one product and character sum (_pairing_block).  synthesis
-is the only way back: the inversion formula (stft_invert) and the Gabor
-synthesis are read off it.  phase_atoms builds the character rows of
+p-norm weighted_pnorm.  pairing_rows is the forward analysis over whole
+phase-space rows: the STFT is read off it, stft(g, s) as
+conj(pairing_table(g, conj(s))), and so is the first stage of the
+operator pass at a subset of time nodes.  pairing_mags writes
+|pairing_rows| into a float array the caller owns, through one bounded
+complex block; the operator phase sums read the second stage of their
+pass off it.  Both share one product and character sum (_pairing_block).
+synthesis is the way back over the whole table: the inversion formula
+(stft_invert) is read off it.  The Gabor analysis and synthesis on a
+lattice fold to the lattice's FFT length instead (frames.atomic_expand,
+frames.gabor_synthesize).  phase_atoms builds the character rows of
 the frequencies it is asked for (groups.character_rows); only
 mod_norm_conv, which needs every modulation, reads the whole cached
 groups.character_table.
@@ -185,23 +188,16 @@ def pairing_mags(window: Signal, rows: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def synthesis(
-    window: Signal, table: np.ndarray, times=slice(None), freqs=slice(None)
-) -> np.ndarray:
-    """sum_(x,w) table[x, w] pi(x,w) window over the phase points of the
-    index subsets times and freqs (all of them by default), table shaped
-    [time, frequency] over those subsets.  The transpose of pairing_rows
-    for the Haar pairing on G: sum_nu c[nu] (pi(nu) g, s) = (synthesis(g, c), s).
+def synthesis(window: Signal, table: np.ndarray) -> np.ndarray:
+    """sum_(x,w) table[x, w] pi(x,w) window over every phase point, table
+    shaped [time, frequency].  The transpose of pairing_rows for the Haar
+    pairing on G: sum_nu c[nu] (pi(nu) g, s) = (synthesis(g, c), s).
 
-    The table goes into a zero (len(times), |G|) array at the freqs
-    columns; one character sum per row gives A[x, t] = sum_w c[x, w] w(t),
-    which is then summed against the shift rows g(t - x).  No atom matrix.
+    One character sum per row gives A[x, t] = sum_w c[x, w] w(t), which
+    is then summed against the shift rows g(t - x).  No atom matrix.
     """
-    grp = window.group
-    shifts = shift_matrix(window, times)
-    coeffs = np.zeros((len(shifts), grp.order), dtype=complex)
-    coeffs[:, freqs] = table
-    return np.sum(_char_sum_rows(coeffs, grp) * shifts, axis=0)
+    coeffs = np.array(table, dtype=complex)
+    return np.sum(_char_sum_rows(coeffs, window.group) * shift_matrix(window), axis=0)
 
 
 def weighted_pnorm(mags: np.ndarray, weight: float, p, axis=None):

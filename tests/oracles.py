@@ -234,8 +234,8 @@ def dual_atom_coefficients(f, system):
     """The frame coefficients c_lambda = weight * <f, pi(lambda) h> against
     the canonical dual h by their dense definition: one matrix-vector
     product with the conjugated dual atom matrix, scaled by the lattice
-    weight and the Haar weight.  The library reads them off
-    transform.pairing_rows instead."""
+    weight and the Haar weight.  The library folds the signal to the
+    lattice's FFT length instead (frames.atomic_expand)."""
     dual_atoms = gabor_atoms(GaborSystem(canonical_dual(system), system.lattice))
     return (dual_atoms.conj() @ f.values) * (system.weight * float(system.group.weight))
 
@@ -243,8 +243,36 @@ def dual_atom_coefficients(f, system):
 def gabor_synthesis(system, coefficients):
     """sum_lambda c_lambda pi(lambda) g by its dense definition: one
     product of the coefficients with the system's atom matrix.  The
-    library sums them back through transform.synthesis instead."""
+    library sums them back at the lattice's FFT length instead
+    (frames.gabor_synthesize)."""
     return coefficients @ gabor_atoms(system)
+
+
+def node_row_coefficients(f, system):
+    """The frame coefficients off whole rows of the bilinear table: a
+    length-|G| character sum of conj(f) times the dual's shift row at each
+    lattice time node (transform.pairing_rows), keeping the frequency-node
+    columns.  The library folds each row to the lattice's FFT length
+    instead (frames.atomic_expand)."""
+    times, freqs = system.lattice.nodes
+    table = pairing_rows(canonical_dual(system), np.conj(f.values)[None, :], times)
+    coeffs = np.conj(table.reshape(len(times), system.group.order)[:, freqs])
+    return coeffs.ravel() * system.weight
+
+
+def node_row_synthesis(system, coefficients):
+    """sum_lambda c_lambda pi(lambda) g off whole rows: the coefficients
+    zero-filled to an (L, |G|) array at the frequency-node columns, one
+    length-|G| character sum per row, then summed against the window's
+    shift rows at the time nodes.  The library sums at the lattice's FFT
+    length instead (frames.gabor_synthesize)."""
+    grp = system.group
+    times, freqs = system.lattice.nodes
+    rows = np.zeros((len(times), grp.order), dtype=complex)
+    rows[:, freqs] = np.reshape(coefficients, (len(times), len(freqs)))
+    sums = np.fft.ifftn(rows.reshape((-1,) + grp.orders), axes=range(1, grp.nfactors + 1))
+    sums = sums.reshape(len(times), grp.order) * grp.order
+    return np.sum(sums * shift_matrix(system.window, times), axis=0)
 
 
 def _twisted_sandwich_kernel(prototype, nu1, nu2):

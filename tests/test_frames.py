@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from oracles import (
     gabor_atoms,
     gabor_synthesis,
     naive_char,
+    node_row_coefficients,
+    node_row_synthesis,
     onb_system,
     random_operator,
     synthesize_operator_expansion,
@@ -318,46 +321,79 @@ def test_expand_then_synthesize_reconstructs():
         assert np.max(np.abs(rebuilt.values - f.values)) < 1e-9 * l2_norm(f)
 
 
-# Z/8 with a = b = 2, two factors, a Z/1 factor and a non-square lattice
-ON_FOUR_SYSTEMS = pytest.mark.parametrize(
+# Z/8 with a = b = 2, two factors, a Z/1 factor, a non-square lattice,
+# p_j > 1 (Z/12 with a = b = 3, the Z/10 factor with a = 2, b = 2), three
+# factors, the dual group's Haar weight, and complex windows
+GABOR_SYSTEMS = pytest.mark.parametrize(
     "orders, a, b, window",
     [
         ((8,), 2, 2, "gauss"),
         ((2, 6), (1, 2), (2, 3), "gauss"),
         ((1, 8), (1, 2), (1, 2), "gauss"),
         ((12,), 3, 2, "complex"),
+        ((12,), 3, 3, "gauss"),
+        ((6, 10), (2, 2), (3, 2), "gauss"),
+        ((4, 1, 6), (2, 1, 2), (1, 1, 2), "gauss"),
+        ((12,), 3, 3, "dual"),
+        ((2, 6), (1, 2), (2, 3), "dual"),
+        ((4, 6), (2, 2), (1, 3), "complex"),
     ],
 )
 
 
 def make_system(orders, a, b, window):
     g = make_group(orders)
-    h = gauss(g, 1.0) if window == "gauss" else random_signal(g, 4)
+    if window == "dual":
+        g = g.dual()
+    h = random_signal(g, 4) if window == "complex" else gauss(g, 1.0)
     return GaborSystem(h, make_lattice(g, a, b))
 
 
-@ON_FOUR_SYSTEMS
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@GABOR_SYSTEMS
 def test_expand_matches_dense_dual_atoms(orders, a, b, window):
+    # and the former route off whole rows of the bilinear table
     system = make_system(orders, a, b, window)
     g = system.group
     for seed in range(3):
         f = random_signal(g, seed)
-        want = dual_atom_coefficients(f, system)
         got = atomic_expand(f, system)
-        assert got.shape == want.shape == (system.lattice.size,)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert got.shape == (system.lattice.size,)
+        assert_close(got, dual_atom_coefficients(f, system))
+        assert_close(got, node_row_coefficients(f, system))
 
 
-@ON_FOUR_SYSTEMS
+@GABOR_SYSTEMS
 def test_synthesize_matches_dense_atoms(orders, a, b, window):
+    # and the former route off whole zero-filled rows
     system = make_system(orders, a, b, window)
     rng = np.random.default_rng(7)
     size = system.lattice.size
     for _ in range(3):
         coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        want = gabor_synthesis(system, coeffs)
         got = gabor_synthesize(system, coeffs).values
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_close(got, gabor_synthesis(system, coeffs))
+        assert_close(got, node_row_synthesis(system, coeffs))
+
+
+def test_expand_and_synthesize_keep_no_lattice_by_group_array():
+    # Z/4096 with a = 64, b = 32: an array over the 64 time nodes and the
+    # whole group would be 4 MB of complex values.
+    g = make_group((4096,))
+    system = GaborSystem(gauss(g, 90.0), make_lattice(g, 64, 32))
+    system.spectrum
+    f = random_signal(g, 0)
+    tracemalloc.start()
+    try:
+        gabor_synthesize(system, atomic_expand(f, system))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_analysis_and_synthesis_build_no_atom_matrix(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -123,11 +124,12 @@ def test_fractional_lattice_steps_are_refused_not_truncated(time_step):
 
 @pytest.mark.parametrize(
     "orders",
-    [(8.5,), ("8",), (True,), (8.0,), (np.float64(8.0),)],
-    ids=["8.5", "string", "bool", "8.0", "float64"],
+    [(8.5,), ("8",), (True,), (8.0,), (np.float64(8.0),), ("8", "2")],
+    ids=["8.5", "string", "bool", "8.0", "float64", "strings"],
 )
 def test_fractional_orders_are_refused_not_truncated(orders):
-    with pytest.raises(TypeError):
+    # Group's own message, naming the order, never the weight's arithmetic
+    with pytest.raises(TypeError, match=f"must be an integer, got {re.escape(repr(orders[0]))}"):
         make_group(orders)
     with pytest.raises(TypeError, match="must be an integer"):
         Group((2.9,), 1, Fraction(1, 2))

@@ -25,6 +25,7 @@ from tfkit.signals import (
     pointwise,
     random_signal,
     shift_matrix,
+    shift_windows,
     sup_norm,
     tensor,
     tf_shift,
@@ -252,6 +253,19 @@ def test_shift_matrix_builds_only_the_asked_rows(orders):
     times = [g.order - 1, 0, g.order // 2, 0]
     for asked in (times, np.array(times), slice(1, None, 2)):
         assert np.array_equal(shift_matrix(s, asked), full[asked])
+
+
+@pytest.mark.parametrize("orders", INDEX_ORDERS)
+def test_shift_windows_view_every_translate(orders):
+    g = make_group(orders)
+    s = random_signal(g, 5)
+    windows = shift_windows(s)
+    assert not windows.flags.writeable
+    axes = tuple(range(g.nfactors))
+    for x in g.elements():
+        # the window starting at n - x per factor is T_x s
+        want = np.roll(s.grid(), x, axis=axes)
+        assert np.array_equal(windows[tuple(n - c for n, c in zip(g.orders, x))], want)
 
 
 def test_shift_rows_and_involute_keep_no_group_squared_table():
