@@ -14,22 +14,18 @@ coset of H; with time steps a_j each block is block-circulant, so an FFT
 along its block index splits it further into Hermitian P x P matrices,
 P = prod_j p_j with p_j the denominator of n_j / (a_j b_j) in lowest
 terms (the Zak domain, Zibulski-Zeevi).  Each system decomposes those small
-matrices once (GaborSystem.spectrum); the bounds, the canonical dual
-S^{-1} g and the tight window S^{-1/2} g are read off that one spectrum,
-never off the dense |G| x |G| matrix, which only partial_frame_sum and
-the tail of the frames suite's sweep of partial sums (suites.run_frames)
-build (over every lattice point it is S; the tests keep the dense frame
-operator and the Walnut-block eigen-solves as oracles).  atomic_expand
-and its adjoint gabor_synthesize run at the lattice's FFT length (the
-DGT and IDGT): both go through one strided view of the window's shifts
-at the time nodes (signals.shift_windows), each factor axis split into
-(b_j, n_j / b_j), so the signal folds to the frequency nodes' period
-with no L x |G| array and one inverse FFT of length n_j / b_j per factor
-reads off the coefficients.  The atoms themselves are
-transform.phase_atoms at the node indices Lattice.nodes, and no system
-keeps an atom matrix (the tests keep the dense analysis and synthesis,
-and the former whole-row route through transform.pairing_rows, as
-oracles).  A full lattice with the ambient weight gives A = B = ||g||_2^2.
+matrices once (GaborSystem.spectrum) and keeps its canonical dual S^{-1} g
+(GaborSystem.dual); the bounds, the dual and the tight window S^{-1/2} g
+are read off that one spectrum, never off the dense |G| x |G| matrix,
+which only partial_frame_sum and the tail of the frames suite's sweep of
+partial sums (suites.run_frames) build (over every lattice point it is
+S; the tests keep the dense frame operator and the Walnut-block
+eigen-solves as oracles).  atomic_expand and its adjoint gabor_synthesize
+are transform.analysis against the dual and transform.synthesis with the
+window on the system's lattice (the DGT and IDGT), and no system keeps
+an atom matrix (the tests keep the dense analysis and synthesis, and the
+former whole-row route through transform.pairing_rows, as oracles).  A
+full lattice with the ambient weight gives A = B = ||g||_2^2.
 """
 
 from __future__ import annotations
@@ -43,8 +39,8 @@ import numpy as np
 from .errors import FrameError, GroupMismatchError, LatticeError
 from .groups import Group, Lattice, PhasePoint, character_rows, product_group
 from .kernels import KernelOperator, kernel_signal
-from .signals import Signal, shift_matrix, shift_windows
-from .transform import phase_atoms
+from .signals import Signal, shift_matrix
+from .transform import analysis, phase_atoms, synthesis
 
 __all__ = [
     "GaborSystem",
@@ -137,6 +133,12 @@ class GaborSystem:
             arr.flags.writeable = False
         return evals, vecs, index
 
+    @cached_property
+    def dual(self) -> Signal:
+        """S^{-1} g off the spectrum, computed on first use and kept, read-only,
+        for canonical_dual and atomic_expand; FrameError for non-frames."""
+        return _frame_power(self, -1.0)
+
 
 def frame_bounds(system: GaborSystem) -> tuple:
     """(A, B): extreme eigenvalues of the weight-folded frame matrix, read
@@ -172,7 +174,7 @@ def _frame_power(system: GaborSystem, exponent: float) -> Signal:
 
 def canonical_dual(system: GaborSystem) -> Signal:
     """h = S^{-1} g; raises FrameError (with bounds) for non-frames."""
-    return _frame_power(system, -1.0)
+    return system.dual
 
 
 def tight_window(system: GaborSystem) -> Signal:
@@ -181,68 +183,21 @@ def tight_window(system: GaborSystem) -> Signal:
     return _frame_power(system, -0.5)
 
 
-def _node_shifts(window: Signal, lattice: Lattice) -> tuple:
-    """T_x window at every time node x of the lattice as one read-only
-    view of signals.shift_windows, with its einsum labels.
-
-    The start axes are sliced from n_j down with step -a_j (the window
-    that starts at n - x is T_x g), and each factor axis n_j is split into
-    (b_j, M_j), M_j = n_j / b_j, so entry [i, beta, mu] is
-    window(beta M + mu - a i): shape (L_1, ..., L_k, b_1, M_1, ..., b_k, M_k).
-    Returns (view, nodes, split, freqs), the labels of the node axes, of
-    the split factor axes and of the M axes, whose characters at the
-    frequency nodes w_j = b_j f_j are exp(2 pi i f_j mu_j / M_j)."""
-    grp, k = window.group, window.group.nfactors
-    starts = tuple(slice(n, 0, -a) for n, a in zip(grp.orders, lattice.time_step))
-    dims = tuple(d for n, b in zip(grp.orders, lattice.freq_step) for d in (b, n // b))
-    view = shift_windows(window)[starts]
-    view = view.reshape(view.shape[:k] + dims, copy=False)
-    # labels: time nodes 0..k-1, b_j axes k..2k-1, M_j axes 2k..3k-1
-    nodes, freqs = list(range(k)), list(range(2 * k, 3 * k))
-    split = [d for j in range(k) for d in (k + j, 2 * k + j)]
-    return view, nodes, split, freqs
-
-
 def atomic_expand(f: Signal, system: GaborSystem) -> np.ndarray:
     """Frame coefficients c_lambda = weight * <f, pi(lambda) h> against the
-    canonical dual h, aligned with lattice.points().  Synthesizing the
-    system's own atoms with these coefficients returns f exactly.
-
-    conj(f), split like the node view of h (_node_shifts), is summed
-    against it over the b_j axes, which folds it to (L..., M...) with no
-    L x |G| product; the inverse FFT over the M axes times prod M_j is
-    then the character sum at the frequency nodes.  Times the Haar weight,
-    conjugated, times the lattice weight."""
-    if f.group != system.group:
-        raise GroupMismatchError("signal lives on the wrong group")
-    grp, k = system.group, system.group.nfactors
-    shifts, nodes, split, freqs = _node_shifts(canonical_dual(system), system.lattice)
-    folded = np.einsum(
-        shifts, nodes + split, np.conj(f.values).reshape(shifts.shape[k:]), split, nodes + freqs
-    )
-    axes = tuple(range(k, 2 * k))
-    table = np.fft.ifftn(folded, axes=axes) * math.prod(folded.shape[k:])
-    if grp.weight != 1:
-        table *= float(grp.weight)
-    return np.conj(table).ravel() * system.weight
+    canonical dual h, aligned with lattice.points(): transform.analysis
+    times the lattice weight.  Synthesizing the system's own atoms with
+    these coefficients returns f exactly."""
+    return analysis(canonical_dual(system), system.lattice, f) * system.weight
 
 
 def gabor_synthesize(system: GaborSystem, coefficients: np.ndarray) -> Signal:
     """sum_lambda c_lambda pi(lambda) g, the coefficients aligned with
-    lattice.points(); the adjoint of atomic_expand's route.  The inverse
-    FFT over the M axes of the (L..., M...) coefficients, times prod M_j,
-    gives sum_w c[x, w] w(t) on the split axes, which is summed against
-    the node view of g (_node_shifts) over the time nodes; no atom
-    matrix and no L x |G| array."""
-    grp, k = system.group, system.group.nfactors
-    coefficients = np.asarray(coefficients, dtype=complex).reshape(-1)
+    lattice.points(): transform.synthesis on the system's lattice."""
     size = system.lattice.size
-    if coefficients.size != size:
-        raise ValueError(f"got {coefficients.size} coefficients for {size} lattice points")
-    shifts, nodes, split, freqs = _node_shifts(system.window, system.lattice)
-    table = coefficients.reshape(shifts.shape[:k] + shifts.shape[k + 1 :: 2])
-    sums = np.fft.ifftn(table, axes=tuple(range(k, 2 * k))) * math.prod(table.shape[k:])
-    return Signal(grp, np.einsum(shifts, nodes + split, sums, nodes + freqs, split))
+    if np.size(coefficients) != size:
+        raise ValueError(f"got {np.size(coefficients)} coefficients for {size} lattice points")
+    return Signal(system.group, synthesis(system.window, system.lattice, coefficients))
 
 
 def partial_frame_sum(system: GaborSystem, count: int) -> KernelOperator:

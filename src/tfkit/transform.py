@@ -2,21 +2,22 @@
 
 The phase-space core the other modules build on lives here: the atom
 matrix phase_atoms, the batched bilinear table pairing_rows, its
-magnitude reader pairing_mags, its transpose synthesis and the weighted
-p-norm weighted_pnorm.  pairing_rows is the forward analysis over whole
-phase-space rows: the STFT is read off it, stft(g, s) as
-conj(pairing_table(g, conj(s))), and so is the first stage of the
-operator pass at a subset of time nodes.  pairing_mags writes
+magnitude reader pairing_mags, the Gabor analysis and synthesis on a
+lattice, and the weighted p-norm weighted_pnorm.  pairing_rows is the
+forward analysis over whole phase-space rows: the STFT is read off it,
+stft(g, s) as conj(pairing_table(g, conj(s))), and so is the first stage
+of the operator pass at a subset of time nodes.  pairing_mags writes
 |pairing_rows| into a float array the caller owns, through one bounded
 complex block; the operator phase sums read the second stage of their
 pass off it.  Both share one product and character sum (_pairing_block).
-synthesis is the way back over the whole table: the inversion formula
-(stft_invert) is read off it.  The Gabor analysis and synthesis on a
-lattice fold to the lattice's FFT length instead (frames.atomic_expand,
-frames.gabor_synthesize).  phase_atoms builds the character rows of
-the frequencies it is asked for (groups.character_rows); only
-mod_norm_conv, which needs every modulation, reads the whole cached
-groups.character_table.
+analysis and its adjoint synthesis are the DGT pair (Sondergaard, JFAA
+18, 2012) at the lattice's FFT length, with no L x |G| array.  The whole
+phase space is the lattice with unit steps: the inversion formula
+(stft_invert) is synthesis on it, and the frame expansions
+(frames.atomic_expand, gabor_synthesize) are the same pair.  phase_atoms
+builds the character rows of the frequencies it is asked for
+(groups.character_rows); only mod_norm_conv, which needs every
+modulation, reads the whole cached groups.character_table.
 
 A phase table is a function on G x dual(G), stored as an (|G|, |G|)
 array indexed [time, frequency] in enumeration order.  Two tables are
@@ -50,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, WindowError
-from .groups import Group, character_rows, character_table, make_lattice
-from .signals import Signal, fourier, l2_norm, same_group, shift_matrix
+from .groups import Group, Lattice, character_rows, character_table, make_lattice
+from .signals import Signal, fourier, l2_norm, same_group, shift_matrix, shift_windows
 
 __all__ = [
     "PhaseTable",
@@ -61,6 +62,7 @@ __all__ = [
     "phase_atoms",
     "pairing_rows",
     "pairing_mags",
+    "analysis",
     "synthesis",
     "weighted_pnorm",
     "stft",
@@ -111,18 +113,6 @@ def require_exponent(p):
         raise ValueError(f"exponent must be in [1, inf], got {p}")
 
 
-def _char_sum_rows(rows: np.ndarray, group: Group) -> np.ndarray:
-    """Apply sum_t u(t) w(t) along each row, overwriting rows where its
-    layout allows, so callers pass an array they own: pairing_mags runs
-    this per block, and a fresh FFT output there costs about as much
-    again.  The out= of numpy.fft needs NumPy 2."""
-    shaped = rows.reshape((-1,) + group.orders)
-    axes = tuple(range(1, group.nfactors + 1))
-    np.fft.ifftn(shaped, axes=axes, out=shaped)
-    shaped *= group.order
-    return shaped.reshape(rows.shape)
-
-
 def phase_atoms(window: Signal, times=slice(None), freqs=slice(None)) -> np.ndarray:
     """Atom matrix, one row pi(x, w) window per phase point, time-major;
     times and freqs optionally restrict x and w to index subsets, and
@@ -136,10 +126,14 @@ def _pairing_block(rows: np.ndarray, shifts: np.ndarray, tables: np.ndarray, gro
     """Bilinear tables of rows against shift rows, written into the
     complex tables shaped (len(rows), len(shifts), |G|): the product
     tables[j, x] = rows[j] * shifts[x], then the character sum along the
-    last axis and the Haar weight, in place.  rows and shifts are complex.
-    The weight multiply is skipped at weight 1, where it is exact."""
+    last axis and the Haar weight, in place, since a fresh FFT output per
+    pairing_mags block costs about as much again (out= needs NumPy 2).
+    rows and shifts are complex; the weight multiply is skipped at weight
+    1, where it is exact."""
     np.multiply(rows[:, None, :], shifts[None, :, :], out=tables)
-    _char_sum_rows(tables.reshape(-1, group.order), group)
+    shaped = tables.reshape((-1,) + group.orders)
+    np.fft.ifftn(shaped, axes=tuple(range(1, group.nfactors + 1)), out=shaped)
+    shaped *= group.order
     if group.weight != 1:
         tables *= float(group.weight)
 
@@ -188,16 +182,65 @@ def pairing_mags(window: Signal, rows: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def synthesis(window: Signal, table: np.ndarray) -> np.ndarray:
-    """sum_(x,w) table[x, w] pi(x,w) window over every phase point, table
-    shaped [time, frequency].  The transpose of pairing_rows for the Haar
-    pairing on G: sum_nu c[nu] (pi(nu) g, s) = (synthesis(g, c), s).
+def _node_windows(window: Signal, lattice: Lattice) -> tuple:
+    """T_x window at every time node x of the lattice as one read-only
+    view of signals.shift_windows, with its einsum labels.
 
-    One character sum per row gives A[x, t] = sum_w c[x, w] w(t), which
-    is then summed against the shift rows g(t - x).  No atom matrix.
-    """
-    coeffs = np.array(table, dtype=complex)
-    return np.sum(_char_sum_rows(coeffs, window.group) * shift_matrix(window), axis=0)
+    The start axes are sliced from n_j down with step -a_j (the window
+    that starts at n - x is T_x g), and each factor axis n_j is split into
+    (b_j, M_j), M_j = n_j / b_j, so entry [i, beta, mu] is
+    window(beta M + mu - a i): shape (L_1, ..., L_k, b_1, M_1, ..., b_k, M_k).
+    Returns (view, nodes, split, freqs), the labels of the node axes, of
+    the split factor axes and of the M axes, whose characters at the
+    frequency nodes w_j = b_j f_j are exp(2 pi i f_j mu_j / M_j)."""
+    grp, k = window.group, window.group.nfactors
+    if lattice.group != grp:
+        raise GroupMismatchError("window and lattice live on different groups")
+    starts = tuple(slice(n, 0, -a) for n, a in zip(grp.orders, lattice.time_step))
+    dims = tuple(d for n, b in zip(grp.orders, lattice.freq_step) for d in (b, n // b))
+    view = shift_windows(window)[starts]
+    view = view.reshape(view.shape[:k] + dims, copy=False)
+    # labels: time nodes 0..k-1, b_j axes k..2k-1, M_j axes 2k..3k-1
+    nodes, freqs = list(range(k)), list(range(2 * k, 3 * k))
+    split = [d for j in range(k) for d in (k + j, 2 * k + j)]
+    return view, nodes, split, freqs
+
+
+def analysis(window: Signal, lattice: Lattice, f: Signal) -> np.ndarray:
+    """<f, pi(lambda) window> times the Haar weight at every lattice point,
+    aligned with lattice.points(); stft(window, f) at unit steps.
+
+    conj(f), split like the node view (_node_windows), is summed against
+    it over the b_j axes, folding it to (L..., M...); the inverse FFT over
+    the M axes times prod M_j is then the character sum at the frequency
+    nodes.  No L x |G| array, here or in synthesis."""
+    same_group(window, f)
+    grp, k = window.group, window.group.nfactors
+    shifts, nodes, split, freqs = _node_windows(window, lattice)
+    folded = np.einsum(
+        shifts, nodes + split, np.conj(f.values).reshape(shifts.shape[k:]), split, nodes + freqs
+    )
+    table = np.fft.ifftn(folded, axes=tuple(range(k, 2 * k)))
+    table *= math.prod(folded.shape[k:])
+    if grp.weight != 1:
+        table *= float(grp.weight)
+    return np.conj(table).ravel()
+
+
+def synthesis(window: Signal, lattice: Lattice, coefficients: np.ndarray) -> np.ndarray:
+    """sum_lambda c_lambda pi(lambda) window, the coefficients aligned with
+    lattice.points(); the transpose of analysis for the Haar pairing.
+
+    The inverse FFT over the M axes of the (L..., M...) coefficients,
+    times prod M_j, gives sum_w c[x, w] w(t) on the split axes, summed
+    against the node view (_node_windows) over the time nodes."""
+    k = window.group.nfactors
+    shifts, nodes, split, freqs = _node_windows(window, lattice)
+    table = np.reshape(coefficients, shifts.shape[:k] + shifts.shape[k + 1 :: 2])
+    # out= spares a multi-factor ifftn its second table-sized array
+    sums = np.fft.ifftn(table, axes=tuple(range(k, 2 * k)), out=np.empty(table.shape, complex))
+    sums *= math.prod(table.shape[k:])
+    return np.einsum(shifts, nodes + split, sums, nodes + freqs, split).ravel()
 
 
 def weighted_pnorm(mags: np.ndarray, weight: float, p, axis=None):
@@ -231,7 +274,7 @@ def pairing_table(window: Signal, s: Signal) -> PhaseTable:
 
 
 def stft_invert(window: Signal, table: PhaseTable) -> Signal:
-    """Resynthesize from an stft table:
+    """Resynthesize from an stft table, synthesis at unit steps:
 
         f = ||g||_2^{-2} sum_nu phase_weight * table[nu] * pi(nu) g
     """
@@ -240,7 +283,8 @@ def stft_invert(window: Signal, table: PhaseTable) -> Signal:
     if table.group != g:
         raise GroupMismatchError("table and window live on different groups")
     norm_sq = l2_norm(window) ** 2
-    return Signal(g, synthesis(window, table.values) * (table.phase_weight / norm_sq))
+    back = synthesis(window, make_lattice(g, 1, 1), table.values)
+    return Signal(g, back * (table.phase_weight / norm_sq))
 
 
 def mod_norms(s: Signal, window: Signal, ps) -> list:

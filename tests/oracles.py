@@ -235,7 +235,7 @@ def dual_atom_coefficients(f, system):
     the canonical dual h by their dense definition: one matrix-vector
     product with the conjugated dual atom matrix, scaled by the lattice
     weight and the Haar weight.  The library folds the signal to the
-    lattice's FFT length instead (frames.atomic_expand)."""
+    lattice's FFT length instead (transform.analysis)."""
     dual_atoms = gabor_atoms(GaborSystem(canonical_dual(system), system.lattice))
     return (dual_atoms.conj() @ f.values) * (system.weight * float(system.group.weight))
 
@@ -244,7 +244,7 @@ def gabor_synthesis(system, coefficients):
     """sum_lambda c_lambda pi(lambda) g by its dense definition: one
     product of the coefficients with the system's atom matrix.  The
     library sums them back at the lattice's FFT length instead
-    (frames.gabor_synthesize)."""
+    (transform.synthesis)."""
     return coefficients @ gabor_atoms(system)
 
 
@@ -253,7 +253,7 @@ def node_row_coefficients(f, system):
     length-|G| character sum of conj(f) times the dual's shift row at each
     lattice time node (transform.pairing_rows), keeping the frequency-node
     columns.  The library folds each row to the lattice's FFT length
-    instead (frames.atomic_expand)."""
+    instead (transform.analysis)."""
     times, freqs = system.lattice.nodes
     table = pairing_rows(canonical_dual(system), np.conj(f.values)[None, :], times)
     coeffs = np.conj(table.reshape(len(times), system.group.order)[:, freqs])
@@ -264,8 +264,9 @@ def node_row_synthesis(system, coefficients):
     """sum_lambda c_lambda pi(lambda) g off whole rows: the coefficients
     zero-filled to an (L, |G|) array at the frequency-node columns, one
     length-|G| character sum per row, then summed against the window's
-    shift rows at the time nodes.  The library sums at the lattice's FFT
-    length instead (frames.gabor_synthesize)."""
+    shift rows at the time nodes.  On the unit-step lattice every node is
+    kept, and this is the former whole-table synthesis of stft_invert.  The
+    library sums at the lattice's FFT length instead (transform.synthesis)."""
     grp = system.group
     times, freqs = system.lattice.nodes
     rows = np.zeros((len(times), grp.order), dtype=complex)

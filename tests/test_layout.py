@@ -69,6 +69,22 @@ def test_no_numeric_module_knows_the_config_error():
     assert found == []
 
 
+def test_only_signals_and_transform_read_the_shift_windows_view():
+    # the node layout the DGT pair reads (transform._node_windows) has one
+    # owner; any other module goes through transform or signals.shift_matrix
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("signals", "transform"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            names += [getattr(node, "attr", None), getattr(node, "id", None)]
+            if "shift_windows" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_table_the_tracer_reads_the_cache_of_keeps_its_cache():
     # benchmarks/tracer.py calls cache_info() on each exported function
     # named in its CACHED_TABLES; read the names without importing it

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tfkit import kernels, modspaces, regnets, suites, transform
+from tfkit import frames, kernels, modspaces, regnets, suites, transform
 from tfkit.errors import ConfigError
 from tfkit.frames import GaborSystem, partial_frame_sum
 from tfkit.groups import make_group, make_lattice
@@ -316,6 +316,21 @@ def test_frames_suite_grades_dual_against_dense_frame_operator(monkeypatch):
     exact = suites.canonical_dual
     monkeypatch.setattr(suites, "canonical_dual", lambda system: exact(system) * 1.001)
     assert inverts_row(run_default("frames"))[-1] == "fail"
+
+
+def test_frames_suite_computes_the_canonical_dual_once(monkeypatch):
+    # its own check and each probe's expansion read the system's one dual
+    powers = []
+    power = frames._frame_power
+
+    def counting(system, exponent):
+        powers.append(exponent)
+        return power(system, exponent)
+
+    monkeypatch.setattr(frames, "_frame_power", counting)
+    res = run_default("frames")
+    assert res.failures == []
+    assert powers == [-1.0]
 
 
 def test_frames_suite_fails_on_a_non_finite_frame_kernel(monkeypatch):

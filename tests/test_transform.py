@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfkit import transform
@@ -25,6 +25,7 @@ from tfkit.signals import (
 )
 from tfkit.transform import (
     PhaseTable,
+    analysis,
     m1_norm,
     mod_norm,
     mod_norm_conv,
@@ -37,11 +38,12 @@ from tfkit.transform import (
     require_exponent,
     stft,
     stft_invert,
+    synthesis,
     weighted_pnorm,
     window_equivalence_ratio,
 )
 
-from oracles import gabor_atoms, naive_char
+from oracles import gabor_atoms, naive_char, node_row_synthesis
 
 ORDERS = st.sampled_from([(2,), (3,), (6,), (2, 3)])
 
@@ -111,6 +113,14 @@ def test_group_mismatch_rejected():
     b = make_group((5,))
     with pytest.raises(GroupMismatchError):
         stft(dirac(a), dirac(b))
+    # the dual of Z/4 has the same order and another Haar weight
+    for lattice in (make_lattice(b, 1, 1), make_lattice(a.dual(), 1, 1)):
+        with pytest.raises(GroupMismatchError):
+            synthesis(dirac(a), lattice, np.ones(lattice.size))
+        with pytest.raises(GroupMismatchError):
+            analysis(dirac(a), lattice, dirac(lattice.group))
+    with pytest.raises(GroupMismatchError):
+        analysis(dirac(a), make_lattice(a, 1, 1), dirac(a.dual()))
 
 
 def test_stft_matches_direct_sum():
@@ -391,3 +401,68 @@ def test_mod_norms_read_every_order_off_one_table(monkeypatch, orders):
         with pytest.raises(ValueError):
             mod_norms(s, window, (1, bad))
         assert tables == []
+
+
+@st.composite
+def _dgt_cases(draw):
+    # 1-3 cyclic factors, |G| <= 36, optionally the dual (Haar weight
+    # 1/|G|); steps that divide the orders, so that p_j > 1 occurs (Z/12
+    # with a = b = 3 has p = 3); real or complex windows
+    orders = [draw(st.integers(1, 12))]
+    while len(orders) < 3 and 36 // math.prod(orders) > 1 and draw(st.booleans()):
+        orders.append(draw(st.integers(1, min(12, 36 // math.prod(orders)))))
+    grp = make_group(orders)
+    grp = grp.dual() if draw(st.booleans()) else grp
+
+    def steps():
+        divisors = ([d for d in range(1, n + 1) if n % d == 0] for n in orders)
+        return tuple(draw(st.sampled_from(ds)) for ds in divisors)
+
+    lattice = make_lattice(grp, steps(), steps())
+    seed = draw(st.integers(0, 2**16))
+    values = random_signal(grp, seed).values
+    window = Signal(grp, values.real + 1.0 if draw(st.booleans()) else values + 1.0)
+    return window, lattice, seed
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_dgt_cases())
+def test_dgt_pair_matches_dense_atoms_and_the_whole_table(case):
+    # analysis and synthesis against the tf_shift atoms on the drawn
+    # lattice; at unit steps, analysis against stft and synthesis against
+    # the former whole-table route (node_row_synthesis on every node)
+    window, lattice, seed = case
+    grp = window.group
+    f = random_signal(grp, seed + 1)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(lattice.size) + 1j * rng.standard_normal(lattice.size)
+    atoms = gabor_atoms(GaborSystem(window, lattice))
+    _assert_close(analysis(window, lattice, f), (atoms.conj() @ f.values) * float(grp.weight))
+    _assert_close(synthesis(window, lattice, coeffs), coeffs @ atoms)
+    unit = make_lattice(grp, 1, 1)
+    _assert_close(analysis(window, unit, f), stft(window, f).values.ravel())
+    shape = (grp.order, grp.order)
+    table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = node_row_synthesis(GaborSystem(window, unit), table)
+    _assert_close(synthesis(window, unit, table), want)
+
+
+def test_stft_invert_makes_one_table_sized_array():
+    # Z/1024: the table is 16 MiB of complex values, and the inversion
+    # makes one more array that size (its character sums); a copy of the
+    # shift matrix or its product with the sums would be 16 MiB each
+    g = make_group((1024,))
+    window = gauss(g, 8.0)
+    table = stft(window, random_signal(g, 0))
+    tracemalloc.start()
+    try:
+        stft_invert(window, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
