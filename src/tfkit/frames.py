@@ -13,19 +13,22 @@ representation), so it splits into one Hermitian |H| x |H| block per
 coset of H; with time steps a_j each block is block-circulant, so an FFT
 along its block index splits it further into Hermitian P x P matrices,
 P = prod_j p_j with p_j the denominator of n_j / (a_j b_j) in lowest
-terms (the Zak domain, Zibulski-Zeevi).  Each system decomposes those small
-matrices once (GaborSystem.spectrum) and keeps its canonical dual S^{-1} g
-(GaborSystem.dual); the bounds, the dual and the tight window S^{-1/2} g
-are read off that one spectrum, never off the dense |G| x |G| matrix,
-which only partial_frame_sum and the tail of the frames suite's sweep of
-partial sums (suites.run_frames) build (over every lattice point it is
-S; the tests keep the dense frame operator and the Walnut-block
-eigen-solves as oracles).  atomic_expand and its adjoint gabor_synthesize
-are transform.analysis against the dual and transform.synthesis with the
-window on the system's lattice (the DGT and IDGT), and no system keeps
-an atom matrix (the tests keep the dense analysis and synthesis, and the
-former whole-row route through transform.pairing_rows, as oracles).  A
-full lattice with the ambient weight gives A = B = ||g||_2^2.
+terms (the Zak domain, Zibulski-Zeevi).  Each system builds those small
+matrices off the DGT pair's node view (transform.node_windows) by
+stacked matmuls, at the split its lattice computes once
+(Lattice.zak_split), decomposes them once (GaborSystem.spectrum) and
+keeps its canonical dual S^{-1} g (GaborSystem.dual); the bounds, the
+dual and the tight window S^{-1/2} g are read off that one spectrum,
+never off the dense |G| x |G| matrix, which only partial_frame_sum and
+the tail of the frames suite's sweep of partial sums (suites.run_frames)
+build (over every lattice point it is S; the tests keep the dense frame
+operator and the Walnut-block eigen-solves as oracles).  atomic_expand
+and its adjoint gabor_synthesize are transform.analysis against the dual
+and transform.synthesis with the window on the system's lattice (the DGT
+and IDGT), and no system keeps an atom matrix (the tests keep the dense
+analysis and synthesis, and the former whole-row route through
+transform.pairing_rows, as oracles).  A full lattice with the ambient
+weight gives A = B = ||g||_2^2.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ import numpy as np
 from .errors import FrameError, GroupMismatchError, LatticeError
 from .groups import Group, Lattice, PhasePoint, character_rows, product_group
 from .kernels import KernelOperator, kernel_signal
-from .signals import Signal, shift_matrix
-from .transform import analysis, phase_atoms, synthesis
+from .signals import Signal
+from .transform import analysis, node_windows, phase_atoms, synthesis
 
 __all__ = [
     "GaborSystem",
@@ -84,7 +87,8 @@ class GaborSystem:
         matrices the weight-folded frame matrix splits into in the Zak
         domain; computed on first use and kept, read-only, since the
         bounds, the canonical dual and the tight window all read it.
-        FrameError (bounds NaN) when those matrices are not finite.
+        FrameError (bounds NaN), and no RuntimeWarning, when those matrices
+        are not finite: a non-finite window, or products that overflow.
 
         Summing the characters of the frequency nodes gives the weight-folded
         M = operator_matrix(partial_frame_sum(self, lattice.size)) as
@@ -106,30 +110,30 @@ class GaborSystem:
         coset c, shape (|G| / |H|, b_1 / p_1, ..., b_k / p_k, P); evals has
         the same shape and vecs one more axis of length P.  The matrix at
         [c, f_1, ..., f_k] acts on frequency f of the FFT along the u axes
-        of a signal's values at index[c].
+        of a signal's values at index[c].  index, the axis split behind it
+        and c come from lattice.zak_split, built once per lattice.
+
+        The columns are g(t - x) at the time nodes, read off the node view
+        (transform.node_windows) split like index, so no shift rows are
+        copied on one factor; the sum over x of each block's columns
+        against its columns at u = 0 is one stacked matmul.
         """
-        grp, lat = self.group, self.lattice
-        k = grp.nfactors
-        cosets = [n // b for n, b in zip(grp.orders, lat.freq_step)]
-        periods = [a // math.gcd(m, a) for m, a in zip(cosets, lat.time_step)]
-        blocks = [b // p for b, p in zip(lat.freq_step, periods)]
-        # factor j's coordinate r + m (p u + rho) splits into axes (u, rho, r);
-        # order moves them to (r_1..r_k, u_1..u_k, rho_1..rho_k)
-        split = [d for dims in zip(blocks, periods, cosets) for d in dims]
-        order = [*range(2, 3 * k, 3), *range(0, 3 * k, 3), *range(1, 3 * k, 3)]
-        shape = (math.prod(cosets), *blocks, math.prod(periods))
-        index = np.arange(grp.order).reshape(split).transpose(order).reshape(shape)
-        times, _ = lat.nodes
-        rows = shift_matrix(self.window, times).reshape(-1, *split)
-        cols = rows.transpose(0, *(1 + j for j in order))
-        cols = cols.reshape(len(times), shape[0], -1, shape[-1])
-        strip = np.einsum("xcur,xcq->curq", cols, cols[:, :, 0].conj())
-        scale = float(lat.weight * shape[0] * grp.weight)
-        zak = np.fft.fftn(strip.reshape(shape + shape[-1:]), axes=range(1, k + 1)) * scale
+        k = self.group.nfactors
+        split, order, index, scale = self.lattice.zak_split
+        view = node_windows(self.window, self.lattice)[0]
+        nodes = view.shape[:k]
+        # (|G| / |H|, prod b_j / p_j, P, L): the node axes last; a view on
+        # one factor, one L x |G| copy where several node axes merge
+        cols = view.reshape(nodes + split).transpose(*(k + j for j in order), *range(k))
+        cols = cols.reshape(index.shape[0], -1, index.shape[-1], math.prod(nodes))
+        with np.errstate(over="ignore", invalid="ignore"):
+            strip = np.matmul(cols, cols[:, :1].conj().swapaxes(-1, -2))
+            zak = np.fft.fftn(strip.reshape(index.shape + index.shape[-1:]), axes=range(1, k + 1))
+            zak *= scale
         if not np.isfinite(zak).all():
             raise FrameError("frame matrix is not finite", bounds=(math.nan, math.nan))
         evals, vecs = np.linalg.eigh(zak)
-        for arr in (evals, vecs, index):
+        for arr in (evals, vecs):
             arr.flags.writeable = False
         return evals, vecs, index
 
@@ -154,9 +158,9 @@ def frame_bounds(system: GaborSystem) -> tuple:
 
 def _frame_power(system: GaborSystem, exponent: float) -> Signal:
     """S^exponent g off system.spectrum: the FFT along the u axes of the
-    window's values at index, V Lambda^exponent V^H at each frequency,
-    and the inverse FFT back; raises FrameError (with bounds) for
-    non-frames."""
+    window's values at index, V Lambda^exponent V^H at each frequency as
+    two stacked matmuls, and the inverse FFT back; raises FrameError (with
+    bounds) for non-frames."""
     a, b = frame_bounds(system)
     if not (b > 0 and a >= _NONFRAME_RATIO * b):
         raise FrameError(
@@ -165,8 +169,8 @@ def _frame_power(system: GaborSystem, exponent: float) -> Signal:
     evals, vecs, index = system.spectrum
     axes = range(1, system.group.nfactors + 1)
     coeffs = np.fft.fftn(system.window.values[index], axes=axes)
-    coeffs = np.einsum("...ji,...j->...i", vecs.conj(), coeffs) * evals**exponent
-    coeffs = np.einsum("...ij,...j->...i", vecs, coeffs)
+    coeffs = np.matmul(coeffs[..., None, :], vecs.conj())[..., 0, :] * evals**exponent
+    coeffs = np.matmul(vecs, coeffs[..., None])[..., 0]
     out = np.empty(system.group.order, dtype=complex)
     out[index] = np.fft.ifftn(coeffs, axes=axes)
     return Signal(system.group, out)

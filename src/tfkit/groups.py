@@ -317,6 +317,29 @@ class Lattice:
             arr.flags.writeable = False
         return out
 
+    @cached_property
+    def zak_split(self) -> tuple:
+        """(split, order, index, scale): the Zak-domain split that
+        frames.GaborSystem.spectrum reads; computed on first use and kept,
+        index read-only.
+
+        Per factor m = n / b and p = a / gcd(m, a): coordinate
+        r + m (p u + rho) splits into the axes (u, rho, r) of lengths
+        split = (b / p, p, m), and order moves them to (r_1..r_k,
+        u_1..u_k, rho_1..rho_k).  index is arange(|G|) split and moved,
+        shape (prod m_j, b_1 / p_1, ..., b_k / p_k, prod p_j); scale is
+        the lattice weight times prod m_j times the Haar weight."""
+        grp, k = self.group, self.group.nfactors
+        cosets = [n // b for n, b in zip(grp.orders, self.freq_step)]
+        periods = [a // math.gcd(m, a) for m, a in zip(cosets, self.time_step)]
+        blocks = [b // p for b, p in zip(self.freq_step, periods)]
+        split = tuple(d for dims in zip(blocks, periods, cosets) for d in dims)
+        order = (*range(2, 3 * k, 3), *range(0, 3 * k, 3), *range(1, 3 * k, 3))
+        shape = (math.prod(cosets), *blocks, math.prod(periods))
+        index = np.arange(grp.order).reshape(split).transpose(order).reshape(shape)
+        index.flags.writeable = False
+        return split, order, index, float(self.weight * shape[0] * grp.weight)
+
     def points(self) -> list:
         """All lattice points as PhasePoint tuples, time-major."""
         els = self.group.elements()

@@ -62,6 +62,7 @@ __all__ = [
     "phase_atoms",
     "pairing_rows",
     "pairing_mags",
+    "node_windows",
     "analysis",
     "synthesis",
     "weighted_pnorm",
@@ -182,9 +183,10 @@ def pairing_mags(window: Signal, rows: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _node_windows(window: Signal, lattice: Lattice) -> tuple:
+def node_windows(window: Signal, lattice: Lattice) -> tuple:
     """T_x window at every time node x of the lattice as one read-only
-    view of signals.shift_windows, with its einsum labels.
+    view of signals.shift_windows, with its einsum labels; the DGT pair
+    and frames.GaborSystem.spectrum read it.
 
     The start axes are sliced from n_j down with step -a_j (the window
     that starts at n - x is T_x g), and each factor axis n_j is split into
@@ -210,13 +212,13 @@ def analysis(window: Signal, lattice: Lattice, f: Signal) -> np.ndarray:
     """<f, pi(lambda) window> times the Haar weight at every lattice point,
     aligned with lattice.points(); stft(window, f) at unit steps.
 
-    conj(f), split like the node view (_node_windows), is summed against
+    conj(f), split like the node view (node_windows), is summed against
     it over the b_j axes, folding it to (L..., M...); the inverse FFT over
     the M axes times prod M_j is then the character sum at the frequency
     nodes.  No L x |G| array, here or in synthesis."""
     same_group(window, f)
     grp, k = window.group, window.group.nfactors
-    shifts, nodes, split, freqs = _node_windows(window, lattice)
+    shifts, nodes, split, freqs = node_windows(window, lattice)
     folded = np.einsum(
         shifts, nodes + split, np.conj(f.values).reshape(shifts.shape[k:]), split, nodes + freqs
     )
@@ -233,9 +235,9 @@ def synthesis(window: Signal, lattice: Lattice, coefficients: np.ndarray) -> np.
 
     The inverse FFT over the M axes of the (L..., M...) coefficients,
     times prod M_j, gives sum_w c[x, w] w(t) on the split axes, summed
-    against the node view (_node_windows) over the time nodes."""
+    against the node view (node_windows) over the time nodes."""
     k = window.group.nfactors
-    shifts, nodes, split, freqs = _node_windows(window, lattice)
+    shifts, nodes, split, freqs = node_windows(window, lattice)
     table = np.reshape(coefficients, shifts.shape[:k] + shifts.shape[k + 1 :: 2])
     # out= spares a multi-factor ifftn its second table-sized array
     sums = np.fft.ifftn(table, axes=tuple(range(k, 2 * k)), out=np.empty(table.shape, complex))

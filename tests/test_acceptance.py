@@ -512,6 +512,41 @@ def test_blas_thread_count_leaves_every_report_unchanged(tmp_path):
     assert stdout == other_stdout
 
 
+# Zak-domain designs with P > 1, where the spectrum multiplies P x P
+# matrices: Z/12 with a = b = 3 (P = 3) and Z/6 x Z/10 with a = (2, 2),
+# b = (3, 2) (P = 2); the report-level checks above reach only P = 1
+ZAK_DESIGNS = (((12,), 3, 3, 2.0), ((6, 10), (2, 2), (3, 2), 1.0))
+ZAK_DESIGN_SCRIPT = f"""
+from tfkit import GaborSystem, canonical_dual, frame_bounds, gauss, make_group
+from tfkit import make_lattice, tight_window
+for orders, a, b, spread in {ZAK_DESIGNS!r}:
+    grp = make_group(orders)
+    system = GaborSystem(gauss(grp, spread), make_lattice(grp, a, b))
+    print(repr(frame_bounds(system)))
+    print(canonical_dual(system).values.tobytes().hex())
+    print(tight_window(system).values.tobytes().hex())
+"""
+
+
+def test_blas_thread_count_leaves_zak_designs_unchanged():
+    for orders, a, b, spread in ZAK_DESIGNS:
+        grp = make_group(orders)
+        assert GaborSystem(gauss(grp, spread), make_lattice(grp, a, b)).spectrum[1].shape[-1] > 1
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", ZAK_DESIGN_SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=600,
+            env=checkout_env(OPENBLAS_NUM_THREADS=threads),
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outputs[0].splitlines()) == 3 * len(ZAK_DESIGNS)
+    assert outputs[0] == outputs[1]
+
+
 # The reference reports: `tfkit all --seed 0` and the report-large config
 # of benchmarks/workloads.json at --seed 3, each tree with its stdout, and
 # the build that wrote them.  Bytes are promised on one build only.

@@ -1,10 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tfkit import frames, transform
+from tfkit import frames, signals, transform
 from tfkit.errors import FrameError, GroupMismatchError, LatticeError
 from tfkit.frames import (
     GaborSystem,
@@ -140,6 +143,45 @@ def test_spectrum_is_read_only():
             arr.flat[0] = 0
 
 
+def test_systems_on_one_lattice_share_its_zak_split():
+    g = make_group((12,))
+    lattice = make_lattice(g, 3, 3)
+    one = GaborSystem(gauss(g, 2.0), lattice)
+    two = GaborSystem(random_signal(g, 1), lattice)
+    assert one.spectrum[2] is two.spectrum[2] is lattice.zak_split[2]
+
+
+def test_spectrum_builds_no_shift_matrix(monkeypatch):
+    def refused(*args):
+        raise AssertionError("shift_matrix called")
+
+    # frames imports no shift_matrix; refuse the name wherever it is bound
+    assert not hasattr(frames, "shift_matrix")
+    for module in (signals, transform, frames):
+        monkeypatch.setattr(module, "shift_matrix", refused, raising=False)
+    designs = (((12,), 3, 3), ((6, 10), (2, 2), (3, 2)), ((4, 1, 6), (2, 1, 2), (1, 1, 2)))
+    for orders, a, b in designs:
+        g = make_group(orders)
+        system = GaborSystem(gauss(g, 1.0), make_lattice(g, a, b))
+        frame_bounds(system)
+        tight_window(system)
+
+
+def test_spectrum_keeps_no_lattice_by_group_array():
+    # Z/4096 with a = 64, b = 32: a copy of the window's shifts at the 64
+    # time nodes would be 4 MiB of complex values; the lattice is fresh,
+    # so its Zak split is built inside the traced call
+    g = make_group((4096,))
+    system = GaborSystem(gauss(g, 90.0), make_lattice(g, 64, 32))
+    tracemalloc.start()
+    try:
+        system.spectrum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # frame bounds
 
@@ -206,6 +248,29 @@ def test_overflowing_frame_matrix_raises(design):
     assert np.isnan(info.value.bounds).all()
 
 
+NON_FINITE_WINDOWS = {
+    "all-inf": np.full(8, np.inf),
+    "one-nan": np.where(np.arange(8) == 3, np.nan, 1.0),
+    "1e308": np.full(8, 1e308),
+}
+
+
+@pytest.mark.parametrize("window", NON_FINITE_WINDOWS)
+@pytest.mark.parametrize(
+    "design", [frame_bounds, canonical_dual, tight_window], ids=lambda f: f.__name__
+)
+def test_non_finite_window_raises_without_a_warning(design, window):
+    # no errstate here: a RuntimeWarning from the spectrum's products or
+    # FFT would be raised instead of the FrameError
+    g = make_group((8,))
+    system = GaborSystem(Signal(g, NON_FINITE_WINDOWS[window]), make_lattice(g, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FrameError) as info:
+            design(system)
+    assert np.isnan(info.value.bounds).all()
+
+
 # ---------------------------------------------------------------------------
 # the block route against the dense frame matrix
 
@@ -253,6 +318,61 @@ def test_zak_spectrum_matches_walnut_blocks(case):
     walnut = np.sort(walnut_spectrum(system)[0].ravel())
     assert zak.shape == walnut.shape == (system.group.order,)
     assert np.max(np.abs(zak - walnut)) <= 1e-12 * np.max(np.abs(walnut))
+
+
+@st.composite
+def _zak_cases(draw):
+    # 1-3 cyclic factors, |G| <= 36, optionally the dual (Haar weight
+    # 1/|G|); steps that divide the orders.  In about a third of the cases
+    # one factor gets p > 1 (its time step does not divide n / b), in the
+    # rest every p is 1; real or complex windows
+    orders = [draw(st.integers(1, 12))]
+    while len(orders) < 3 and 36 // math.prod(orders) > 1 and draw(st.booleans()):
+        orders.append(draw(st.integers(1, min(12, 36 // math.prod(orders)))))
+    grp = make_group(orders)
+    grp = grp.dual() if draw(st.booleans()) else grp
+    wide = [j for j, n in enumerate(orders) if n > 1]
+    widen = draw(st.sampled_from(wide)) if wide and draw(st.integers(0, 2)) == 1 else None
+    time_step, freq_step = [], []
+    for j, n in enumerate(orders):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        b = draw(st.sampled_from(divisors[1:] if j == widen else divisors))
+        steps = [a for a in divisors if ((n // b) % a != 0) == (j == widen)]
+        time_step.append(draw(st.sampled_from(steps)))
+        freq_step.append(b)
+    seed = draw(st.integers(0, 2**16))
+    values = random_signal(grp, seed).values
+    window = Signal(grp, values.real + 1.0 if draw(st.booleans()) else values + 1.0)
+    return GaborSystem(window, make_lattice(grp, time_step, freq_step))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_zak_cases())
+def test_drawn_zak_spectrum_matches_walnut_and_dense_designs(system):
+    # the eigenvalues against the Walnut blocks at the tolerance of
+    # test_zak_spectrum_matches_walnut_blocks; the dual and the tight window
+    # against dense solves where the frame is well conditioned, and refused
+    # with FrameError, never LinAlgError, where it is singular
+    zak = np.sort(system.spectrum[0].ravel())
+    walnut = np.sort(walnut_spectrum(system)[0].ravel())
+    assert np.max(np.abs(zak - walnut)) <= 1e-12 * np.max(np.abs(walnut))
+    dense = dense_frame_matrix(system)
+    evals, vecs = np.linalg.eigh(dense)
+    well = evals[0] >= 1e-5 * evals[-1]
+    for design in (canonical_dual, tight_window):
+        try:
+            got = design(system).values
+        except FrameError:
+            assert not well
+            continue
+        assert evals[0] >= 1e-12 * evals[-1]
+        if well:
+            g = system.window.values
+            if design is canonical_dual:
+                want = np.linalg.solve(dense, g)
+            else:
+                want = (vecs * evals**-0.5) @ vecs.conj().T @ g
+            assert np.allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES, ids=case_id)

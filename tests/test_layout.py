@@ -70,8 +70,9 @@ def test_no_numeric_module_knows_the_config_error():
 
 
 def test_only_signals_and_transform_read_the_shift_windows_view():
-    # the node layout the DGT pair reads (transform._node_windows) has one
-    # owner; any other module goes through transform or signals.shift_matrix
+    # the node layout that the DGT pair and the Gabor spectrum read has one
+    # owner, transform.node_windows; any other module goes through it or
+    # through signals.shift_matrix
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.stem in ("signals", "transform"):
