@@ -28,6 +28,14 @@ Every reduction runs in one fixed order over the whole chunk, so the
 sums do not depend on the block sizes.  When the kernel and both
 windows are real and finite, |B| is symmetric under (w1, w2) ->
 (-w1, -w2), and the pass computes only half of the rows.
+
+operator_phase_sums runs that pass once per distinct input.  It keeps
+the last _MEMO_ENTRIES (8) passes, keyed on the four groups and the
+bytes of the kernel and both windows, and serves a request whose
+exponents are all stored with no pass; the regnet suite's sandwich
+stages that equal their net's stages, and the mpq identity gap that
+equals the grid's identity operator, are served so.  The column sums it
+hands out are read-only, since a later request may get the same arrays.
 """
 
 from __future__ import annotations
@@ -203,6 +211,14 @@ def operator_matrix(op: KernelOperator) -> np.ndarray:
 # the thread count.
 _CHUNK_ENTRIES = 2**18
 
+# Distinct inputs whose passes operator_phase_sums keeps, 8; the oldest
+# leaves first, and its key's kernel and window bytes with it.  In
+# report-large a repeated input comes 4 or 5 requests after the pass it
+# repeats.
+_MEMO_ENTRIES = 8
+# (groups, kernel and window bytes) -> (m1, peak, row_peak, {p: columns})
+_memo = {}
+
 
 @dataclass(frozen=True, eq=False)
 class PhaseSums:
@@ -220,7 +236,9 @@ class PhaseSums:
     Every maximum is np.maximum, so a NaN entry of B stays NaN.  When the
     kernel and both windows are real and finite, the fields come from
     half the rows (see operator_phase_sums) and may differ from the sums
-    over every row in their last digits.
+    over every row in their last digits.  The col_powers arrays are
+    read-only: operator_phase_sums may hand the same arrays to a later
+    request for the same input.
     """
 
     m1: float
@@ -266,7 +284,47 @@ def _fold_columns(combine, reduce, acc, part, once, cols):
 
 
 def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> PhaseSums:
-    """One chunked pass over B; see PhaseSums for what it returns.
+    """The reductions of B, one chunked pass per distinct input; see
+    PhaseSums for what it returns.
+
+    The last _MEMO_ENTRIES passes are kept, keyed on the four groups
+    (op.domain, op.codomain, g1.group, g2.group) and the bytes of the
+    kernel and both windows.  A request for stored exponents only is
+    served from its entry with no pass; otherwise the pass runs on the ps
+    asked for and their column sums join the entry.  A pass's fields for
+    one p have the same bits whatever other exponents it is asked for, so
+    a served result is == to a fresh one.
+
+    ValueError unless every p is in [1, inf], and WindowError when g1 or
+    g2 is identically zero, both before the lookup.  The pass runs under
+    np.errstate(invalid="ignore", over="ignore"): an inf or NaN input
+    gives the NaN fields PhaseSums documents, and NumPy warns of nothing.
+    """
+    if g1.group != op.domain or g2.group != op.codomain:
+        raise GroupMismatchError("windows do not match the operator's groups")
+    require_window(g1)
+    require_window(g2)
+    ps = tuple(ps)
+    for p in ps:
+        require_exponent(p)
+    key = (op.domain, op.codomain, g1.group, g2.group)
+    key += (op.kernel.tobytes(), g1.values.tobytes(), g2.values.tobytes())
+    entry = _memo.get(key)
+    if entry is None or not all(p in entry[3] for p in ps):
+        with np.errstate(invalid="ignore", over="ignore"):
+            fresh = _phase_pass(op, g1, g2, ps)
+        if entry is None:
+            entry = _memo[key] = (fresh.m1, fresh.peak, fresh.row_peak, {})
+            if len(_memo) > _MEMO_ENTRIES:
+                del _memo[next(iter(_memo))]
+        entry[3].update(zip(ps, fresh.col_powers))
+    m1, peak, row_peak, cols = entry
+    return PhaseSums(m1, peak, row_peak, tuple(cols[p] for p in ps))
+
+
+def _phase_pass(op: KernelOperator, g1: Signal, g2: Signal, ps: tuple) -> PhaseSums:
+    """One chunked pass over B, on inputs operator_phase_sums has checked;
+    its col_powers are read-only.
 
     Each chunk of domain time nodes x1 takes the two batched bilinear
     tables of the full table, restricted to those x1:
@@ -293,17 +351,7 @@ def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> Ph
     as they are and once permuted by (x2, w2) -> (x2, -w2).  No mirrored
     row is built.  Any other input, a complex value, an inf or a NaN,
     takes every row in the table's own layout.
-
-    ValueError unless every p is in [1, inf], and WindowError when g1 or
-    g2 is identically zero, both before the pass.
     """
-    if g1.group != op.domain or g2.group != op.codomain:
-        raise GroupMismatchError("windows do not match the operator's groups")
-    require_window(g1)
-    require_window(g2)
-    ps = tuple(ps)  # walked once per chunk
-    for p in ps:
-        require_exponent(p)
     n1, n2 = op.domain.order, op.codomain.order
     step = max(1, _CHUNK_ENTRIES // (n1 * n2 * n2))
     freqs, n_self, cols = _row_plan(op, g1, g2)
@@ -337,6 +385,8 @@ def operator_phase_sums(op: KernelOperator, g1: Signal, g2: Signal, ps=()) -> Ph
             acc, p = powered[-1]
             mags **= p
             _fold_columns(np.add, np.sum, acc, mags, once, cols)
+    for acc in col_powers:
+        acc.flags.writeable = False
     return PhaseSums(
         m1=float(total * op.domain.phase_weight * op.codomain.phase_weight),
         peak=float(peak),

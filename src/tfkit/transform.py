@@ -10,6 +10,10 @@ of the operator pass at a subset of time nodes.  pairing_mags writes
 |pairing_rows| into a float array the caller owns, through one bounded
 complex block; the operator phase sums read the second stage of their
 pass off it.  Both share one product and character sum (_pairing_block).
+Every character sum here, in the pairing and in the DGT pair, is one
+helper, _character_sum: the unnormalized inverse FFT, which pocketfft
+computes directly when the transformed size is a power of two and as the
+normalized inverse times n elsewhere.
 analysis and its adjoint synthesis are the DGT pair (Sondergaard, JFAA
 18, 2012) at the lattice's FFT length, with no L x |G| array.  The whole
 phase space is the lattice with unit steps: the inversion formula
@@ -123,18 +127,38 @@ def phase_atoms(window: Signal, times=slice(None), freqs=slice(None)) -> np.ndar
     return (shifts[:, None, :] * chars[None, :, :]).reshape(-1, window.group.order)
 
 
+def _character_sum(values: np.ndarray, axes: tuple, out=None) -> np.ndarray:
+    """sum_m values[m] exp(2 pi i m.k / n) over the given axes, n the
+    product of their lengths: the unnormalized inverse FFT, into out when
+    one is given (out= needs NumPy 2); returns it.
+
+    When n is a power of two, pocketfft is asked for the unnormalized
+    inverse (norm="forward").  Anywhere else the sum is the normalized
+    inverse times n, whose rounding the reports pin.  Scaling by a power
+    of two is exact, so both give the same bits except in gradual
+    underflow: where a component of the scaled transform is subnormal
+    (below n times 2.2e-308), the round trip loses bits and this sum
+    keeps them.  On Z/128, rows of size 1e-300 against a unit-scale
+    window move 64 of 2^21 entries, each of size below 2e-315."""
+    n = math.prod(values.shape[a] for a in axes)
+    if n & (n - 1) == 0:
+        return np.fft.ifftn(values, axes=axes, norm="forward", out=out)
+    sums = np.fft.ifftn(values, axes=axes, out=out)
+    sums *= n
+    return sums
+
+
 def _pairing_block(rows: np.ndarray, shifts: np.ndarray, tables: np.ndarray, group: Group):
     """Bilinear tables of rows against shift rows, written into the
     complex tables shaped (len(rows), len(shifts), |G|): the product
     tables[j, x] = rows[j] * shifts[x], then the character sum along the
     last axis and the Haar weight, in place, since a fresh FFT output per
-    pairing_mags block costs about as much again (out= needs NumPy 2).
-    rows and shifts are complex; the weight multiply is skipped at weight
-    1, where it is exact."""
+    pairing_mags block costs about as much again.  rows and shifts are
+    complex; the weight multiply is skipped at weight 1, where it is
+    exact."""
     np.multiply(rows[:, None, :], shifts[None, :, :], out=tables)
     shaped = tables.reshape((-1,) + group.orders)
-    np.fft.ifftn(shaped, axes=tuple(range(1, group.nfactors + 1)), out=shaped)
-    shaped *= group.order
+    _character_sum(shaped, tuple(range(1, group.nfactors + 1)), out=shaped)
     if group.weight != 1:
         tables *= float(group.weight)
 
@@ -213,8 +237,8 @@ def analysis(window: Signal, lattice: Lattice, f: Signal) -> np.ndarray:
     aligned with lattice.points(); stft(window, f) at unit steps.
 
     conj(f), split like the node view (node_windows), is summed against
-    it over the b_j axes, folding it to (L..., M...); the inverse FFT over
-    the M axes times prod M_j is then the character sum at the frequency
+    it over the b_j axes, folding it to (L..., M...); the character sum
+    over the M axes (_character_sum) is then the one at the frequency
     nodes.  No L x |G| array, here or in synthesis."""
     same_group(window, f)
     grp, k = window.group, window.group.nfactors
@@ -222,8 +246,7 @@ def analysis(window: Signal, lattice: Lattice, f: Signal) -> np.ndarray:
     folded = np.einsum(
         shifts, nodes + split, np.conj(f.values).reshape(shifts.shape[k:]), split, nodes + freqs
     )
-    table = np.fft.ifftn(folded, axes=tuple(range(k, 2 * k)))
-    table *= math.prod(folded.shape[k:])
+    table = _character_sum(folded, tuple(range(k, 2 * k)))
     if grp.weight != 1:
         table *= float(grp.weight)
     return np.conj(table).ravel()
@@ -233,15 +256,14 @@ def synthesis(window: Signal, lattice: Lattice, coefficients: np.ndarray) -> np.
     """sum_lambda c_lambda pi(lambda) window, the coefficients aligned with
     lattice.points(); the transpose of analysis for the Haar pairing.
 
-    The inverse FFT over the M axes of the (L..., M...) coefficients,
-    times prod M_j, gives sum_w c[x, w] w(t) on the split axes, summed
+    The character sum over the M axes of the (L..., M...) coefficients
+    (_character_sum) gives sum_w c[x, w] w(t) on the split axes, summed
     against the node view (node_windows) over the time nodes."""
     k = window.group.nfactors
     shifts, nodes, split, freqs = node_windows(window, lattice)
     table = np.reshape(coefficients, shifts.shape[:k] + shifts.shape[k + 1 :: 2])
     # out= spares a multi-factor ifftn its second table-sized array
-    sums = np.fft.ifftn(table, axes=tuple(range(k, 2 * k)), out=np.empty(table.shape, complex))
-    sums *= math.prod(table.shape[k:])
+    sums = _character_sum(table, tuple(range(k, 2 * k)), out=np.empty(table.shape, complex))
     return np.einsum(shifts, nodes + split, sums, nodes + freqs, split).ravel()
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfkit import kernels, transform
-from tfkit.errors import GroupMismatchError
+from tfkit.errors import GroupMismatchError, WindowError
 from tfkit.groups import make_group, product_group
 from tfkit.kernels import (
     KernelOperator,
@@ -398,6 +399,7 @@ def test_phase_sums_with_a_ragged_last_chunk(monkeypatch):
     w2 = gauss(g.dual(), 1.0)
     whole = operator_phase_sums(op, w1, w2, PASS_EXPONENTS)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 2 * 5 * 25)
+    kernels._memo.clear()  # so the same input runs the pass again
     chunked = operator_phase_sums(op, w1, w2, PASS_EXPONENTS)
     assert_sums_reduce_the_table(chunked, op, operator_pairing_table(op, w1, w2), PASS_EXPONENTS)
     assert chunked.m1 == pytest.approx(whole.m1, rel=1e-14)
@@ -526,6 +528,7 @@ def test_fuzzed_core_keeps_both_routes_bitwise(data):
             assert np.array_equal(out, want, equal_nan=True)
     op = random_operator(g1, g2, seed)
     ps = data.draw(st.lists(st.sampled_from([1, 1.5, 2, 3, math.inf]), max_size=4))
+    kernels._memo.clear()  # a repeated example runs the pass too
     assert_same_bits(operator_phase_sums(op, w1, w2, ps), chunked_phase_sums(op, w1, w2, ps))
 
 
@@ -617,6 +620,122 @@ def test_phase_sums_reject_an_exponent_below_one_before_the_pass(monkeypatch, p)
     with pytest.raises(ValueError):
         operator_phase_sums(op, w, w, (2, p))
     assert chunks == []
+
+
+def _count_passes(monkeypatch):
+    passes = []
+    real = kernels._phase_pass
+
+    def counting(op, g1, g2, ps):
+        passes.append(ps)
+        return real(op, g1, g2, ps)
+
+    monkeypatch.setattr(kernels, "_phase_pass", counting)
+    return passes
+
+
+def _z32_case(kind):
+    # the mpq identity pass, or a complex kernel that takes every row
+    g = make_group((32,))
+    op = identity_operator(g) if kind == "identity" else random_operator(g, g, 17)
+    return op, gauss(g, 2.0), gauss(g, 2.5)
+
+
+@pytest.mark.parametrize("kind", ["identity", "complex"])
+@pytest.mark.parametrize(
+    "first, then", [((1, 2, math.inf), (2,)), ((1, 1.5, math.inf), (math.inf, 1))]
+)
+def test_a_stored_pass_serves_a_subset_of_its_exponents(monkeypatch, kind, first, then):
+    op, g1, g2 = _z32_case(kind)
+    passes = _count_passes(monkeypatch)
+    operator_phase_sums(op, g1, g2, first)
+    served = operator_phase_sums(op, g1, g2, then)
+    assert operator_m1_norm(op, g1, g2) == served.m1  # ps = (), served too
+    assert passes == [first]
+    kernels._memo.clear()
+    fresh = operator_phase_sums(op, g1, g2, then)
+    assert passes == [first, then]
+    for name in ("m1", "peak", "row_peak"):
+        assert getattr(served, name) == getattr(fresh, name), name
+    assert len(served.col_powers) == len(then)
+    for a, b in zip(served.col_powers, fresh.col_powers):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("orders, dual", [((4, 8), False), ((32,), True)])
+def test_equal_bytes_on_other_groups_run_their_own_pass(monkeypatch, orders, dual):
+    # Z/32 against Z/4 x Z/8, and against its dual, whose weights differ
+    op, g1, g2 = _z32_case("complex")
+    grp = make_group(orders).dual() if dual else make_group(orders)
+    moved = KernelOperator(grp, grp, op.kernel)
+    w1, w2 = Signal(grp, g1.values), Signal(grp, g2.values)
+    passes = _count_passes(monkeypatch)
+    first = operator_phase_sums(op, g1, g2, (1, 2))
+    got = operator_phase_sums(moved, w1, w2, (1, 2))
+    assert len(passes) == 2
+    assert got.m1 != first.m1
+    kernels._memo.clear()
+    assert_same_bits(got, operator_phase_sums(moved, w1, w2, (1, 2)))
+
+
+def test_a_changed_window_entry_runs_a_new_pass(monkeypatch):
+    op, g1, g2 = _z32_case("complex")
+    values = g2.values.copy()
+    values[5] += 2**-40
+    passes = _count_passes(monkeypatch)
+    operator_phase_sums(op, g1, g2, (1,))
+    operator_phase_sums(op, g1, Signal(g2.group, values), (1,))
+    operator_phase_sums(op, Signal(g1.group, values), g2, (1,))
+    assert len(passes) == 3
+
+
+def test_stored_column_sums_are_read_only():
+    op, g1, g2 = _z32_case("identity")
+    fresh = operator_phase_sums(op, g1, g2, (1, 2, math.inf))
+    served = operator_phase_sums(op, g1, g2, (2,))
+    for acc in (*fresh.col_powers, *served.col_powers):
+        with pytest.raises(ValueError):
+            acc[0] = 1.0
+
+
+def test_a_stored_input_is_still_checked_before_the_lookup():
+    op, g1, g2 = _z32_case("identity")
+    operator_phase_sums(op, g1, g2, (1, 2))
+    with pytest.raises(ValueError):
+        operator_phase_sums(op, g1, g2, (2, 0.5))
+    with pytest.raises(WindowError):
+        operator_phase_sums(op, g1, Signal(g2.group, np.zeros(32)), (2,))
+    with pytest.raises(GroupMismatchError):
+        operator_phase_sums(op, g1, gauss(g2.group.dual(), 2.5), (2,))
+
+
+def test_the_memo_keeps_its_bound(monkeypatch):
+    g = make_group((4,))
+    ops = [random_operator(g, g, seed) for seed in range(kernels._MEMO_ENTRIES + 1)]
+    w = gauss(g, 1.0)
+    passes = _count_passes(monkeypatch)
+    for op in ops:
+        operator_phase_sums(op, w, w, (1,))
+    assert len(kernels._memo) == kernels._MEMO_ENTRIES
+    operator_phase_sums(ops[-1], w, w, (1,))  # the newest is kept
+    assert len(passes) == len(ops)
+    operator_phase_sums(ops[0], w, w, (1,))  # the oldest has left
+    assert len(passes) == len(ops) + 1
+
+
+@pytest.mark.parametrize("case", ["inf-window", "inf-kernel"])
+def test_non_finite_passes_give_nan_fields_without_a_warning(case):
+    # pyproject makes a RuntimeWarning an error; no np.errstate here
+    if case == "inf-kernel":
+        op, g1, g2, ps = _inf_kernel_case()
+    else:
+        op, g1, g2, ps = _real_case((6,), (8,), BIT_EXPONENTS, 9)
+        g2 = Signal(g2.group, np.full(8, math.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums = operator_phase_sums(op, g1, g2, ps)
+    assert math.isnan(sums.m1) and math.isnan(sums.peak) and math.isnan(sums.row_peak)
+    assert all(np.isnan(acc).all() for acc in sums.col_powers)
 
 
 def test_operator_m1_norm_equals_kernel_signal_route():

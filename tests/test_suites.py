@@ -484,6 +484,33 @@ def test_each_operator_phase_table_is_built_once(monkeypatch):
     assert passes == list(net.stages)
 
 
+def test_repeated_operator_inputs_run_no_second_pass(monkeypatch):
+    # requests of operator_phase_sums against passes of kernels._phase_pass:
+    # the gabor/identity sandwich stages at Z/32 equal the net's stages, and
+    # the identity gap at order 32 asks for the grid's identity pass at (2,)
+    requests, passes = [], []
+    request, phase_pass = operator_phase_sums, kernels._phase_pass
+
+    def counting_request(op, g1, g2, ps=()):
+        requests.append(op)
+        return request(op, g1, g2, ps)
+
+    def counting_pass(op, g1, g2, ps):
+        passes.append(op)
+        return phase_pass(op, g1, g2, ps)
+
+    for module in (modspaces, regnets, kernels):
+        monkeypatch.setattr(module, "operator_phase_sums", counting_request)
+    monkeypatch.setattr(kernels, "_phase_pass", counting_pass)
+    run_default("regnet", group=[32], construction="gabor", target="identity")
+    assert len(requests) - len(passes) == 4
+    requests.clear()
+    passes.clear()
+    kernels._memo.clear()
+    run_default("mpq", group=[32], gap_orders=[8, 16, 32])
+    assert len(requests) - len(passes) == 1
+
+
 # TFKIT_THREADS is ignored now that the suites run serially; setting it
 # must not change the failing row
 @pytest.mark.parametrize("threads", ["1", "2"])

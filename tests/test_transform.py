@@ -452,6 +452,49 @@ def test_dgt_pair_matches_dense_atoms_and_the_whole_table(case):
     _assert_close(synthesis(window, unit, table), want)
 
 
+def _round_trip(values, axes, out=None):
+    # the character sum as the normalized inverse FFT times n
+    sums = np.fft.ifftn(values, axes=axes, out=out)
+    sums *= math.prod(values.shape[a] for a in axes)
+    return sums
+
+
+# (orders, dual, time step, frequency step): power-of-two orders, where
+# the sum is the unnormalized inverse FFT, then orders where it is the
+# round trip itself
+CHARACTER_SUM_CASES = [
+    ((32,), False, 4, 4),
+    ((8, 16), False, (2, 4), (4, 2)),
+    ((2, 2, 16), False, (1, 2, 4), (2, 1, 4)),
+    ((8, 16), True, 2, 2),  # Haar weight 1/|G|
+    ((24,), False, 4, 4),
+    ((2, 3), False, 1, 1),
+]
+
+
+@pytest.mark.parametrize("orders, dual, a, b", CHARACTER_SUM_CASES)
+def test_character_sums_have_the_bits_of_the_round_trip(monkeypatch, orders, dual, a, b):
+    grp = make_group(orders).dual() if dual else make_group(orders)
+    window = _complex_window(grp, 3)
+    lattice = make_lattice(grp, a, b)
+    rows = np.stack([random_signal(grp, 40 + j).values for j in range(3)])
+    f = random_signal(grp, 50)
+    rng = np.random.default_rng(51)
+    coeffs = rng.standard_normal(lattice.size) + 1j * rng.standard_normal(lattice.size)
+
+    def outputs():
+        return (
+            pairing_rows(window, rows),
+            analysis(window, lattice, f),
+            synthesis(window, lattice, coeffs),
+        )
+
+    got = outputs()
+    monkeypatch.setattr(transform, "_character_sum", _round_trip)
+    for new, old in zip(got, outputs()):
+        assert np.array_equal(new, old)
+
+
 def test_stft_invert_makes_one_table_sized_array():
     # Z/1024: the table is 16 MiB of complex values, and the inversion
     # makes one more array that size (its character sums); a copy of the
