@@ -22,12 +22,16 @@ time-frequency table on G1 x G2 (the kernel theorem).  It has
 streams it in chunks of domain time nodes into a PhaseSums record of
 O(|G2|^2) floats.  A chunk is held only as |B|, one float array of about
 2^18 entries that the pass allocates once; transform.pairing_mags fills
-it through a complex block of whole rows, 2^15 entries or one row's
+it through one complex block of whole rows, 2^15 entries or one row's
 |G2|^2 when that is longer, so the complex B of a chunk never exists.
-Every reduction runs in one fixed order over the whole chunk, so the
-sums do not depend on the block sizes.  When the kernel and both
-windows are real and finite, |B| is symmetric under (w1, w2) ->
-(-w1, -w2), and the pass computes only half of the rows.
+On more than one CPU, a call of at least four full blocks fills the
+second half of its rows on one helper thread while the caller fills the
+first, each half through its own half of the one block.  Every
+reduction runs on the caller's thread, in one fixed order over the
+whole chunk, so the sums depend neither on the block sizes nor on the
+thread count.  When the kernel and both windows are real and finite,
+|B| is symmetric under (w1, w2) -> (-w1, -w2), and the pass computes
+only half of the rows.
 
 operator_phase_sums runs that pass once per distinct input.  It keeps
 the last _MEMO_ENTRIES (8) passes, keyed on the four groups and the
@@ -206,9 +210,10 @@ def operator_matrix(op: KernelOperator) -> np.ndarray:
 
 # Entries of B per chunk of domain time nodes (at least one node), 2^18.
 # The chunk is one float array of |B|, 2 MB, which the pass allocates once
-# and transform.pairing_mags fills through its 512 KB complex block.  It
-# fixes the summation order, and so the report bytes; it never depends on
-# the thread count.
+# and transform.pairing_mags fills through its one 512 KB complex block,
+# on one thread or, for a long call on more than one CPU, split between
+# the caller and one helper thread.  It fixes the summation order, and so
+# the report bytes; it never depends on the thread count.
 _CHUNK_ENTRIES = 2**18
 
 # Distinct inputs whose passes operator_phase_sums keeps, 8; the oldest
@@ -335,8 +340,9 @@ def _phase_pass(op: KernelOperator, g1: Signal, g2: Signal, ps: tuple) -> PhaseS
     so B comes out in the table's own layout, by the same arithmetic as
     the rows tests/oracles.py builds whole; only the order of the sums
     differs.  The second stage is transform.pairing_mags, which writes
-    |B| into the pass's one float chunk array through a 512 KB complex
-    block; it gives the bits np.abs of the chunk's complex B would give.
+    |B| into the pass's one float chunk array through one 512 KB complex
+    block, on one or two threads; it gives the bits np.abs of the chunk's
+    complex B would give.
     The sums, maxima and row sums read the chunk array whole; p = 1 sums
     its columns directly, and a finite p != 1 adds
     np.sum(|B|**p, axis=0), the expression of the oracle.  The last such

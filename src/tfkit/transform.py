@@ -8,12 +8,13 @@ forward analysis over whole phase-space rows: the STFT is read off it,
 stft(g, s) as conj(pairing_table(g, conj(s))), and so is the first stage
 of the operator pass at a subset of time nodes.  pairing_mags writes
 |pairing_rows| into a float array the caller owns, through one bounded
-complex block; the operator phase sums read the second stage of their
-pass off it.  Both share one product and character sum (_pairing_block).
-Every character sum here, in the pairing and in the DGT pair, is one
-helper, _character_sum: the unnormalized inverse FFT, which pocketfft
-computes directly when the transformed size is a power of two and as the
-normalized inverse times n elsewhere.
+complex block, on the caller's thread and, for long calls on more than
+one CPU, one helper thread; the operator phase sums read the second
+stage of their pass off it.  Both share one product and character sum
+(_pairing_block).  Every character sum here, in the pairing and in the
+DGT pair, is one helper, _character_sum: the unnormalized inverse FFT,
+which pocketfft computes directly when the transformed size is a power
+of two and as the normalized inverse times n elsewhere.
 analysis and its adjoint synthesis are the DGT pair (Sondergaard, JFAA
 18, 2012) at the lattice's FFT length, with no L x |G| array.  The whole
 phase space is the lattice with unit steps: the inversion formula
@@ -48,7 +49,11 @@ triple-sum oracles alongside.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -141,9 +146,14 @@ def _character_sum(values: np.ndarray, axes: tuple, out=None) -> np.ndarray:
     keeps them.  On Z/128, rows of size 1e-300 against a unit-scale
     window move 64 of 2^21 entries, each of size below 2e-315."""
     n = math.prod(values.shape[a] for a in axes)
+    # one axis goes to np.fft.ifft, the pocketfft call ifftn makes per axis
+    if len(axes) == 1:
+        inverse, where = np.fft.ifft, {"axis": axes[0]}
+    else:
+        inverse, where = np.fft.ifftn, {"axes": axes}
     if n & (n - 1) == 0:
-        return np.fft.ifftn(values, axes=axes, norm="forward", out=out)
-    sums = np.fft.ifftn(values, axes=axes, out=out)
+        return inverse(values, norm="forward", out=out, **where)
+    sums = inverse(values, out=out, **where)
     sums *= n
     return sums
 
@@ -153,10 +163,14 @@ def _pairing_block(rows: np.ndarray, shifts: np.ndarray, tables: np.ndarray, gro
     complex tables shaped (len(rows), len(shifts), |G|): the product
     tables[j, x] = rows[j] * shifts[x], then the character sum along the
     last axis and the Haar weight, in place, since a fresh FFT output per
-    pairing_mags block costs about as much again.  rows and shifts are
+    pairing_mags block costs about as much again.  The product is a
+    broadcast copy of the rows multiplied in place by the shifts: the
+    same rows[j] * shifts[x] per entry, through one 128 KB ufunc buffer
+    where the broadcast multiply of both holds two.  rows and shifts are
     complex; the weight multiply is skipped at weight 1, where it is
     exact."""
-    np.multiply(rows[:, None, :], shifts[None, :, :], out=tables)
+    tables[...] = rows[:, None, :]
+    np.multiply(tables, shifts, out=tables)
     shaped = tables.reshape((-1,) + group.orders)
     _character_sum(shaped, tuple(range(1, group.nfactors + 1)), out=shaped)
     if group.weight != 1:
@@ -173,9 +187,11 @@ def pairing_rows(window: Signal, rows: np.ndarray, times=slice(None)) -> np.ndar
     return tables.reshape(len(rows), -1)
 
 
-# Complex entries per block of pairing_mags, 2^15 (512 KB), or one row's
-# |G|^2 when that is longer.  Each FFT row sees the same arithmetic in any
-# block, so the bits do not depend on it.
+# Complex entries of the one block of a pairing_mags call, 2^15 (512 KB),
+# or one row's |G|^2 when that is longer.  A call split between two
+# threads gives each thread half of that block, so the split holds no
+# more complex memory.  Each FFT row sees the same arithmetic in any block
+# and on either thread, so the bits do not depend on it.
 _BLOCK_ENTRIES = 2**15
 
 
@@ -186,9 +202,16 @@ def pairing_mags(window: Signal, rows: np.ndarray, out: np.ndarray) -> np.ndarra
 
     The shift rows are built once, and the tables go through one complex
     block of whole rows, at most _BLOCK_ENTRIES entries or one row's |G|^2
-    when that is longer, so no complex array the size of out is made.  Each
-    block is the product, character sum and weight of pairing_rows, so
-    out holds the bits of np.abs(pairing_rows(window, rows)).
+    when that is longer, so no complex array the size of out is made.
+    When the process may run on more than one CPU (_many_cpus) and the
+    call spans at least four full blocks of two rows or more, the rows are
+    split in two at their middle: one helper thread (_helper) fills the
+    second half through the second half of the block while the caller
+    fills the first half through the first.  NumPy releases the GIL in
+    the product, the FFT and np.abs.  The caller allocates the block, so
+    the helper allocates no large array of its own.  Each block is the
+    product, character sum and weight of pairing_rows, so out holds the
+    bits of np.abs(pairing_rows(window, rows)) on either route.
     """
     if not out.flags.c_contiguous:
         raise ValueError("pairing_mags writes into a C-contiguous out")
@@ -197,14 +220,84 @@ def pairing_mags(window: Signal, rows: np.ndarray, out: np.ndarray) -> np.ndarra
     rows = np.ascontiguousarray(rows, dtype=complex)
     shifts = shift_matrix(window)
     per_row = max(1, _BLOCK_ENTRIES // n**2)
-    block = np.empty((per_row, n, n), dtype=complex)
+    block = np.empty((min(per_row, len(rows)), n, n), dtype=complex)
     mags = out.reshape(len(rows), n, n)
-    for lo in range(0, len(rows), per_row):
-        part = mags[lo : lo + per_row]
-        tables = block[: len(part)]
-        _pairing_block(rows[lo : lo + per_row], shifts, tables, grp)
-        np.abs(tables, out=part)
+    if per_row < 2 or len(rows) < 4 * per_row or not _many_cpus():
+        _fill_mags(rows, shifts, mags, block, grp)
+        return out
+    mid, per_half = len(rows) // 2, per_row // 2
+    # the helper runs in a copy of the caller's context, which holds
+    # NumPy's np.errstate
+    reply = queue.SimpleQueue()
+    job = (rows[mid:], shifts, mags[mid:], block[per_half : 2 * per_half], grp)
+    _helper().put((contextvars.copy_context(), job, reply))
+    try:
+        _fill_mags(rows[:mid], shifts, mags[:mid], block[:per_half], grp)
+    finally:
+        error = reply.get()  # the helper's half has stopped
+    if error is not None:
+        raise error
     return out
+
+
+def _fill_mags(
+    rows: np.ndarray, shifts: np.ndarray, mags: np.ndarray, block: np.ndarray, group: Group
+):
+    """|tables| of the complex rows against the shift rows written into
+    mags, shaped (len(rows), |G|, |G|), len(block) rows at a time through
+    the complex block, shaped (rows, |G|, |G|)."""
+    step = len(block)
+    for lo in range(0, len(rows), step):
+        part = mags[lo : lo + step]
+        tables = block[: len(part)]
+        _pairing_block(rows[lo : lo + step], shifts, tables, group)
+        np.abs(tables, out=part)
+
+
+def _many_cpus() -> bool:
+    """Whether this process may run on more than one CPU: its affinity
+    mask where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+# pid -> the job queue of pairing_mags's helper thread in that process
+_helpers = {}
+
+
+def _helper() -> queue.SimpleQueue:
+    """The job queue of pairing_mags's one helper thread, a daemon thread
+    started on first use and kept for the life of the process.  It is
+    keyed on the pid, so a forked child, where the parent's thread does
+    not exist, starts its own; of two first callers, only the one whose
+    queue dict.setdefault stores starts a thread."""
+    pid = os.getpid()
+    jobs = _helpers.get(pid)
+    if jobs is None:
+        fresh = queue.SimpleQueue()
+        jobs = _helpers.setdefault(pid, fresh)
+        if jobs is fresh:
+            threading.Thread(target=_serve, args=(jobs,), name="tfkit-pairing", daemon=True).start()
+    return jobs
+
+
+def _serve(jobs: queue.SimpleQueue):
+    """The helper thread: each job (context, _fill_mags arguments, reply)
+    runs in its context, and its reply is the error it raised or None.
+    The job is dropped before the reply: held while the thread waits for
+    the next one, its views would keep the caller's block and the pass's
+    chunk alive past their call."""
+    while True:
+        context, job, reply = jobs.get()
+        error = None
+        try:
+            context.run(_fill_mags, *job)
+        except BaseException as caught:
+            error = caught
+        del context, job
+        reply.put(error)
+        del reply, error
 
 
 def node_windows(window: Signal, lattice: Lattice) -> tuple:
@@ -344,13 +437,16 @@ def mod_norm_conv(s: Signal, window: Signal) -> float:
     require_window(window)
     g = s.group
     axes = tuple(range(1, g.nfactors + 1))
-    # all modulations E_w s through one batched FFT
-    mods = (character_table(g) * s.values).reshape((-1,) + g.orders)
-    spectra = np.fft.fftn(mods, axes=axes) * float(g.weight)
-    prods = spectra * fourier(window).values.reshape(g.orders)
-    convs = np.fft.ifftn(prods, axes=axes) * (float(g.dual_weight) * g.order)
+    # all modulations E_w s through one batched FFT, each step in place in
+    # one |G| x |G| working array
+    work = (character_table(g) * s.values).reshape((-1,) + g.orders)
+    np.fft.fftn(work, axes=axes, out=work)
+    work *= float(g.weight)
+    work *= fourier(window).values.reshape(g.orders)
+    np.fft.ifftn(work, axes=axes, out=work)
+    work *= float(g.dual_weight) * g.order
     total = 0.0
-    for row in convs.reshape(g.order, -1):
+    for row in work.reshape(g.order, -1):
         total += float(np.sum(np.abs(row)) * float(g.weight))
     return float(total * float(g.dual_weight))
 

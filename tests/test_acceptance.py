@@ -575,13 +575,13 @@ def reference_argv(name: str, work: Path) -> list:
     return ["all", "--seed", "3", "--config", str(path)]
 
 
-def report_tree(work: Path, argv) -> dict:
-    """The report tree of `python -m tfkit.cli *argv` written under work,
+def report_tree(work: Path, argv, command=("-m", "tfkit.cli")) -> dict:
+    """The report tree of `python *command *argv` written under work,
     with its stdout as the file `stdout` (the report directory spelled
     OUT); the run must exit 0."""
     out = work / "out"
     proc = subprocess.run(
-        [sys.executable, "-m", "tfkit.cli", *argv, "--out", str(out)],
+        [sys.executable, *command, *argv, "--out", str(out)],
         capture_output=True,
         text=True,
         timeout=600,
@@ -591,11 +591,60 @@ def report_tree(work: Path, argv) -> dict:
     return {**read_tree(out), "stdout": proc.stdout.replace(str(out), "OUT").encode()}
 
 
-@pytest.mark.parametrize("name", ["default", "report-large"])
-def test_reports_match_the_reference(tmp_path, name):
+def skip_unless_reference_build():
     recorded = json.loads((REPORTS / "platform.json").read_text(encoding="utf-8"))
     if recorded != build_platform():
         pytest.skip(f"the reference bytes are from {recorded}, this build is {build_platform()}")
+
+
+@pytest.mark.parametrize("name", ["default", "report-large"])
+def test_reports_match_the_reference(tmp_path, name):
+    skip_unless_reference_build()
     got = report_tree(tmp_path, reference_argv(name, tmp_path))
     moves = tree_moves(read_tree(REPORTS / name), got)
     assert not moves, f"{len(moves)} cells moved from tests/reports/{name}:\n" + "\n".join(moves)
+
+
+def test_the_default_report_never_starts_the_helper_thread(tmp_path):
+    # pairing_mags splits a call between two threads only from four full
+    # blocks up, and the defaults' longest call is shorter: the helper
+    # thread, which lives for the process once started, must not exist.
+    # It is a plain thread; concurrent.futures stays unimported, since
+    # that import alone takes 0.1 MB of a traced pass's memory bound
+    script = (
+        "import sys, threading\n"
+        "from tfkit import transform\n"
+        "from tfkit.cli import main\n"
+        f"code = main(['all', '--seed', '0', '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, threading.active_count(), len(transform._helpers),"
+        " 'concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 1 0 False"
+
+
+# `python -c PINNED_CLI args` runs `tfkit args` on one CPU of the
+# process's affinity mask, where pairing_mags never starts its helper
+PINNED_CLI = """
+import os, sys, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from tfkit.cli import main
+code = main(sys.argv[1:])
+assert threading.active_count() == 1
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_report_large_on_one_cpu_matches_the_reference(tmp_path):
+    skip_unless_reference_build()
+    got = report_tree(tmp_path, reference_argv("report-large", tmp_path), ("-c", PINNED_CLI))
+    moves = tree_moves(read_tree(REPORTS / "report-large"), got)
+    assert not moves, f"{len(moves)} cells moved from tests/reports/report-large:\n" + "\n".join(moves)

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -472,6 +473,19 @@ def test_phase_sums_have_the_bits_of_the_complex_chunk_pass(name):
         assert_same_bits(operator_phase_sums(op, g1, g2, ps), chunked_phase_sums(op, g1, g2, ps))
 
 
+@pytest.mark.parametrize("name", list(BIT_CASES))
+def test_phase_sums_keep_their_bits_with_the_split_forced_on(monkeypatch, helper_fills, name):
+    # blocks of two rows split every call of eight rows or more between
+    # the caller and the helper thread, one row per block each; only the
+    # cases from Z/1 make no call that long
+    op, g1, g2, ps = BIT_CASES[name]()
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 2 * g2.group.order**2)
+    with np.errstate(invalid="ignore"):
+        got = operator_phase_sums(op, g1, g2, ps)
+        assert_same_bits(got, chunked_phase_sums(op, g1, g2, ps))
+    assert ("tfkit-pairing" in helper_fills) == (name not in ("order-1-to-5", "order-1-to-1"))
+
+
 @pytest.mark.parametrize("name", ["chunks-24-28", "complex-g2", "order-5-to-1"])
 def test_phase_sums_keep_their_bits_at_any_block_size(monkeypatch, name):
     # blocks of 5 |G2| entries hold one row each (five at |G2| = 1); the
@@ -723,11 +737,25 @@ def test_the_memo_keeps_its_bound(monkeypatch):
     assert len(passes) == len(ops) + 1
 
 
-@pytest.mark.parametrize("case", ["inf-window", "inf-kernel"])
-def test_non_finite_passes_give_nan_fields_without_a_warning(case):
-    # pyproject makes a RuntimeWarning an error; no np.errstate here
+@pytest.mark.parametrize(
+    "case", ["inf-window", "inf-kernel", "split-inf-kernel-32", "split-nan-window-32"]
+)
+def test_non_finite_passes_give_nan_fields_without_a_warning(helper_fills, case):
+    # pyproject makes a RuntimeWarning an error; no np.errstate here.  The
+    # Z/32 passes take every row, 256 per chunk, which the split hands
+    # half to the helper thread: it must see the pass's np.errstate.
     if case == "inf-kernel":
         op, g1, g2, ps = _inf_kernel_case()
+    elif case == "split-inf-kernel-32":
+        grp = make_group((32,))
+        kernel = random_operator(grp, grp, 15).kernel.copy()
+        kernel[7, 20] = math.inf
+        op, g1, g2, ps = KernelOperator(grp, grp, kernel), gauss(grp, 2.0), gauss(grp, 2.5), BIT_EXPONENTS
+    elif case == "split-nan-window-32":
+        op, g1, g2, ps = _real_case((32,), (32,), BIT_EXPONENTS, 16)
+        values = g1.values.copy()
+        values[5] = math.nan
+        g1 = Signal(g1.group, values)
     else:
         op, g1, g2, ps = _real_case((6,), (8,), BIT_EXPONENTS, 9)
         g2 = Signal(g2.group, np.full(8, math.inf))
@@ -736,6 +764,7 @@ def test_non_finite_passes_give_nan_fields_without_a_warning(case):
         sums = operator_phase_sums(op, g1, g2, ps)
     assert math.isnan(sums.m1) and math.isnan(sums.peak) and math.isnan(sums.row_peak)
     assert all(np.isnan(acc).all() for acc in sums.col_powers)
+    assert ("tfkit-pairing" in helper_fills) == case.startswith("split")
 
 
 def test_operator_m1_norm_equals_kernel_signal_route():

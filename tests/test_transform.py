@@ -1,5 +1,9 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -245,6 +249,22 @@ def test_conv_route_is_the_convolution_loop_bit_for_bit(orders):
         assert mod_norm_conv(s, win) == loop_mod_norm_conv(s, win)
 
 
+def test_conv_route_works_in_one_table_sized_array():
+    # Z/512 with the character table cached: the modulations, their
+    # spectra, the products and the convolutions share one 4 MiB array;
+    # the route with four such arrays peaked at 16 MiB
+    g = make_group((512,))
+    s, win = random_signal(g, 0), gauss(g, 8.0)
+    character_table(g)
+    tracemalloc.start()
+    try:
+        mod_norm_conv(s, win)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
+
+
 def test_conv_route_is_equivalent_for_symmetric_windows():
     # gauss is symmetric, so the two routes agree on the nose
     g = make_group((8,))
@@ -368,6 +388,143 @@ def test_pairing_mags_are_the_magnitudes_of_pairing_rows(monkeypatch, orders, re
                 assert np.array_equal(out, want, equal_nan=True)
     with pytest.raises(ValueError):
         pairing_mags(window, rows, np.empty((5, 2 * grp.order**2))[:, ::2])
+
+
+def _split_rows(grp, count, seed, bad=False):
+    rows = np.stack([random_signal(grp, seed + j).values for j in range(count)])
+    if bad:
+        # an inf in the helper's half, a NaN in the caller's
+        rows[-1, 3], rows[1, -1] = math.inf, math.nan
+    return rows
+
+
+# name -> (window, rows) of one pairing_mags call that spans at least four
+# full blocks of the default budget, so that it splits
+SPLIT_CASES = {
+    "odd-rows-16": lambda: (gauss(make_group((16,)), 2.0), _split_rows(make_group((16,)), 513, 1)),
+    # one chunk of a Z/24 -> Z/28 pass: 13 time nodes of 24 rows each
+    "chunk-24-28": lambda: (gauss(make_group((28,)), 2.5), _split_rows(make_group((28,)), 13 * 24, 2)),
+    # the dual group's Haar weight is 1/64
+    "dual-4x16": lambda: (
+        gauss(make_group((4, 16)).dual(), 2.5),
+        _split_rows(make_group((4, 16)).dual(), 33, 3),
+    ),
+    "complex-window-10": lambda: (
+        _complex_window(make_group((10,)), 4),
+        _split_rows(make_group((10,)), 4 * 327 + 1, 5),
+    ),
+    "inf-nan-rows-32": lambda: (gauss(make_group((32,)), 3.0), _split_rows(make_group((32,)), 129, 6, True)),
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_split_pairing_mags_have_the_bits_of_one_thread(monkeypatch, helper_fills, name):
+    window, rows = SPLIT_CASES[name]()
+    n = window.group.order
+    with np.errstate(invalid="ignore"):
+        monkeypatch.setattr(transform, "_many_cpus", lambda: False)
+        one = pairing_mags(window, rows, np.empty((len(rows), n * n)))
+        assert helper_fills == ["MainThread"]
+        monkeypatch.setattr(transform, "_many_cpus", lambda: True)
+        two = pairing_mags(window, rows, np.full((len(rows), n * n), -1.0))
+        assert sorted(helper_fills[1:]) == ["MainThread", "tfkit-pairing"]
+        want = np.abs(pairing_rows(window, rows))
+    assert np.array_equal(two, one, equal_nan=True)
+    assert np.array_equal(two, want, equal_nan=True)
+
+
+def test_short_calls_and_one_cpu_stay_on_the_callers_thread(monkeypatch, helper_fills):
+    # Z/32 has 32 rows per block: 127 rows are under four blocks; with one
+    # CPU even 128 rows stay on the caller's thread
+    grp = make_group((32,))
+    window = gauss(grp, 3.0)
+    pairing_mags(window, _split_rows(grp, 127, 7), np.empty((127, 32 * 32)))
+    assert helper_fills == ["MainThread"]
+    pairing_mags(window, _split_rows(grp, 128, 7), np.empty((128, 32 * 32)))
+    assert sorted(helper_fills[1:]) == ["MainThread", "tfkit-pairing"]
+    monkeypatch.setattr(transform, "_many_cpus", lambda: False)
+    pairing_mags(window, _split_rows(grp, 128, 7), np.empty((128, 32 * 32)))
+    assert helper_fills[3:] == ["MainThread"]
+
+
+def test_a_row_over_half_the_budget_is_never_split(helper_fills):
+    # Z/160: one row's |G|^2 is more than half the 2^15 budget, so a block
+    # holds one row, and a block on each thread would double it
+    grp = make_group((160,))
+    pairing_mags(gauss(grp, 8.0), _split_rows(grp, 8, 8), np.empty((8, 160 * 160)))
+    assert helper_fills == ["MainThread"]
+
+
+@pytest.mark.parametrize("failing", ["tfkit-pairing", "MainThread"])
+def test_an_error_in_either_half_reaches_the_caller_after_both_stop(monkeypatch, failing):
+    # the half that does not fail is slow and notes when it ends; the
+    # error must arrive after that note, and the helper must serve the
+    # next call
+    grp = make_group((32,))
+    window, rows = gauss(grp, 3.0), _split_rows(grp, 128, 9)
+    fill, ended = transform._fill_mags, []
+
+    def failing_half(*args):
+        name = threading.current_thread().name
+        if name == failing:
+            raise RuntimeError(f"{name} failed")
+        time.sleep(0.05)
+        fill(*args)
+        ended.append(name)
+
+    monkeypatch.setattr(transform, "_many_cpus", lambda: True)
+    monkeypatch.setattr(transform, "_fill_mags", failing_half)
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        pairing_mags(window, rows, np.empty((128, 32 * 32)))
+    assert ended == [{"MainThread": "tfkit-pairing", "tfkit-pairing": "MainThread"}[failing]]
+    monkeypatch.setattr(transform, "_fill_mags", fill)
+    out = pairing_mags(window, rows, np.empty((128, 32 * 32)))
+    assert np.array_equal(out, np.abs(pairing_rows(window, rows)))
+
+
+def test_the_helper_keeps_no_array_of_a_finished_call(helper_fills):
+    # a view the helper held while it waits for its next job would keep
+    # the pass's chunk, 2 MB at Z/64, alive into the next pass
+    grp = make_group((32,))
+    out = np.empty((128, 32 * 32))
+    pairing_mags(gauss(grp, 3.0), _split_rows(grp, 128, 11), out)
+    assert "tfkit-pairing" in helper_fills
+    gone = weakref.ref(out)
+    del out
+    assert gone() is None
+
+
+def test_concurrent_callers_share_the_one_helper(monkeypatch):
+    # more calling threads than CPUs, switching often: every call queues
+    # its half on the one helper thread and must still get its own bits
+    grp = make_group((16,))
+    window = gauss(grp, 2.0)
+    calls = [_split_rows(grp, 4 * 128 + j, 10 + j) for j in range(6)]
+    want = [np.abs(pairing_rows(window, rows)) for rows in calls]
+    monkeypatch.setattr(transform, "_many_cpus", lambda: True)
+    got, errors = [None] * len(calls), []
+
+    def call(j):
+        try:
+            for _ in range(3):
+                got[j] = pairing_mags(window, calls[j], np.empty((len(calls[j]), 16 * 16)))
+        except Exception as error:
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(j,)) for j in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert [t.name for t in threading.enumerate()].count("tfkit-pairing") == 1
 
 
 def test_weighted_pnorm_reduces_whole_array_or_one_axis():
