@@ -16,7 +16,8 @@ P = prod_j p_j with p_j the denominator of n_j / (a_j b_j) in lowest
 terms (the Zak domain, Zibulski-Zeevi).  Each system builds those small
 matrices off the DGT pair's node view (transform.node_windows) by
 stacked matmuls, at the split its lattice computes once
-(Lattice.zak_split), decomposes them once (GaborSystem.spectrum) and
+(Lattice.zak_split), decomposes them once (GaborSystem.spectrum; at
+P = 1 each matrix is its own eigenvalue, and no eigen-solve runs) and
 keeps its canonical dual S^{-1} g (GaborSystem.dual); the bounds, the
 dual and the tight window S^{-1/2} g are read off that one spectrum,
 never off the dense |G| x |G| matrix, which only partial_frame_sum and
@@ -34,6 +35,7 @@ weight gives A = B = ||g||_2^2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +44,7 @@ import numpy as np
 from .errors import FrameError, GroupMismatchError, LatticeError
 from .groups import Group, Lattice, PhasePoint, character_rows, product_group
 from .kernels import KernelOperator, kernel_signal
-from .signals import Signal
+from .signals import Signal, fft_axes
 from .transform import analysis, node_windows, phase_atoms, synthesis
 
 __all__ = [
@@ -83,9 +85,10 @@ class GaborSystem:
 
     @cached_property
     def spectrum(self) -> tuple:
-        """(evals, vecs, index): np.linalg.eigh of the small Hermitian
-        matrices the weight-folded frame matrix splits into in the Zak
-        domain; computed on first use and kept, read-only, since the
+        """(evals, vecs, index): the eigendecomposition of the small
+        Hermitian matrices the weight-folded frame matrix splits into in
+        the Zak domain, np.linalg.eigh where P > 1; computed on first use
+        and kept, read-only, since the
         bounds, the canonical dual and the tight window all read it.
         FrameError (bounds NaN), and no RuntimeWarning, when those matrices
         are not finite: a non-finite window, or products that overflow.
@@ -116,7 +119,15 @@ class GaborSystem:
         The columns are g(t - x) at the time nodes, read off the node view
         (transform.node_windows) split like index, so no shift rows are
         copied on one factor; the sum over x of each block's columns
-        against its columns at u = 0 is one stacked matmul.
+        against its columns at u = 0 is one stacked matmul, and the FFT
+        along the u axes goes through signals.fft_axes.
+
+        At P = 1 (index.shape[-1] == 1, read off lattice.zak_split) the
+        1 x 1 matrices need no eigen-solve: evals is their real part and
+        vecs is ones, read-only, in the shapes eigh gives.  These are the
+        bits of eigh there, whose LAPACK routine (zheevd) returns exactly
+        that for a 1 x 1 matrix before any scaling; a non-finite matrix
+        has raised FrameError before.
         """
         k = self.group.nfactors
         split, order, index, scale = self.lattice.zak_split
@@ -128,11 +139,14 @@ class GaborSystem:
         cols = cols.reshape(index.shape[0], -1, index.shape[-1], math.prod(nodes))
         with np.errstate(over="ignore", invalid="ignore"):
             strip = np.matmul(cols, cols[:, :1].conj().swapaxes(-1, -2))
-            zak = np.fft.fftn(strip.reshape(index.shape + index.shape[-1:]), axes=range(1, k + 1))
+            zak = fft_axes(strip.reshape(index.shape + index.shape[-1:]), range(1, k + 1))
             zak *= scale
         if not np.isfinite(zak).all():
             raise FrameError("frame matrix is not finite", bounds=(math.nan, math.nan))
-        evals, vecs = np.linalg.eigh(zak)
+        if index.shape[-1] == 1:
+            evals, vecs = zak.real[..., 0].copy(), np.ones(zak.shape, dtype=complex)
+        else:
+            evals, vecs = np.linalg.eigh(zak)
         for arr in (evals, vecs):
             arr.flags.writeable = False
         return evals, vecs, index
@@ -159,8 +173,10 @@ def frame_bounds(system: GaborSystem) -> tuple:
 def _frame_power(system: GaborSystem, exponent: float) -> Signal:
     """S^exponent g off system.spectrum: the FFT along the u axes of the
     window's values at index, V Lambda^exponent V^H at each frequency as
-    two stacked matmuls, and the inverse FFT back; raises FrameError (with
-    bounds) for non-frames."""
+    two stacked matmuls, and the inverse FFT back, both through
+    signals.fft_axes; raises FrameError (with bounds) for non-frames.  At
+    P = 1, where V is ones and no eigen-solve ran, the coefficients are
+    multiplied by Lambda^exponent alone, with no matmul."""
     a, b = frame_bounds(system)
     if not (b > 0 and a >= _NONFRAME_RATIO * b):
         raise FrameError(
@@ -168,11 +184,14 @@ def _frame_power(system: GaborSystem, exponent: float) -> Signal:
         )
     evals, vecs, index = system.spectrum
     axes = range(1, system.group.nfactors + 1)
-    coeffs = np.fft.fftn(system.window.values[index], axes=axes)
-    coeffs = np.matmul(coeffs[..., None, :], vecs.conj())[..., 0, :] * evals**exponent
-    coeffs = np.matmul(vecs, coeffs[..., None])[..., 0]
+    coeffs = fft_axes(system.window.values[index], axes)
+    if index.shape[-1] == 1:
+        coeffs *= evals**exponent
+    else:
+        coeffs = np.matmul(coeffs[..., None, :], vecs.conj())[..., 0, :] * evals**exponent
+        coeffs = np.matmul(vecs, coeffs[..., None])[..., 0]
     out = np.empty(system.group.order, dtype=complex)
-    out[index] = np.fft.ifftn(coeffs, axes=axes)
+    out[index] = fft_axes(coeffs, axes, inverse=True)
     return Signal(system.group, out)
 
 
@@ -209,9 +228,16 @@ def partial_frame_sum(system: GaborSystem, count: int) -> KernelOperator:
     in lattice.points() order.
 
     Kernel: sum over those points of weight * conj(atom(t1)) atom(t2),
-    off their atoms only.  LatticeError unless 1 <= count <= lattice.size.
+    off their atoms only.  TypeError, naming the count, unless it is an
+    integer (a bool is not); LatticeError unless 1 <= count <= lattice.size.
     """
     size = system.lattice.size
+    try:
+        if isinstance(count, bool):
+            raise TypeError
+        count = operator.index(count)
+    except TypeError:
+        raise TypeError(f"a partial sum count must be an integer, got {count!r}") from None
     if not 1 <= count <= size:
         raise LatticeError(f"partial sum of {count} points on a {size}-point lattice")
     times, freqs = system.lattice.nodes

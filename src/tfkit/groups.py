@@ -247,12 +247,14 @@ def wrap_distance(group: Group) -> np.ndarray:
 
 def _broadcast_step(group: Group, step) -> tuple:
     """One integer step per factor, a single integer standing for all;
-    LatticeError on a fractional step rather than truncating it."""
+    LatticeError on a fractional or boolean step rather than truncating
+    or converting it."""
+    steps = tuple(step) if isinstance(step, Iterable) else (step,) * group.nfactors
     try:
-        if isinstance(step, Iterable):
-            step = tuple(operator.index(s) for s in step)
-        else:
-            step = (operator.index(step),) * group.nfactors
+        # operator.index takes True for 1; NumPy's bool it refuses itself
+        if any(isinstance(s, bool) for s in steps):
+            raise TypeError
+        step = tuple(map(operator.index, steps))
     except TypeError:
         raise LatticeError(f"lattice steps must be integers, got {step!r}") from None
     if len(step) != group.nfactors:

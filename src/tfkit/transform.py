@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import GroupMismatchError, WindowError
 from .groups import Group, Lattice, character_rows, character_table, make_lattice
-from .signals import Signal, fourier, l2_norm, same_group, shift_matrix, shift_windows
+from .signals import Signal, fft_axes, fourier, l2_norm, same_group, shift_matrix, shift_windows
 
 __all__ = [
     "PhaseTable",
@@ -144,16 +144,12 @@ def _character_sum(values: np.ndarray, axes: tuple, out=None) -> np.ndarray:
     underflow: where a component of the scaled transform is subnormal
     (below n times 2.2e-308), the round trip loses bits and this sum
     keeps them.  On Z/128, rows of size 1e-300 against a unit-scale
-    window move 64 of 2^21 entries, each of size below 2e-315."""
+    window move 64 of 2^21 entries, each of size below 2e-315.  Both go
+    through the package's one FFT dispatch, signals.fft_axes."""
     n = math.prod(values.shape[a] for a in axes)
-    # one axis goes to np.fft.ifft, the pocketfft call ifftn makes per axis
-    if len(axes) == 1:
-        inverse, where = np.fft.ifft, {"axis": axes[0]}
-    else:
-        inverse, where = np.fft.ifftn, {"axes": axes}
     if n & (n - 1) == 0:
-        return inverse(values, norm="forward", out=out, **where)
-    sums = inverse(values, out=out, **where)
+        return fft_axes(values, axes, inverse=True, norm="forward", out=out)
+    sums = fft_axes(values, axes, inverse=True, out=out)
     sums *= n
     return sums
 
@@ -440,14 +436,24 @@ def mod_norm_conv(s: Signal, window: Signal) -> float:
     # all modulations E_w s through one batched FFT, each step in place in
     # one |G| x |G| working array
     work = (character_table(g) * s.values).reshape((-1,) + g.orders)
-    np.fft.fftn(work, axes=axes, out=work)
+    fft_axes(work, axes, out=work)
     work *= float(g.weight)
     work *= fourier(window).values.reshape(g.orders)
-    np.fft.ifftn(work, axes=axes, out=work)
+    fft_axes(work, axes, inverse=True, out=work)
     work *= float(g.dual_weight) * g.order
+    # each row's l1 sum is np.sum of its |values| along one contiguous
+    # row, as for the row alone; |values| go through one float buffer of
+    # at most _BLOCK_ENTRIES entries (one row where a row is longer), not
+    # into work.real, whose overlap with work makes np.abs copy its input
+    rows = work.reshape(g.order, -1)
+    step = max(1, _BLOCK_ENTRIES // g.order)
+    buf = np.empty((min(step, g.order), g.order))
     total = 0.0
-    for row in work.reshape(g.order, -1):
-        total += float(np.sum(np.abs(row)) * float(g.weight))
+    for lo in range(0, g.order, step):
+        part = buf[: min(step, g.order - lo)]
+        np.abs(rows[lo : lo + step], out=part)
+        for value in np.sum(part, axis=1) * float(g.weight):
+            total += float(value)
     return float(total * float(g.dual_weight))
 
 

@@ -10,7 +10,7 @@ from tfkit.frames import GaborSystem, canonical_dual
 from tfkit.groups import character_table, make_lattice
 from tfkit.kernels import KernelOperator, PhaseSums
 from tfkit.signals import Signal, dirac, fourier, gauss, l2_norm, shift_matrix, tf_shift
-from tfkit.transform import pairing_rows, pairing_table, phase_atoms, stft
+from tfkit.transform import node_windows, pairing_rows, pairing_table, phase_atoms, stft
 
 
 def naive_char(group, x, w):
@@ -228,6 +228,35 @@ def walnut_spectrum(system):
     scale = float(lat.weight * len(index) * grp.weight)
     evals, vecs = np.linalg.eigh((cols.transpose(0, 2, 1) @ cols.conj()) * scale)
     return evals, vecs, index
+
+
+def eigh_zak_design(system):
+    """(evals, vecs, bounds, dual, tight) by the Zak route that decomposes
+    every matrix with np.linalg.eigh, P = 1 included, with np.fft.fftn
+    and ifftn over the u axes and both basis changes as stacked matmuls.
+    The library reads P = 1 off the diagonal and sends each FFT through
+    signals.fft_axes; both must keep these bits."""
+    grp, k = system.group, system.group.nfactors
+    split, order, index, scale = system.lattice.zak_split
+    view = node_windows(system.window, system.lattice)[0]
+    nodes = view.shape[:k]
+    cols = view.reshape(nodes + split).transpose(*(k + j for j in order), *range(k))
+    cols = cols.reshape(index.shape[0], -1, index.shape[-1], math.prod(nodes))
+    axes = range(1, k + 1)
+    strip = np.matmul(cols, cols[:, :1].conj().swapaxes(-1, -2))
+    zak = np.fft.fftn(strip.reshape(index.shape + index.shape[-1:]), axes=axes)
+    zak *= scale
+    evals, vecs = np.linalg.eigh(zak)
+    bounds = (float(np.min(evals)), float(np.max(evals)))
+    powers = []
+    for exponent in (-1.0, -0.5):
+        coeffs = np.fft.fftn(system.window.values[index], axes=axes)
+        coeffs = np.matmul(coeffs[..., None, :], vecs.conj())[..., 0, :] * evals**exponent
+        coeffs = np.matmul(vecs, coeffs[..., None])[..., 0]
+        out = np.empty(grp.order, dtype=complex)
+        out[index] = np.fft.ifftn(coeffs, axes=axes)
+        powers.append(out)
+    return evals, vecs, bounds, powers[0], powers[1]
 
 
 def dual_atom_coefficients(f, system):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -26,6 +27,7 @@ from tfkit.transform import phase_atoms, stft, stft_invert
 
 from oracles import (
     dual_atom_coefficients,
+    eigh_zak_design,
     frame_operator,
     gabor_atoms,
     gabor_synthesis,
@@ -118,8 +120,9 @@ def test_designs_read_one_spectrum_per_system(monkeypatch):
     g = make_group((12,))
     f = random_signal(g, 4)
     # Z/12 with b = 3 has 3 x 3 Walnut blocks; n / (a b) is 2 at a = 2,
-    # so the Zak-domain matrices are 1 x 1, and 4/3 at a = 3, so 3 x 3
-    for a, size in ((2, 1), (3, 3)):
+    # so the Zak-domain matrices are 1 x 1 and are their own spectrum (no
+    # eigen-solve), and 4/3 at a = 3, so 3 x 3 (one batched eigh)
+    for a, size, eighs in ((2, 1, 0), (3, 3, 1)):
         system = GaborSystem(gauss(g, 2.0), make_lattice(g, a, 3))
         calls.update(dict.fromkeys(calls, 0))
         shapes.clear()
@@ -128,8 +131,9 @@ def test_designs_read_one_spectrum_per_system(monkeypatch):
         tight_window(system)
         atomic_expand(f, system)
         atomic_expand(f, system)
-        assert calls == {"eigh": 1, "eigvalsh": 0, "solve": 0}
-        assert shapes[0][-2:] == (size, size)
+        assert calls == {"eigh": eighs, "eigvalsh": 0, "solve": 0}
+        assert [shape[-2:] for shape in shapes] == [(size, size)] * eighs
+        assert system.spectrum[1].shape[-2:] == (size, size)
 
 
 def test_spectrum_is_read_only():
@@ -346,6 +350,23 @@ def _zak_cases(draw):
     return GaborSystem(window, make_lattice(grp, time_step, freq_step))
 
 
+def assert_bits_of_eigh_route(system):
+    """The spectrum, bounds, dual and tight window byte for byte against
+    the eigh route with np.fft.fftn and ifftn (oracles.eigh_zak_design),
+    or the same FrameError on both routes."""
+    evals, vecs, bounds, dual, tight = eigh_zak_design(system)
+    assert system.spectrum[0].tobytes() == evals.tobytes()
+    assert system.spectrum[1].shape == vecs.shape
+    assert np.array(frame_bounds(system)).tobytes() == np.array(bounds).tobytes()
+    for design, want in ((canonical_dual, dual), (tight_window, tight)):
+        try:
+            got = design(system).values
+        except FrameError as error:
+            assert error.bounds == bounds
+            continue
+        assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_zak_cases())
 def test_drawn_zak_spectrum_matches_walnut_and_dense_designs(system):
@@ -356,6 +377,9 @@ def test_drawn_zak_spectrum_matches_walnut_and_dense_designs(system):
     zak = np.sort(system.spectrum[0].ravel())
     walnut = np.sort(walnut_spectrum(system)[0].ravel())
     assert np.max(np.abs(zak - walnut)) <= 1e-12 * np.max(np.abs(walnut))
+    if system.spectrum[2].shape[-1] == 1:
+        # P = 1 reads the diagonal where the eigh route decomposed it
+        assert_bits_of_eigh_route(system)
     dense = dense_frame_matrix(system)
     evals, vecs = np.linalg.eigh(dense)
     well = evals[0] >= 1e-5 * evals[-1]
@@ -472,6 +496,17 @@ def make_system(orders, a, b, window):
 def assert_close(got, want):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@GABOR_SYSTEMS
+def test_zak_designs_keep_the_bits_of_the_eigh_route(orders, a, b, window):
+    # P = 1 (half of these systems) skips eigh and the two basis changes;
+    # every P goes through the one-axis FFT dispatch on one factor
+    system = make_system(orders, a, b, window)
+    assert_bits_of_eigh_route(system)
+    vecs = system.spectrum[1]
+    if vecs.shape[-1] == 1:
+        assert vecs.dtype == complex and np.all(vecs == 1)
 
 
 @GABOR_SYSTEMS
@@ -645,6 +680,17 @@ def test_partial_sum_rejects_counts_off_the_lattice():
     for count in (0, -1, 17):
         with pytest.raises(LatticeError):
             partial_frame_sum(system, count)
+
+
+@pytest.mark.parametrize("count", [True, False, 2.5, 3.0, "3"], ids=repr)
+def test_partial_sum_refuses_a_count_that_is_not_an_integer(count):
+    # True would sum one point and 2.5 failed on a slice index, whose
+    # message named no count
+    g = make_group((8,))
+    system = GaborSystem(gauss(g, 1.0), make_lattice(g, 2, 2))
+    with pytest.raises(TypeError, match=re.escape(f"count must be an integer, got {count!r}")):
+        partial_frame_sum(system, count)
+    assert partial_frame_sum(system, np.int64(3)).kernel.shape == (8, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,22 @@ def test_fractional_lattice_steps_are_refused_not_truncated(time_step):
 
 
 @pytest.mark.parametrize(
+    "step",
+    [True, False, (True, 2), [2, False], np.True_],
+    ids=["True", "False", "tuple-True", "list-False", "np.True_"],
+)
+def test_boolean_lattice_steps_are_refused_not_converted(step):
+    # operator.index(True) is 1, so True built a unit-step lattice, as
+    # group orders did before they refused booleans
+    g = make_group((8, 4))
+    message = re.escape(f"lattice steps must be integers, got {step!r}")
+    with pytest.raises(LatticeError, match=message):
+        make_lattice(g, step, 1)
+    with pytest.raises(LatticeError, match=message):
+        make_lattice(g, 1, step)
+
+
+@pytest.mark.parametrize(
     "orders",
     [(8.5,), ("8",), (True,), (8.0,), (np.float64(8.0),), ("8", "2")],
     ids=["8.5", "string", "bool", "8.0", "float64", "strings"],

@@ -86,6 +86,27 @@ def test_only_signals_and_transform_read_the_shift_windows_view():
     assert found == []
 
 
+def test_only_signals_names_numpys_fft():
+    # every FFT goes through the one dispatch, signals.fft_axes, which
+    # sends a single axis straight to np.fft.fft or ifft
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "signals":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                found.append(f"{path.name}:{node.lineno}: .fft")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                if any(name.startswith("numpy.fft") for name in names):
+                    found.append(f"{path.name}:{node.lineno}: from {node.module}")
+            elif isinstance(node, ast.Import):
+                if any(a.name.startswith("numpy.fft") for a in node.names):
+                    found.append(f"{path.name}:{node.lineno}: import numpy.fft")
+    assert found == []
+
+
 def test_every_table_the_tracer_reads_the_cache_of_keeps_its_cache():
     # benchmarks/tracer.py calls cache_info() on each exported function
     # named in its CACHED_TABLES; read the names without importing it

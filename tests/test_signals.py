@@ -13,6 +13,7 @@ from tfkit.signals import (
     constant,
     convolve,
     dirac,
+    fft_axes,
     fourier,
     gauss,
     inner,
@@ -184,6 +185,40 @@ def test_fourier_matches_direct_dft():
         slow = naive_fourier(s)
         assert fast.group == g.dual()
         assert np.max(np.abs(fast.values - slow.values)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape, axes",
+    [((12,), (0,)), ((5, 8), (1,)), ((3, 4, 6), (1, 2)), ((2, 3, 4), (0, 1, 2)), ((7, 1), (0,))],
+    ids=str,
+)
+@pytest.mark.parametrize("norm", [None, "forward"])
+def test_fft_axes_has_the_bits_of_fftn(shape, axes, norm):
+    # one axis is the pocketfft call fftn makes per axis, with or
+    # without out=
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for inverse, route in ((False, np.fft.fftn), (True, np.fft.ifftn)):
+        want = route(values, axes=axes, norm=norm).tobytes()
+        assert fft_axes(values, axes, inverse, norm).tobytes() == want
+        out = np.empty_like(values)
+        assert fft_axes(values, iter(axes), inverse, norm, out=out) is out
+        assert out.tobytes() == want
+        work = values.copy()
+        fft_axes(work, axes, inverse, norm, out=work)
+        assert work.tobytes() == want
+
+
+@pytest.mark.parametrize("orders", [(8,), (5,), (512,), (2, 3), (4, 1, 6)])
+@pytest.mark.parametrize("dual", [False, True], ids=["group", "dual"])
+def test_fourier_has_the_bits_of_fftn(orders, dual):
+    g = make_group(orders)
+    g = g.dual() if dual else g
+    s = random_signal(g, 11)
+    spec = np.fft.fftn(s.grid()) * float(g.weight)
+    assert fourier(s).values.tobytes() == spec.ravel().tobytes()
+    back = np.fft.ifftn(np.reshape(spec, g.orders)) * (float(g.dual_weight) * g.order)
+    assert inv_fourier(fourier(s)).values.tobytes() == back.ravel().tobytes()
 
 
 def test_fourier_inverse_round_trip_and_plancherel():

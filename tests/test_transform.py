@@ -241,7 +241,12 @@ def loop_mod_norm_conv(s, window):
     return float(total * float(g.dual_weight))
 
 
-@pytest.mark.parametrize("orders", [(64,), (128,), (8, 16), (12,), (2, 3), (1,)])
+# the row sums go through blocks of 2^15 // |G| rows: one block up to
+# Z/128, 8 blocks on Z/512, and a short last block on Z/16 x Z/40 (12
+# blocks of 51 rows, then 28)
+@pytest.mark.parametrize(
+    "orders", [(64,), (128,), (8, 16), (12,), (2, 3), (1,), (512,), (16, 40)]
+)
 def test_conv_route_is_the_convolution_loop_bit_for_bit(orders):
     g = make_group(orders)
     for seed in range(3):
