@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and as_integer, the one
+rule every integer argument (orders, coordinates, steps, counts) meets."""
+
+import operator
+
+
+def as_integer(value, what: str) -> int:
+    """value as an int: any integer type (int, np.int64, ...), never a bool;
+    otherwise a TypeError naming it, not a truncated float or parsed string."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 class GroupMismatchError(ValueError):
@@ -6,7 +20,7 @@ class GroupMismatchError(ValueError):
 
 
 class LatticeError(ValueError):
-    """Invalid lattice step, or a phase point outside the lattice."""
+    """Invalid lattice step or weight, or a phase point outside the lattice."""
 
 
 class WindowError(ValueError):

@@ -35,13 +35,12 @@ weight gives A = B = ||g||_2^2.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import FrameError, GroupMismatchError, LatticeError
+from .errors import FrameError, GroupMismatchError, LatticeError, as_integer
 from .groups import Group, Lattice, PhasePoint, character_rows, product_group
 from .kernels import KernelOperator, kernel_signal
 from .signals import Signal, fft_axes
@@ -232,12 +231,7 @@ def partial_frame_sum(system: GaborSystem, count: int) -> KernelOperator:
     integer (a bool is not); LatticeError unless 1 <= count <= lattice.size.
     """
     size = system.lattice.size
-    try:
-        if isinstance(count, bool):
-            raise TypeError
-        count = operator.index(count)
-    except TypeError:
-        raise TypeError(f"a partial sum count must be an integer, got {count!r}") from None
+    count = as_integer(count, "a partial sum count")
     if not 1 <= count <= size:
         raise LatticeError(f"partial sum of {count} points on a {size}-point lattice")
     times, freqs = system.lattice.nodes

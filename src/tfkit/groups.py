@@ -25,7 +25,7 @@ rounding.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import LatticeError
+from .errors import LatticeError, as_integer
 
 __all__ = [
     "Group",
@@ -62,22 +62,19 @@ class PhasePoint(NamedTuple):
 def _as_coords(coords) -> tuple:
     if isinstance(coords, PhasePoint):
         raise TypeError("expected group coordinates, got a phase point")
-    try:
-        out = tuple(operator.index(c) for c in coords)
-    except TypeError:
-        raise TypeError(f"coordinates must be an integer sequence, got {coords!r}") from None
-    return out
+    if not isinstance(coords, Iterable):
+        raise TypeError(f"coordinates must be an integer sequence, got {coords!r}")
+    return tuple(as_integer(c, "a coordinate") for c in coords)
 
 
-def _as_order(n) -> int:
-    """A cyclic factor's order as an int: any integer type, never a bool,
-    and TypeError on a float or string rather than truncating it."""
-    if isinstance(n, bool):
-        raise TypeError(f"a group order must be an integer, got {n!r}")
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise TypeError(f"a group order must be an integer, got {n!r}") from None
+def _as_weight(value, what: str, error: type) -> Fraction:
+    """A Haar or lattice weight as a Fraction: TypeError on a bool, string or
+    non-number, error unless it is finite and positive; both name it."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    if not 0 < value < math.inf:
+        raise error(f"{what} must be finite and positive, got {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -87,6 +84,9 @@ class Group:
     orders      : cyclic factor sizes (n1, ..., nk), integers, each >= 1
     weight      : Haar weight per point of the group
     dual_weight : Haar weight per point of the dual group
+
+    Orders, coordinates and element indices meet errors.as_integer, both
+    weights _as_weight: a finite positive real, not a bool or string.
     """
 
     orders: tuple
@@ -94,16 +94,14 @@ class Group:
     dual_weight: Fraction
 
     def __post_init__(self):
-        orders = tuple(map(_as_order, self.orders))
+        orders = tuple(as_integer(n, "a group order") for n in self.orders)
         if not orders:
             raise ValueError("a group needs at least one cyclic factor")
         if any(n < 1 for n in orders):
             raise ValueError(f"factor sizes must be positive, got {orders}")
         object.__setattr__(self, "orders", orders)
-        w = Fraction(self.weight)
-        dw = Fraction(self.dual_weight)
-        if w <= 0 or dw <= 0:
-            raise ValueError("Haar weights must be positive")
+        w = _as_weight(self.weight, "a Haar weight", ValueError)
+        dw = _as_weight(self.dual_weight, "a dual Haar weight", ValueError)
         if w * dw * self.order != 1:
             raise ValueError(
                 f"weight * dual_weight * |G| must equal 1, got {w} * {dw} * {self.order}"
@@ -154,7 +152,7 @@ class Group:
         return int(np.ravel_multi_index(self.reduce(coords), self.orders))
 
     def coords(self, index) -> tuple:
-        index = operator.index(index)
+        index = as_integer(index, "an element index")
         if not 0 <= index < self.order:
             raise ValueError(f"index {index} out of range for group of order {self.order}")
         return tuple(int(c) for c in np.unravel_index(index, self.orders))
@@ -169,17 +167,11 @@ class Group:
 
 
 def make_group(orders: Sequence[int]) -> Group:
-    """Group with the default normalization: counting measure on G.
-    Group checks the orders: the max leaves a zero or negative product to
-    it, a float product gives a float weight that it never reaches, and
-    orders with no product (a string) get a placeholder weight, so that
-    Group's own message names the order."""
-    orders = tuple(orders)
-    try:
-        dual = Fraction(1) / max(1, math.prod(orders))
-    except TypeError:
-        dual = Fraction(1)
-    return Group(orders, Fraction(1), dual)
+    """Group with the default normalization: counting measure on G.  The
+    orders are judged by as_integer before the dual weight is formed; the
+    max leaves a zero or negative order to Group's own check."""
+    orders = tuple(as_integer(n, "a group order") for n in orders)
+    return Group(orders, Fraction(1), Fraction(1, max(1, math.prod(orders))))
 
 
 def product_group(a: Group, b: Group) -> Group:
@@ -247,14 +239,10 @@ def wrap_distance(group: Group) -> np.ndarray:
 
 def _broadcast_step(group: Group, step) -> tuple:
     """One integer step per factor, a single integer standing for all;
-    LatticeError on a fractional or boolean step rather than truncating
-    or converting it."""
+    LatticeError on a step as_integer refuses, rather than truncating it."""
     steps = tuple(step) if isinstance(step, Iterable) else (step,) * group.nfactors
     try:
-        # operator.index takes True for 1; NumPy's bool it refuses itself
-        if any(isinstance(s, bool) for s in steps):
-            raise TypeError
-        step = tuple(map(operator.index, steps))
+        step = tuple(as_integer(s, "a lattice step") for s in steps)
     except TypeError:
         raise LatticeError(f"lattice steps must be integers, got {step!r}") from None
     if len(step) != group.nfactors:
@@ -271,7 +259,7 @@ class Lattice:
 
     Points are enumerated time-major (all frequencies for the first time
     node, then the next time node, ...), lexicographically within each
-    side.
+    side.  Steps meet errors.as_integer and the weight _as_weight.
     """
 
     group: Group
@@ -290,9 +278,7 @@ class Lattice:
                     )
         object.__setattr__(self, "time_step", ts)
         object.__setattr__(self, "freq_step", fs)
-        w = Fraction(self.weight)
-        if w <= 0:
-            raise LatticeError("lattice weight must be positive")
+        w = _as_weight(self.weight, "a lattice weight", LatticeError)
         object.__setattr__(self, "weight", w)
 
     @property

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import GroupMismatchError
+from .errors import GroupMismatchError, as_integer
 from .groups import Group
 from .kernels import KernelOperator, operator_phase_sums
 from .signals import Signal, l2_norm
@@ -110,9 +110,12 @@ def empirical_mpq_opnorms(
 def stft_probes(group: Group, window: Signal, seed: int, count: int = 4) -> list:
     """Probe signals synthesized from seeded random phase tables, so the
     probe energy is spread over all of phase space rather than pinned to
-    a few points."""
+    a few points; count is an integer >= 0."""
     if window.group != group:
         raise GroupMismatchError("window lives on the wrong group")
+    count = as_integer(count, "a probe count")
+    if count < 0:
+        raise ValueError(f"a probe count must not be negative, got {count!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     n = group.order
     probes = []

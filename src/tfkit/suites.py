@@ -315,15 +315,13 @@ def _real_window(token) -> dict:
 
 def parse_exponent(token) -> float:
     """An exponent in [1, inf]: a number or a numeric string such as
-    '1.5' or 'inf' (float's spelling); a boolean is refused."""
+    '1.5' or 'inf' (float's spelling); require_exponent refuses a boolean."""
     try:
-        if isinstance(token, bool):
-            raise ValueError("a boolean is not a number")
-        value = float(token)
+        value = float(token) if isinstance(token, str) else token
         require_exponent(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad exponent {token!r}: {exc}") from exc
-    return value
 
 
 def _exponent_token(p) -> str:

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import os
 import queue
 import threading
@@ -118,7 +119,10 @@ def require_window(g: Signal):
 
 
 def require_exponent(p):
-    """ValueError unless the exponent p is in [1, inf]; a NaN fails."""
+    """TypeError unless p is a real number, not a bool; ValueError unless
+    it is in [1, inf], which a NaN is not."""
+    if isinstance(p, (bool, np.bool_)) or not isinstance(p, numbers.Real):
+        raise TypeError(f"an exponent must be a real number, got {p!r}")
     if not p >= 1:
         raise ValueError(f"exponent must be in [1, inf], got {p}")
 

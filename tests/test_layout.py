@@ -107,6 +107,24 @@ def test_only_signals_names_numpys_fft():
     assert found == []
 
 
+def test_only_errors_names_operator_index():
+    # every integer argument is judged by the one rule, errors.as_integer,
+    # which refuses the bool that operator.index takes for 1
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "errors":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "index":
+                if isinstance(node.value, ast.Name) and node.value.id == "operator":
+                    found.append(f"{path.name}:{node.lineno}: operator.index")
+            elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+                if any(a.name == "index" for a in node.names):
+                    found.append(f"{path.name}:{node.lineno}: from operator import index")
+    assert found == []
+
+
 def test_every_table_the_tracer_reads_the_cache_of_keeps_its_cache():
     # benchmarks/tracer.py calls cache_info() on each exported function
     # named in its CACHED_TABLES; read the names without importing it

@@ -210,7 +210,7 @@ def test_parse_exponent():
         parse_exponent("abc")
     with pytest.raises(ConfigError):
         parse_exponent(0.5)
-    for bad in (True, [2], None, "nan"):
+    for bad in (True, np.True_, [2], None, "nan", 10**400):
         with pytest.raises(ConfigError):
             parse_exponent(bad)
 

@@ -187,6 +187,10 @@ def test_require_exponent_takes_one_to_infinity_and_fails_nan():
     for bad in (0.5, 0, -1, -math.inf, math.nan):
         with pytest.raises(ValueError, match=r"^exponent must be in \[1, inf\], got "):
             require_exponent(bad)
+    # True >= 1 held, so a bool passed as the exponent 1
+    for bad in (True, np.True_, "2", None):
+        with pytest.raises(TypeError, match=r"^an exponent must be a real number, got "):
+            require_exponent(bad)
 
 
 def test_mod_norms_from_table():
