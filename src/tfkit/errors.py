@@ -1,7 +1,9 @@
 """Exception types shared across the package, and as_integer, the one
-rule every integer argument (orders, coordinates, steps, counts) meets."""
+rule every integer argument (orders, coordinates, steps, counts) meets;
+as_integers applies it to a sequence of them."""
 
 import operator
+from collections.abc import Iterable
 
 
 def as_integer(value, what: str) -> int:
@@ -13,6 +15,15 @@ def as_integer(value, what: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
+def as_integers(values, what: str, each: str) -> tuple:
+    """values as a tuple of ints, each judged by as_integer as `each`; a
+    TypeError naming values when it is not iterable, such as a bare
+    integer, in place of Python's own "'int' object is not iterable"."""
+    if not isinstance(values, Iterable):
+        raise TypeError(f"{what} must be an integer sequence, got {values!r}")
+    return tuple(as_integer(v, each) for v in values)
 
 
 class GroupMismatchError(ValueError):

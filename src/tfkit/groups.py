@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import LatticeError, as_integer
+from .errors import LatticeError, as_integer, as_integers
 
 __all__ = [
     "Group",
@@ -62,9 +62,7 @@ class PhasePoint(NamedTuple):
 def _as_coords(coords) -> tuple:
     if isinstance(coords, PhasePoint):
         raise TypeError("expected group coordinates, got a phase point")
-    if not isinstance(coords, Iterable):
-        raise TypeError(f"coordinates must be an integer sequence, got {coords!r}")
-    return tuple(as_integer(c, "a coordinate") for c in coords)
+    return as_integers(coords, "coordinates", "a coordinate")
 
 
 def _as_weight(value, what: str, error: type) -> Fraction:
@@ -85,8 +83,10 @@ class Group:
     weight      : Haar weight per point of the group
     dual_weight : Haar weight per point of the dual group
 
-    Orders, coordinates and element indices meet errors.as_integer, both
-    weights _as_weight: a finite positive real, not a bool or string.
+    Orders, coordinates and element indices meet errors.as_integer, and
+    a bare order or coordinate where a sequence belongs is named by
+    errors.as_integers; both weights meet _as_weight: a finite positive
+    real, not a bool or string.
     """
 
     orders: tuple
@@ -94,7 +94,7 @@ class Group:
     dual_weight: Fraction
 
     def __post_init__(self):
-        orders = tuple(as_integer(n, "a group order") for n in self.orders)
+        orders = as_integers(self.orders, "group orders", "a group order")
         if not orders:
             raise ValueError("a group needs at least one cyclic factor")
         if any(n < 1 for n in orders):
@@ -168,9 +168,9 @@ class Group:
 
 def make_group(orders: Sequence[int]) -> Group:
     """Group with the default normalization: counting measure on G.  The
-    orders are judged by as_integer before the dual weight is formed; the
+    orders are judged by as_integers before the dual weight is formed; the
     max leaves a zero or negative order to Group's own check."""
-    orders = tuple(as_integer(n, "a group order") for n in orders)
+    orders = as_integers(orders, "group orders", "a group order")
     return Group(orders, Fraction(1), Fraction(1, max(1, math.prod(orders))))
 
 

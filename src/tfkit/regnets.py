@@ -5,9 +5,18 @@ Three constructions are provided:
 
   pc_net           product-convolution stages (s . g) * h with a plateau
                    g rising to 1 and an L1-normalized spike h
-  localization_net masked phase-space synthesis around one window
+  localization_net Gabor multipliers around one window, one per mask H:
+                   T s = sum_nu phase_weight * H(nu) <s, pi(nu) g> pi(nu) g
   gabor_partial_net partial sums of a Parseval Gabor frame over growing
                    counts of lattice points
+
+A localization stage's kernel is computed by its diagonals,
+k[t, t + d] = phase_weight * sum_x conj g(t - x) g(t + d - x) Hv_x(d) with
+Hv_x(d) = sum_w H(x, w) w(d) (Feichtinger, Hampejs and Kracher,
+"Approximation of matrices by Gabor multipliers", IEEE SPL 11, 2004;
+transform.multiplier_kernel), with no atom matrix.  Where g is real and
+H(x, -w) = conj H(x, w), as for box_mask, the kernel is real and stored
+with imaginary part exactly 0.
 
 check_regularizing evaluates the four certificate conditions on a net:
 (i) the final stage reproduces probes in the windowed m1 norm, (ii) the
@@ -49,7 +58,7 @@ from .signals import (
     random_signal,
     shift_matrix,
 )
-from .transform import PhaseTable, m1_norm, phase_atoms
+from .transform import PhaseTable, m1_norm, multiplier_kernel
 from .frames import GaborSystem, frame_bounds, partial_frame_sum
 
 __all__ = [
@@ -185,25 +194,39 @@ def box_mask(group: Group, time_radius: float, freq_radius: float) -> PhaseTable
 
 
 def localization_net(window: Signal, masks) -> RegNet:
-    """Stages T s = sum_nu phase_weight * H(nu) <s, pi(nu) g> pi(nu) g.
+    """Stages T s = sum_nu phase_weight * H(nu) <s, pi(nu) g> pi(nu) g,
+    one Gabor multiplier per mask H, each kernel computed by its
+    diagonals (transform.multiplier_kernel):
+
+        k[t1, t1 + d] = phase_weight * sum_x conj g(t1 - x) g(t1 + d - x) Hv_x(d)
+
+    with Hv_x(d) = sum_w H(x, w) w(d), the Kohn-Nirenberg route of
+    Feichtinger, Hampejs and Kracher (IEEE SPL 11, 2004), in
+    O(|G|^2 log |G|) time and O(|G|^2) memory per stage.  Where g is real
+    and H(x, -w) = conj H(x, w), as for box_mask, the kernel is real and
+    stored with imaginary part exactly 0, so the stage's operator pass
+    takes the mirrored route (kernels.operator_phase_sums).
 
     Needs ||g||_2 = 1 to 1e-10, so a NaN window fails (WindowError); the
-    all-ones mask then gives the identity exactly, by the inversion formula.
+    all-ones mask then gives the identity, by the inversion formula.
+    Every mask is checked before any kernel is built: GroupMismatchError
+    for a mask on another group, ValueError naming the mask's index for
+    an inf or NaN entry.
     """
     if not abs(l2_norm(window) - 1.0) <= 1e-10:
         raise WindowError("localization window must be L2-normalized")
     grp = window.group
-    atoms = phase_atoms(window)
-    wp = grp.phase_weight
-    stages = []
-    labels = []
+    masks = tuple(masks)
     for i, mask in enumerate(masks):
         if mask.group != grp:
             raise GroupMismatchError("mask lives on the wrong group")
-        h = mask.values.ravel()
-        k = ((atoms.conj() * h[:, None]).T @ atoms) * wp
-        coverage = float(np.count_nonzero(h)) / h.size
-        stages.append(KernelOperator(grp, grp, k))
+        if not np.isfinite(mask.values).all():
+            raise ValueError(f"mask {i} has an inf or NaN entry")
+    stages = []
+    labels = []
+    for i, mask in enumerate(masks):
+        coverage = float(np.count_nonzero(mask.values)) / mask.values.size
+        stages.append(KernelOperator(grp, grp, multiplier_kernel(window, mask)))
         labels.append(f"loc[{i}:{coverage:.0%}]")
     return RegNet(grp, tuple(stages), tuple(labels))
 

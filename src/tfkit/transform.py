@@ -19,7 +19,9 @@ analysis and its adjoint synthesis are the DGT pair (Sondergaard, JFAA
 18, 2012) at the lattice's FFT length, with no L x |G| array.  The whole
 phase space is the lattice with unit steps: the inversion formula
 (stft_invert) is synthesis on it, and the frame expansions
-(frames.atomic_expand, gabor_synthesize) are the same pair.  phase_atoms
+(frames.atomic_expand, gabor_synthesize) are the same pair.
+multiplier_kernel computes the kernel of a Gabor multiplier by its
+diagonals, off the same shift view, with no atom matrix.  phase_atoms
 builds the character rows of the frequencies it is asked for
 (groups.character_rows); only mod_norm_conv, which needs every
 modulation, reads the whole cached groups.character_table.
@@ -61,7 +63,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, WindowError
-from .groups import Group, Lattice, character_rows, character_table, make_lattice
+from .groups import (
+    Group,
+    Lattice,
+    character_rows,
+    character_table,
+    element_coords,
+    make_lattice,
+    negation_index,
+)
 from .signals import Signal, fft_axes, fourier, l2_norm, same_group, shift_matrix, shift_windows
 
 __all__ = [
@@ -75,6 +85,7 @@ __all__ = [
     "node_windows",
     "analysis",
     "synthesis",
+    "multiplier_kernel",
     "weighted_pnorm",
     "stft",
     "stft_invert",
@@ -358,6 +369,56 @@ def synthesis(window: Signal, lattice: Lattice, coefficients: np.ndarray) -> np.
     # out= spares a multi-factor ifftn its second table-sized array
     sums = _character_sum(table, tuple(range(k, 2 * k)), out=np.empty(table.shape, complex))
     return np.einsum(shifts, nodes + split, sums, nodes + freqs, split).ravel()
+
+
+def multiplier_kernel(window: Signal, mask: PhaseTable) -> np.ndarray:
+    """Kernel k[s, t] of the Gabor multiplier
+
+        f -> sum_nu phase_weight * mask[nu] <f, pi(nu) g> pi(nu) g,
+
+    (T f)(t) = sum_s weight * k[s, t] f(s), computed by its diagonals
+    d = t - s (the Kohn-Nirenberg route of Feichtinger, Hampejs and
+    Kracher, "Approximation of matrices by Gabor multipliers", IEEE SPL
+    11, 2004):
+
+        k[s, s + d] = phase_weight * sum_x conj g(s - x) g(s + d - x) hv[x, d]
+
+    with hv[x, d] = sum_w mask[x, w] w(d), one character sum over the
+    mask's frequency axes (_character_sum).  For each d the sum over x is
+    a cyclic convolution over the factor axes, of hv[., d] with
+    a_d(u) = conj g(u) g(u + d), whose factors g(u + d) are the shift
+    view's (signals.shift_windows); both go through FFTs over the time
+    axes.  O(|G|^2 log |G|) time and O(|G|^2) memory, no atom matrix and
+    no matrix product.
+
+    The kernel is real in exact arithmetic when the window is real and
+    mask[x, -w] = conj mask[x, w], as for a real mask symmetric in w (a
+    box); both are checked on the input, and then its imaginary part is
+    stored as exactly 0.  Otherwise the kernel is complex.  An inf or NaN
+    mask entry gives NaN entries (regnets.localization_net refuses it
+    first)."""
+    grp, k = window.group, window.group.nfactors
+    if mask.group != grp:
+        raise GroupMismatchError("mask and window live on different groups")
+    times = tuple(range(k))
+    # hv[x, d], then its FFT over x, in place
+    spread = _character_sum(mask.values.reshape(grp.orders * 2), tuple(range(k, 2 * k)))
+    fft_axes(spread, times, out=spread)
+    # a[u, d] = conj g(u) g(u + d): the shift view at starts u
+    ahead = shift_windows(window)[tuple(slice(0, n) for n in grp.orders)]
+    spread *= fft_axes(ahead * np.conj(window.grid()).reshape(grp.orders + (1,) * k), times)
+    diagonals = fft_axes(spread, times, inverse=True, out=spread).reshape(grp.order, grp.order)
+    # k[s, t] = diagonals[s, t - s]
+    coords = element_coords(grp)
+    lags = (coords[:, None, :] - coords[:, :, None]) % np.reshape(grp.orders, (-1, 1, 1))
+    kernel = np.take_along_axis(diagonals, np.ravel_multi_index(tuple(lags), grp.orders), axis=1)
+    kernel *= grp.phase_weight
+    values = mask.values
+    if not np.any(window.values.imag) and np.array_equal(
+        values[:, negation_index(grp)], np.conj(values)
+    ):
+        kernel.imag = 0.0
+    return kernel
 
 
 def weighted_pnorm(mags: np.ndarray, weight: float, p, axis=None):

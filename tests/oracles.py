@@ -188,6 +188,16 @@ def weak_reconstruction(op, window, s):
     return Signal(op.codomain, (coeffs @ images) * scale)
 
 
+def atom_multiplier_kernel(window, mask):
+    """Kernel of the Gabor multiplier f -> sum_nu phase_weight * mask[nu]
+    <f, pi(nu) g> pi(nu) g over the whole atom matrix, one
+    (|G| x |G|^2)(|G|^2 x |G|) product: O(|G|^4) time and |G|^3 memory.
+    The library computes it by its diagonals (transform.multiplier_kernel)."""
+    atoms = phase_atoms(window)
+    h = mask.values.ravel()
+    return ((atoms.conj() * h[:, None]).T @ atoms) * window.group.phase_weight
+
+
 def gabor_atoms(system):
     """Atom matrix, one row pi(lambda) g per lattice point in
     lattice.points() order, each by tf_shift.  The library builds these

@@ -489,9 +489,9 @@ def test_blas_thread_count_leaves_frames_csv_unchanged(tmp_path):
 
 def test_blas_thread_count_leaves_every_report_unchanged(tmp_path):
     # the suites that take BLAS products besides the frames sweep: the
-    # regnet compose and sandwich products and localization_net on Z/32,
-    # and the kernel checks at report-large's sizes; the other sections
-    # are small, so each run takes under a second
+    # regnet compose and sandwich products on Z/32, and the kernel checks
+    # at report-large's sizes; the other sections are small, so each run
+    # takes under a second
     config = {
         "norms": {"groups": [[8]]},
         "kernel": {

@@ -39,6 +39,8 @@ REALS = ("2.0", "np.float64(2)")
 ARGUMENTS = {
     "make_group orders": (lambda v: make_group((v,)), ()),
     "Group orders": (lambda v: Group((v,), 1, 1), ()),
+    "make_group bare orders": (lambda v: make_group(v), ()),
+    "Group bare orders": (lambda v: Group(v, 1, 1), ()),
     "Group.reduce coordinates": (lambda v: G.reduce((v,)), INTEGERS),
     "Group.reduce bare coordinates": (lambda v: G.reduce(v), ()),
     "Group.index coordinates": (lambda v: G.index((v,)), INTEGERS),
@@ -91,3 +93,9 @@ def test_as_integer_takes_any_integer_type_and_returns_an_int():
         assert out == 3 and type(out) is int
     with pytest.raises(TypeError, match=r"^a count must be an integer, got np\.True_$"):
         as_integer(np.True_, "a count")
+
+
+@pytest.mark.parametrize("call", [lambda: make_group(8), lambda: Group(8, 1, 1)])
+def test_a_bare_order_is_named_as_what_it_is(call):
+    with pytest.raises(TypeError, match=r"^group orders must be an integer sequence, got 8$"):
+        call()

@@ -86,6 +86,20 @@ def test_only_signals_and_transform_read_the_shift_windows_view():
     assert found == []
 
 
+def test_regnets_builds_no_atom_matrix():
+    # localization stages are computed by their diagonals
+    # (transform.multiplier_kernel); the atom route is the tests' oracle
+    path = SRC / "regnets.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+        names += [getattr(node, "attr", None), getattr(node, "id", None)]
+        if "phase_atoms" in names:
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_signals_names_numpys_fft():
     # every FFT goes through the one dispatch, signals.fft_axes, which
     # sends a single axis straight to np.fft.fft or ifft

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +47,8 @@ from tfkit.signals import (
     pointwise,
     random_signal,
 )
-from tfkit.transform import m1_norm
+from tfkit.suites import merge_config, run_regnet
+from tfkit.transform import PhaseTable, m1_norm, pairing_mags
 
 from oracles import normalized_gauss, onb_system, operator_pairing_table
 
@@ -199,6 +201,55 @@ def test_localization_net_rejects_foreign_mask():
     g = make_group((8,))
     with pytest.raises(GroupMismatchError):
         localization_net(normalized_gauss(g), [box_mask(make_group((6,)), 2, 2)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_localization_net_names_a_non_finite_mask_before_any_arithmetic(bad):
+    g = make_group((8,))
+    values = box_mask(g, 2, 2).values.copy()
+    values[3, 1] = bad
+    masks = [box_mask(g, 1, 1), PhaseTable(g, values)]
+    with pytest.raises(ValueError, match="^mask 1 has an inf or NaN entry$"):
+        localization_net(normalized_gauss(g), masks)
+
+
+def test_localization_net_on_z128_stays_in_o_n2_memory():
+    # the atom route held |G|^3 complex entries, 97 MiB here; each kernel
+    # is 0.25 MiB
+    g = make_group((128,))
+    window = normalized_gauss(g)
+    masks = [box_mask(g, r, r) for r in (16, 32, 48, 64)]
+    tracemalloc.start()
+    try:
+        localization_net(window, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_loc_fourier_regnet_passes_over_the_net_stages_take_the_mirrored_route(monkeypatch):
+    # Z/32: a mirrored pass computes 32 x 17 rows (w1 = 0, 16 and one of
+    # each of 15 pairs), a full one 32 x 32.  The four sandwich stages go
+    # through the Fourier kernel and are complex; the four loc stages that
+    # check_regularizing passes over are real, exactly
+    passes = []
+    real_pass = kernels._phase_pass
+
+    def counting_pass(*args):
+        passes.append(0)
+        return real_pass(*args)
+
+    def counting_mags(window, rows, out):
+        passes[-1] += len(rows)
+        return pairing_mags(window, rows, out)
+
+    monkeypatch.setattr(kernels, "_phase_pass", counting_pass)
+    monkeypatch.setattr(kernels, "pairing_mags", counting_mags)
+    cfg = merge_config({"regnet": {"group": [32], "construction": "loc", "target": "fourier"}})
+    assert run_regnet(cfg["regnet"], 0, 1e-10).summary["certificate"]
+    assert sorted(passes) == [32 * 17] * 4 + [32 * 32] * 4
 
 
 def test_localization_full_mask_is_identity():

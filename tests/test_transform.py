@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from tfkit import transform
 from tfkit.errors import GroupMismatchError, WindowError
 from tfkit.frames import GaborSystem
-from tfkit.groups import PhasePoint, character_table, make_group, make_lattice
+from tfkit.groups import PhasePoint, character_table, make_group, make_lattice, negation_index
+from tfkit.regnets import box_mask
 from tfkit.signals import (
     Signal,
     constant,
@@ -34,6 +35,7 @@ from tfkit.transform import (
     mod_norm,
     mod_norm_conv,
     mod_norms,
+    multiplier_kernel,
     pairing_mags,
     pairing_rows,
     pairing_table,
@@ -47,7 +49,7 @@ from tfkit.transform import (
     window_equivalence_ratio,
 )
 
-from oracles import gabor_atoms, naive_char, node_row_synthesis
+from oracles import atom_multiplier_kernel, gabor_atoms, naive_char, node_row_synthesis
 
 ORDERS = st.sampled_from([(2,), (3,), (6,), (2, 3)])
 
@@ -616,6 +618,58 @@ def test_dgt_pair_matches_dense_atoms_and_the_whole_table(case):
     table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = node_row_synthesis(GaborSystem(window, unit), table)
     _assert_close(synthesis(window, unit, table), want)
+
+
+@st.composite
+def _multiplier_cases(draw):
+    # 1-3 cyclic factors, |G| <= 36, the dual (Haar weight 1/|G|) in about
+    # a third; real or complex windows; box masks (real, symmetric in w),
+    # random complex masks, and real masks asymmetric in w
+    orders = [draw(st.integers(1, 12))]
+    while len(orders) < 3 and 36 // math.prod(orders) > 1 and draw(st.booleans()):
+        orders.append(draw(st.integers(1, min(12, 36 // math.prod(orders)))))
+    grp = make_group(orders)
+    grp = grp.dual() if draw(st.integers(0, 2)) == 0 else grp
+    seed = draw(st.integers(0, 2**16))
+    values = random_signal(grp, seed).values
+    window = Signal(grp, values.real + 1.0 if draw(st.booleans()) else values + 1.0)
+    kind = draw(st.sampled_from(["box", "complex", "asymmetric"]))
+    n = grp.order
+    rng = np.random.default_rng(seed + 1)
+    if kind == "box":
+        radius = max(orders) // 2
+        mask = box_mask(grp, draw(st.integers(0, radius)), draw(st.integers(0, radius)))
+    elif kind == "complex":
+        mask = PhaseTable(grp, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    else:
+        mask = PhaseTable(grp, rng.standard_normal((n, n)))
+    return window, mask
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_multiplier_cases())
+def test_multiplier_kernel_matches_the_atom_route(case):
+    # the diagonal route against the whole atom matrix; real exactly where
+    # the window is real and mask[x, -w] = conj mask[x, w], else complex
+    window, mask = case
+    grp = window.group
+    got = multiplier_kernel(window, mask)
+    want = atom_multiplier_kernel(window, mask)
+    _assert_close(got, want)
+    values = mask.values
+    real = not np.any(window.values.imag) and np.array_equal(
+        values[:, negation_index(grp)], np.conj(values)
+    )
+    if real:
+        assert not np.any(got.imag)
+    elif np.max(np.abs(want.imag)) > 1e-9 * np.max(np.abs(want)):
+        assert np.any(got.imag)
+
+
+def test_multiplier_kernel_rejects_a_foreign_mask():
+    g = make_group((8,))
+    with pytest.raises(GroupMismatchError):
+        multiplier_kernel(gauss(g, 1.0), box_mask(make_group((6,)), 2, 2))
 
 
 def _round_trip(values, axes, out=None):
